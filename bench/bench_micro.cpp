@@ -21,6 +21,7 @@
 #include "duv/ifu.hpp"
 #include "duv/io_unit.hpp"
 #include "duv/l3_cache.hpp"
+#include "stimgen/compiled.hpp"
 #include "stimgen/sampler.hpp"
 #include "tac/tac.hpp"
 #include "tgen/parser.hpp"
@@ -89,7 +90,8 @@ BENCHMARK(BM_SkeletonInstantiate);
 void BM_SamplerWeightedDraw(benchmark::State& state) {
   const duv::IoUnit io;
   util::Xoshiro256 rng(1);
-  stimgen::ParameterSampler sampler(nullptr, io.defaults(), rng);
+  const stimgen::CompiledTemplate table(nullptr, io.defaults());
+  stimgen::ParameterSampler sampler(table, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sampler.draw("Cmd"));
   }
@@ -100,7 +102,8 @@ BENCHMARK(BM_SamplerWeightedDraw);
 void BM_SamplerRangeDraw(benchmark::State& state) {
   const duv::IoUnit io;
   util::Xoshiro256 rng(1);
-  stimgen::ParameterSampler sampler(nullptr, io.defaults(), rng);
+  const stimgen::CompiledTemplate table(nullptr, io.defaults());
+  stimgen::ParameterSampler sampler(table, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sampler.draw_range("GapDelay"));
   }

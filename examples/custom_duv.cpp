@@ -15,6 +15,7 @@
 #include "duv/duv.hpp"
 #include "neighbors/neighbors.hpp"
 #include "report/report.hpp"
+#include "stimgen/compiled.hpp"
 #include "stimgen/sampler.hpp"
 #include "tgen/parser.hpp"
 #include "util/rng.hpp"
@@ -63,7 +64,8 @@ class StoreQueueUnit final : public duv::Duv {
   [[nodiscard]] coverage::CoverageVector simulate(
       const tgen::TestTemplate& tmpl, std::uint64_t seed) const override {
     util::Xoshiro256 rng(seed);
-    stimgen::ParameterSampler sampler(&tmpl, defaults_, rng);
+    const stimgen::CompiledTemplate table(&tmpl, defaults_);
+    stimgen::ParameterSampler sampler(table, rng);
     coverage::CoverageVector vec(space_.size());
 
     const std::int64_t num_ops = sampler.draw_range("NumOps");

@@ -13,9 +13,8 @@
 namespace ascdg::batch {
 
 namespace {
-/// Simulations per work chunk: large enough to amortize queue overhead
-/// (and give simulate_batch a wide SoA batch), small enough to
-/// load-balance (and steal well) across workers.
+/// Simulations per work chunk: large enough to amortize queue overhead,
+/// small enough to load-balance (and steal well) across workers.
 constexpr std::size_t kChunk = 64;
 
 /// Initial per-worker ring capacity (chunks). Rings grow on demand and

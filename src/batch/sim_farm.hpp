@@ -20,8 +20,8 @@
 // time — the hot simulation loop takes no lock at all.
 //
 // Determinism: the seed of instance i of a run is a pure function of
-// (seed_root, i) via a SeedStream, each batch lane advances its own
-// seed's RNG stream (simulate_batch lane i is bit-identical to scalar
+// (seed_root, i) via a SeedStream, each simulation draws from its own
+// seed's RNG stream (simulate_batch's out[i] is bit-identical to scalar
 // simulate(seeds[i])), and hit-count accumulation is commutative, so
 // results are bit-identical for any worker count, any batch width, and
 // any steal schedule.

@@ -14,14 +14,13 @@
 //     local to the call (the batch farm calls it concurrently).
 //
 // simulate_batch() is the farm's hot entry point: it advances a whole
-// span of seeds through one call, letting a unit keep per-seed state in
-// structure-of-arrays form and reuse its compiled distribution tables
-// across lanes. The default implementation is a scalar loop over
-// simulate(), so an external RTL wrapper implements only the scalar
-// method and still works everywhere (see docs/porting.md). Whatever the
-// implementation, lane i of a batch must be bit-identical to
-// simulate(tmpl, seeds[i]) — batching is an execution detail, never an
-// observable one.
+// span of seeds through one call, letting a unit reuse the distribution
+// tables compile() resolved once per job. The default implementation is
+// a scalar loop over simulate(), so an external RTL wrapper implements
+// only the scalar method and still works everywhere (see
+// docs/porting.md). Whatever the implementation, out[i] of a batch must
+// be bit-identical to simulate(tmpl, seeds[i]) — batching is an
+// execution detail, never an observable one.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +50,8 @@ class Duv {
   /// The full parameter list with default settings. Test-templates
   /// override a subset of these; unknown parameter names in a template
   /// are ignored by the generator (they simply are never consulted).
+  /// Every parameter the generator draws must be declared here: a
+  /// stimgen draw of an undeclared name throws util::NotFoundError.
   [[nodiscard]] virtual const tgen::TestTemplate& defaults() const noexcept = 0;
 
   /// Generates one test-instance from `tmpl` (falling back to the

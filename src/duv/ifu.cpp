@@ -1,14 +1,13 @@
 #include "duv/ifu.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "stimgen/compiled.hpp"
 #include "tgen/parser.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace ascdg::duv {
@@ -105,11 +104,11 @@ Ifu::Ifu() : defaults_("ifu_defaults") {
   defaults_.add(RangeParameter{"NumFetches", 80, 240});
 }
 
-// Compiled per-template distribution tables. Entry codes turn the
-// per-draw symbol comparisons of the scalar path into integer compares:
-// code 0 means the "interesting" symbol ("taken" / "miss" / "on"),
-// anything else falls through exactly like an unmatched symbol did.
-struct Ifu::Tables final : Duv::Compiled {
+// Compiled per-template distribution tables. Entry codes turn per-draw
+// symbol comparisons into integer compares: code 0 means the
+// "interesting" symbol ("taken" / "miss" / "on"), anything else falls
+// through like an unmatched symbol.
+struct IfuTables final : Duv::Compiled {
   stimgen::CompiledTemplate table;
   const stimgen::CompiledParam* num_fetches;
   const stimgen::CompiledParam* fetch_gap;
@@ -124,7 +123,8 @@ struct Ifu::Tables final : Duv::Compiled {
   std::vector<std::int32_t> icache_miss;
   std::vector<std::int32_t> redirect_on;
 
-  Tables(const tgen::TestTemplate* overrides, const tgen::TestTemplate& defaults)
+  IfuTables(const tgen::TestTemplate* overrides,
+            const tgen::TestTemplate& defaults)
       : table(overrides, defaults),
         num_fetches(table.find("NumFetches")),
         fetch_gap(table.find("FetchGap")),
@@ -144,146 +144,66 @@ struct Ifu::Tables final : Duv::Compiled {
   }
 };
 
-namespace {
+template class KernelDuv<IfuTables>;
 
-/// Per-worker SoA lane state, reused across batches (thread_local so
-/// every farm worker owns one arena and the kernel allocates nothing
-/// in steady state).
-struct IfuLanes {
-  std::vector<util::Xoshiro256> rng;
-  std::vector<std::int64_t> now;
-  std::vector<std::int64_t> last_thread;
-  std::vector<std::int64_t> fetches_left;
-  std::vector<std::int64_t> live;  ///< [lane * kCreditCap + e] timestamps
-  std::vector<std::uint32_t> live_n;
-  std::vector<std::uint32_t> active;
-};
+void Ifu::run(const IfuTables& t, std::uint64_t seed,
+              coverage::CoverageVector& vec) const {
+  util::Xoshiro256 rng(seed);
+  vec.reset(space_.size());
+  std::int64_t now = 0;
+  std::int64_t last_thread = -1;
+  // Drain timestamps of the live fetch-buffer entries, in allocation
+  // order.
+  std::array<std::int64_t, kCreditCap> live{};
+  std::size_t live_n = 0;
 
-IfuLanes& ifu_lanes() {
-  static thread_local IfuLanes lanes;
-  return lanes;
-}
+  for (std::int64_t left = t.num_fetches->draw_range(rng); left > 0; --left) {
+    now += t.fetch_gap->draw_range(rng);
 
-}  // namespace
-
-void Ifu::run_lanes(const Tables& t, std::span<const std::uint64_t> seeds,
-                    std::span<coverage::CoverageVector> out) const {
-  ASCDG_ASSERT(seeds.size() == out.size(), "batch seed/out size mismatch");
-  const std::size_t n = seeds.size();
-  IfuLanes& ws = ifu_lanes();
-  ws.rng.clear();
-  ws.rng.reserve(n);
-  ws.now.assign(n, 0);
-  ws.last_thread.assign(n, -1);
-  ws.fetches_left.resize(n);
-  ws.live.assign(n * kCreditCap, 0);
-  ws.live_n.assign(n, 0);
-  ws.active.clear();
-  ws.active.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    ws.rng.emplace_back(seeds[l]);
-    out[l].reset(space_.size());
-    ws.fetches_left[l] = t.num_fetches->draw_range(ws.rng[l]);
-    if (ws.fetches_left[l] > 0) ws.active.push_back(static_cast<std::uint32_t>(l));
-  }
-
-  // Round-robin over live lanes: every pass runs one fetch iteration
-  // per lane (per-lane RNG streams keep the interleave unobservable),
-  // retiring finished lanes by compaction.
-  while (!ws.active.empty()) {
-    std::size_t kept = 0;
-    for (const std::uint32_t l : ws.active) {
-      util::Xoshiro256& rng = ws.rng[l];
-      coverage::CoverageVector& vec = out[l];
-      std::int64_t& now = ws.now[l];
-
-      now += t.fetch_gap->draw_range(rng);
-
-      // Drain entries whose icache response has arrived (stable
-      // compaction — same survivors and order as the erase_if it ports).
-      std::int64_t* live = ws.live.data() + std::size_t{l} * kCreditCap;
-      std::uint32_t& live_n = ws.live_n[l];
-      std::uint32_t keep = 0;
-      for (std::uint32_t e = 0; e < live_n; ++e) {
-        if (live[e] > now) live[keep++] = live[e];
-      }
-      live_n = keep;
-
-      const std::int64_t thread = std::clamp<std::int64_t>(
-          t.thread_sel->draw_int(rng), 0, kThreads - 1);
-      if (ws.last_thread[l] >= 0 && thread != ws.last_thread[l]) {
-        vec.hit(ev_thread_switch_);
-      }
-      ws.last_thread[l] = thread;
-
-      const std::int64_t sector = std::clamp<std::int64_t>(
-          t.sector_sel->draw_int(rng), 0, kSectors - 1);
-      const bool taken = stimgen::entry_code(*t.branch_dir, t.branch_taken,
-                                             t.branch_dir->draw_index(rng)) == 0;
-
-      // Credit limiter: live occupancy is capped at 7, so allocation
-      // index 7 (the 8th entry) is structurally unreachable.
-      if (live_n >= kCreditCap) {
-        vec.hit(ev_stall_);
-      } else {
-        const std::size_t entry = live_n;
-
-        const bool miss = stimgen::entry_code(*t.icache, t.icache_miss,
-                                              t.icache->draw_index(rng)) == 0;
-        if (miss) vec.hit(ev_icache_miss_);
-        const std::int64_t latency = miss ? t.miss_latency->draw_range(rng)
-                                          : t.hit_latency->draw_range(rng);
-        live[live_n++] = now + latency;
-
-        const std::size_t coords[4] = {entry, static_cast<std::size_t>(thread),
-                                       static_cast<std::size_t>(sector),
-                                       taken ? std::size_t{1} : std::size_t{0}};
-        vec.hit(space_.cross_event(*cross_, coords));
-
-        // A taken branch with redirect enabled flushes the fetch buffer.
-        if (taken && stimgen::entry_code(*t.redirect, t.redirect_on,
-                                         t.redirect->draw_index(rng)) == 0) {
-          vec.hit(ev_redirect_);
-          live_n = 0;
-        }
-      }
-
-      if (--ws.fetches_left[l] > 0) ws.active[kept++] = l;
+    // Drain entries whose icache response has arrived (stable).
+    std::size_t keep = 0;
+    for (std::size_t e = 0; e < live_n; ++e) {
+      if (live[e] > now) live[keep++] = live[e];
     }
-    ws.active.resize(kept);
+    live_n = keep;
+
+    const std::int64_t thread = std::clamp<std::int64_t>(
+        t.thread_sel->draw_int(rng), 0, kThreads - 1);
+    if (last_thread >= 0 && thread != last_thread) vec.hit(ev_thread_switch_);
+    last_thread = thread;
+
+    const std::int64_t sector = std::clamp<std::int64_t>(
+        t.sector_sel->draw_int(rng), 0, kSectors - 1);
+    const bool taken = stimgen::entry_code(*t.branch_dir, t.branch_taken,
+                                           t.branch_dir->draw_index(rng)) == 0;
+
+    // Credit limiter: live occupancy is capped at 7, so allocation
+    // index 7 (the 8th entry) is structurally unreachable.
+    if (live_n >= kCreditCap) {
+      vec.hit(ev_stall_);
+      continue;
+    }
+    const std::size_t entry = live_n;
+
+    const bool miss = stimgen::entry_code(*t.icache, t.icache_miss,
+                                          t.icache->draw_index(rng)) == 0;
+    if (miss) vec.hit(ev_icache_miss_);
+    const std::int64_t latency = miss ? t.miss_latency->draw_range(rng)
+                                      : t.hit_latency->draw_range(rng);
+    live[live_n++] = now + latency;
+
+    const std::size_t coords[4] = {entry, static_cast<std::size_t>(thread),
+                                   static_cast<std::size_t>(sector),
+                                   taken ? std::size_t{1} : std::size_t{0}};
+    vec.hit(space_.cross_event(*cross_, coords));
+
+    // A taken branch with redirect enabled flushes the fetch buffer.
+    if (taken && stimgen::entry_code(*t.redirect, t.redirect_on,
+                                     t.redirect->draw_index(rng)) == 0) {
+      vec.hit(ev_redirect_);
+      live_n = 0;
+    }
   }
-}
-
-std::unique_ptr<Ifu::Tables> Ifu::make_tables(
-    const tgen::TestTemplate& tmpl) const {
-  return std::make_unique<Tables>(&tmpl, defaults_);
-}
-
-coverage::CoverageVector Ifu::simulate(const tgen::TestTemplate& tmpl,
-                                       std::uint64_t seed) const {
-  coverage::CoverageVector vec(space_.size());
-  const auto tables = make_tables(tmpl);
-  run_lanes(*tables, std::span<const std::uint64_t>(&seed, 1),
-            std::span<coverage::CoverageVector>(&vec, 1));
-  return vec;
-}
-
-std::unique_ptr<duv::Duv::Compiled> Ifu::compile(
-    const tgen::TestTemplate& tmpl) const {
-  return make_tables(tmpl);
-}
-
-void Ifu::simulate_batch(const tgen::TestTemplate& tmpl,
-                         const Compiled* compiled,
-                         std::span<const std::uint64_t> seeds,
-                         std::span<coverage::CoverageVector> out) const {
-  if (compiled == nullptr) {
-    run_lanes(*make_tables(tmpl), seeds, out);
-    return;
-  }
-  const auto* tables = dynamic_cast<const Tables*>(compiled);
-  ASCDG_ASSERT(tables != nullptr, "compiled tables do not belong to this unit");
-  run_lanes(*tables, seeds, out);
 }
 
 std::vector<tgen::TestTemplate> Ifu::suite() const {

@@ -22,11 +22,15 @@
 
 #include <cstdint>
 
-#include "duv/duv.hpp"
+#include "duv/kernel.hpp"
 
 namespace ascdg::duv {
 
-class Ifu final : public Duv {
+/// Compiled distribution tables + precomputed entry codes (ifu.cpp).
+struct IfuTables;
+extern template class KernelDuv<IfuTables>;
+
+class Ifu final : public KernelDuv<IfuTables> {
  public:
   Ifu();
 
@@ -37,13 +41,6 @@ class Ifu final : public Duv {
   [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
     return defaults_;
   }
-  [[nodiscard]] coverage::CoverageVector simulate(
-      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override;
-  [[nodiscard]] std::unique_ptr<Compiled> compile(
-      const tgen::TestTemplate& tmpl) const override;
-  void simulate_batch(const tgen::TestTemplate& tmpl, const Compiled* compiled,
-                      std::span<const std::uint64_t> seeds,
-                      std::span<coverage::CoverageVector> out) const override;
   [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override;
 
   /// The 256-event cross product block.
@@ -57,14 +54,9 @@ class Ifu final : public Duv {
   static constexpr std::size_t kSectors = 4;
 
  private:
-  /// Compiled distribution tables + precomputed entry codes (ifu.cpp).
-  struct Tables;
-  [[nodiscard]] std::unique_ptr<Tables> make_tables(
-      const tgen::TestTemplate& tmpl) const;
-  /// The one simulation kernel: lane i advances seeds[i] into out[i].
-  /// simulate() is this at width 1; simulate_batch() at width N.
-  void run_lanes(const Tables& tables, std::span<const std::uint64_t> seeds,
-                 std::span<coverage::CoverageVector> out) const;
+  /// The one simulation kernel (ifu.cpp).
+  void run(const IfuTables& tables, std::uint64_t seed,
+           coverage::CoverageVector& out) const override;
 
   coverage::CoverageSpace space_;
   tgen::TestTemplate defaults_;

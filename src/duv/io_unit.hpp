@@ -27,11 +27,15 @@
 
 #include <cstdint>
 
-#include "duv/duv.hpp"
+#include "duv/kernel.hpp"
 
 namespace ascdg::duv {
 
-class IoUnit final : public Duv {
+/// Compiled distribution tables + precomputed entry codes (io_unit.cpp).
+struct IoUnitTables;
+extern template class KernelDuv<IoUnitTables>;
+
+class IoUnit final : public KernelDuv<IoUnitTables> {
  public:
   IoUnit();
 
@@ -44,13 +48,6 @@ class IoUnit final : public Duv {
   [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
     return defaults_;
   }
-  [[nodiscard]] coverage::CoverageVector simulate(
-      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override;
-  [[nodiscard]] std::unique_ptr<Compiled> compile(
-      const tgen::TestTemplate& tmpl) const override;
-  void simulate_batch(const tgen::TestTemplate& tmpl, const Compiled* compiled,
-                      std::span<const std::uint64_t> seeds,
-                      std::span<coverage::CoverageVector> out) const override;
   [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override;
 
   /// The crc_* family (ordered easy -> hard).
@@ -65,13 +62,9 @@ class IoUnit final : public Duv {
   static constexpr int kCrcThresholds[6] = {4, 8, 16, 32, 64, 96};
 
  private:
-  /// Compiled distribution tables + precomputed entry codes (io_unit.cpp).
-  struct Tables;
-  [[nodiscard]] std::unique_ptr<Tables> make_tables(
-      const tgen::TestTemplate& tmpl) const;
-  /// The one simulation kernel: lane i advances seeds[i] into out[i].
-  void run_lanes(const Tables& tables, std::span<const std::uint64_t> seeds,
-                 std::span<coverage::CoverageVector> out) const;
+  /// The one simulation kernel (io_unit.cpp).
+  void run(const IoUnitTables& tables, std::uint64_t seed,
+           coverage::CoverageVector& out) const override;
 
   coverage::CoverageSpace space_;
   tgen::TestTemplate defaults_;

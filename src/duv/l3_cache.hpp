@@ -22,11 +22,15 @@
 
 #include <cstdint>
 
-#include "duv/duv.hpp"
+#include "duv/kernel.hpp"
 
 namespace ascdg::duv {
 
-class L3Cache final : public Duv {
+/// Compiled distribution tables + precomputed entry codes (l3_cache.cpp).
+struct L3CacheTables;
+extern template class KernelDuv<L3CacheTables>;
+
+class L3Cache final : public KernelDuv<L3CacheTables> {
  public:
   L3Cache();
 
@@ -39,13 +43,6 @@ class L3Cache final : public Duv {
   [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
     return defaults_;
   }
-  [[nodiscard]] coverage::CoverageVector simulate(
-      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override;
-  [[nodiscard]] std::unique_ptr<Compiled> compile(
-      const tgen::TestTemplate& tmpl) const override;
-  void simulate_batch(const tgen::TestTemplate& tmpl, const Compiled* compiled,
-                      std::span<const std::uint64_t> seeds,
-                      std::span<coverage::CoverageVector> out) const override;
   [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override;
 
   /// The byp_reqs01..16 family (ordered easy -> hard).
@@ -58,13 +55,9 @@ class L3Cache final : public Duv {
   static constexpr std::size_t kWriteQueueDepth = 8;
 
  private:
-  /// Compiled distribution tables + precomputed entry codes (l3_cache.cpp).
-  struct Tables;
-  [[nodiscard]] std::unique_ptr<Tables> make_tables(
-      const tgen::TestTemplate& tmpl) const;
-  /// The one simulation kernel: lane i advances seeds[i] into out[i].
-  void run_lanes(const Tables& tables, std::span<const std::uint64_t> seeds,
-                 std::span<coverage::CoverageVector> out) const;
+  /// The one simulation kernel (l3_cache.cpp).
+  void run(const L3CacheTables& tables, std::uint64_t seed,
+           coverage::CoverageVector& out) const override;
 
   coverage::CoverageSpace space_;
   tgen::TestTemplate defaults_;

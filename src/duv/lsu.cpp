@@ -1,14 +1,13 @@
 #include "duv/lsu.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "stimgen/compiled.hpp"
 #include "tgen/parser.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace ascdg::duv {
@@ -107,10 +106,9 @@ Lsu::Lsu() : defaults_("lsu_defaults") {
 }
 
 // Compiled per-template distribution tables. Mnemonic codes index
-// straight into ev_mnemonic_ (unmatched symbols decay to load, like the
-// scalar scan did); address-pattern codes are 0 same_line / 1 stride /
-// 2 random-or-unknown.
-struct Lsu::Tables final : Duv::Compiled {
+// straight into ev_mnemonic_ (unmatched symbols decay to load);
+// address-pattern codes are 0 same_line / 1 stride / 2 random-or-unknown.
+struct LsuTables final : Duv::Compiled {
   stimgen::CompiledTemplate table;
   const stimgen::CompiledParam* num_instr;
   const stimgen::CompiledParam* mnemonic;
@@ -120,7 +118,8 @@ struct Lsu::Tables final : Duv::Compiled {
   std::vector<std::int32_t> mnemonic_codes;
   std::vector<std::int32_t> pattern_codes;
 
-  Tables(const tgen::TestTemplate* overrides, const tgen::TestTemplate& defaults)
+  LsuTables(const tgen::TestTemplate* overrides,
+            const tgen::TestTemplate& defaults)
       : table(overrides, defaults),
         num_instr(table.find("NumInstr")),
         mnemonic(table.find("Mnemonic")),
@@ -135,201 +134,109 @@ struct Lsu::Tables final : Duv::Compiled {
   }
 };
 
-namespace {
+template class KernelDuv<LsuTables>;
 
-/// Per-worker SoA lane state, reused across batches.
-struct LsuLanes {
-  std::vector<util::Xoshiro256> rng;
-  std::vector<std::int64_t> now;
-  std::vector<std::int64_t> stride_cursor;
-  std::vector<std::int64_t> last_line;
-  std::vector<std::int64_t> instr_left;
-  std::vector<std::size_t> max_fwd;
-  std::vector<std::int64_t> sq_line;  ///< [lane * kStoreQueueDepth + e]
-  std::vector<std::int64_t> sq_ret;   ///< retirement timestamps, same layout
-  std::vector<std::uint32_t> sq_n;
-  std::vector<std::uint32_t> active;
-};
+void Lsu::run(const LsuTables& t, std::uint64_t seed,
+              coverage::CoverageVector& vec) const {
+  util::Xoshiro256 rng(seed);
+  vec.reset(space_.size());
+  std::int64_t now = 0;
+  std::int64_t stride_cursor = 0;
+  std::int64_t last_line = -1;
+  std::size_t max_fwd = 0;
+  // Outstanding stores in program order: line and retirement time.
+  std::array<std::int64_t, kStoreQueueDepth> sq_line{};
+  std::array<std::int64_t, kStoreQueueDepth> sq_ret{};
+  std::size_t sq_n = 0;
 
-LsuLanes& lsu_lanes() {
-  static thread_local LsuLanes lanes;
-  return lanes;
-}
-
-}  // namespace
-
-void Lsu::run_lanes(const Tables& t, std::span<const std::uint64_t> seeds,
-                    std::span<coverage::CoverageVector> out) const {
-  ASCDG_ASSERT(seeds.size() == out.size(), "batch seed/out size mismatch");
-  const std::size_t n = seeds.size();
-  LsuLanes& ws = lsu_lanes();
-  ws.rng.clear();
-  ws.rng.reserve(n);
-  ws.now.assign(n, 0);
-  ws.stride_cursor.assign(n, 0);
-  ws.last_line.assign(n, -1);
-  ws.instr_left.resize(n);
-  ws.max_fwd.assign(n, 0);
-  ws.sq_line.assign(n * kStoreQueueDepth, 0);
-  ws.sq_ret.assign(n * kStoreQueueDepth, 0);
-  ws.sq_n.assign(n, 0);
-  ws.active.clear();
-  ws.active.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    ws.rng.emplace_back(seeds[l]);
-    out[l].reset(space_.size());
-    ws.instr_left[l] = t.num_instr->draw_range(ws.rng[l]);
-    if (ws.instr_left[l] > 0) ws.active.push_back(static_cast<std::uint32_t>(l));
-  }
-
-  while (!ws.active.empty()) {
-    std::size_t kept = 0;
-    for (const std::uint32_t l : ws.active) {
-      util::Xoshiro256& rng = ws.rng[l];
-      coverage::CoverageVector& vec = out[l];
-      std::int64_t& now = ws.now[l];
-      std::int64_t* sq_line = ws.sq_line.data() + std::size_t{l} * kStoreQueueDepth;
-      std::int64_t* sq_ret = ws.sq_ret.data() + std::size_t{l} * kStoreQueueDepth;
-      std::uint32_t& sq_n = ws.sq_n[l];
-
-      // Ports the scalar lambda: draws AddrPattern, then StrideSize or a
-      // raw uniform line depending on the pattern code.
-      const auto draw_line = [&]() -> std::int64_t {
-        const std::int32_t pattern = stimgen::entry_code(
-            *t.addr_pattern, t.pattern_codes, t.addr_pattern->draw_index(rng));
-        if (pattern == 0) return 0;
-        if (pattern == 1) {
-          ws.stride_cursor[l] =
-              (ws.stride_cursor[l] + t.stride_size->draw_range(rng)) % kLineCount;
-          return ws.stride_cursor[l];
-        }
-        return rng.uniform_i64(0, kLineCount - 1);
-      };
-      // Stable compaction of retired stores — same survivors and order
-      // as the scalar erase_if.
-      const auto drain = [&] {
-        std::uint32_t keep = 0;
-        for (std::uint32_t e = 0; e < sq_n; ++e) {
-          if (sq_ret[e] > now) {
-            sq_line[keep] = sq_line[e];
-            sq_ret[keep] = sq_ret[e];
-            ++keep;
-          }
-        }
-        sq_n = keep;
-      };
-
-      now += 4;  // issue bandwidth: one memory op per 4 cycles
-      drain();
-
-      const auto m = static_cast<std::size_t>(stimgen::entry_code(
-          *t.mnemonic, t.mnemonic_codes, t.mnemonic->draw_index(rng)));
-      vec.hit(ev_mnemonic_[m]);
-
-      switch (m) {
-        case kLoad: {
-          const std::int64_t line = draw_line();
-          if (ws.last_line[l] >= 0 && line != ws.last_line[l] &&
-              line % 4 == ws.last_line[l] % 4) {
-            vec.hit(ev_bank_conflict_);
-          }
-          ws.last_line[l] = line;
-          // Youngest matching outstanding store forwards.
-          bool forwarded = false;
-          for (std::uint32_t e = sq_n; e-- > 0;) {
-            if (sq_line[e] == line) {
-              forwarded = true;
-              break;
-            }
-          }
-          if (forwarded) {
-            vec.hit(ev_fwd_hit_);
-            ws.max_fwd[l] = std::max(ws.max_fwd[l], std::size_t{sq_n});
-          } else {
-            // Cache lookup: same-line data is warm; others miss more.
-            const double hit_p = line == 0 ? 0.9 : 0.55;
-            vec.hit(rng.bernoulli(hit_p) ? ev_ld_hit_ : ev_ld_miss_);
-          }
-          break;
-        }
-        case kStore: {
-          const std::int64_t line = draw_line();
-          if (ws.last_line[l] >= 0 && line != ws.last_line[l] &&
-              line % 4 == ws.last_line[l] % 4) {
-            vec.hit(ev_bank_conflict_);
-          }
-          ws.last_line[l] = line;
-          if (sq_n >= kStoreQueueDepth) {
-            // Full queue: the store stalls until the oldest entry drains.
-            vec.hit(ev_stq_full_);
-            now = sq_ret[0];
-            drain();
-          }
-          // Retirement latency scales with the cache delay parameter.
-          const std::int64_t delay = t.cache_delay->draw_range(rng);
-          sq_line[sq_n] = line;
-          sq_ret[sq_n] = now + 4 + delay / 16;
-          ++sq_n;
-          break;
-        }
-        case kSync:
-          if (sq_n > 0) {
-            vec.hit(ev_sync_drain_);
-            std::int64_t latest = sq_ret[0];
-            for (std::uint32_t e = 1; e < sq_n; ++e) {
-              latest = std::max(latest, sq_ret[e]);
-            }
-            now = std::max(now, latest);
-            sq_n = 0;
-          }
-          break;
-        case kAdd:
-        default:
-          break;  // filler
+  // Draws AddrPattern, then StrideSize or a raw uniform line depending
+  // on the pattern code; flags a bank conflict with the previous line.
+  const auto next_line = [&]() -> std::int64_t {
+    const std::int32_t pattern = stimgen::entry_code(
+        *t.addr_pattern, t.pattern_codes, t.addr_pattern->draw_index(rng));
+    std::int64_t line = 0;
+    if (pattern == 1) {
+      stride_cursor = (stride_cursor + t.stride_size->draw_range(rng)) % kLineCount;
+      line = stride_cursor;
+    } else if (pattern != 0) {
+      line = rng.uniform_i64(0, kLineCount - 1);
+    }
+    if (last_line >= 0 && line != last_line && line % 4 == last_line % 4) {
+      vec.hit(ev_bank_conflict_);
+    }
+    last_line = line;
+    return line;
+  };
+  // Drops retired stores, keeping the survivors in order.
+  const auto drain = [&] {
+    std::size_t keep = 0;
+    for (std::size_t e = 0; e < sq_n; ++e) {
+      if (sq_ret[e] > now) {
+        sq_line[keep] = sq_line[e];
+        sq_ret[keep] = sq_ret[e];
+        ++keep;
       }
-
-      if (--ws.instr_left[l] > 0) ws.active[kept++] = l;
     }
-    ws.active.resize(kept);
-  }
+    sq_n = keep;
+  };
 
-  for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t k = 0; k < fwdq_events_.size(); ++k) {
-      if (ws.max_fwd[l] >= k + 1) out[l].hit(fwdq_events_[k]);
+  for (std::int64_t left = t.num_instr->draw_range(rng); left > 0; --left) {
+    now += 4;  // issue bandwidth: one memory op per 4 cycles
+    drain();
+
+    const auto m = static_cast<std::size_t>(stimgen::entry_code(
+        *t.mnemonic, t.mnemonic_codes, t.mnemonic->draw_index(rng)));
+    vec.hit(ev_mnemonic_[m]);
+
+    switch (m) {
+      case kLoad: {
+        const std::int64_t line = next_line();
+        // A matching outstanding store forwards.
+        const bool forwarded =
+            std::find(sq_line.begin(), sq_line.begin() + sq_n, line) !=
+            sq_line.begin() + sq_n;
+        if (forwarded) {
+          vec.hit(ev_fwd_hit_);
+          max_fwd = std::max(max_fwd, sq_n);
+        } else {
+          // Cache lookup: same-line data is warm; others miss more.
+          const double hit_p = line == 0 ? 0.9 : 0.55;
+          vec.hit(rng.bernoulli(hit_p) ? ev_ld_hit_ : ev_ld_miss_);
+        }
+        break;
+      }
+      case kStore: {
+        const std::int64_t line = next_line();
+        if (sq_n >= kStoreQueueDepth) {
+          // Full queue: the store stalls until the oldest entry drains.
+          vec.hit(ev_stq_full_);
+          now = sq_ret[0];
+          drain();
+        }
+        // Retirement latency scales with the cache delay parameter.
+        const std::int64_t delay = t.cache_delay->draw_range(rng);
+        sq_line[sq_n] = line;
+        sq_ret[sq_n] = now + 4 + delay / 16;
+        ++sq_n;
+        break;
+      }
+      case kSync:
+        if (sq_n > 0) {
+          vec.hit(ev_sync_drain_);
+          now = std::max(now, *std::max_element(sq_ret.begin(),
+                                                sq_ret.begin() + sq_n));
+          sq_n = 0;
+        }
+        break;
+      case kAdd:
+      default:
+        break;  // filler
     }
   }
-}
 
-std::unique_ptr<Lsu::Tables> Lsu::make_tables(
-    const tgen::TestTemplate& tmpl) const {
-  return std::make_unique<Tables>(&tmpl, defaults_);
-}
-
-coverage::CoverageVector Lsu::simulate(const tgen::TestTemplate& tmpl,
-                                       std::uint64_t seed) const {
-  coverage::CoverageVector vec(space_.size());
-  const auto tables = make_tables(tmpl);
-  run_lanes(*tables, std::span<const std::uint64_t>(&seed, 1),
-            std::span<coverage::CoverageVector>(&vec, 1));
-  return vec;
-}
-
-std::unique_ptr<duv::Duv::Compiled> Lsu::compile(
-    const tgen::TestTemplate& tmpl) const {
-  return make_tables(tmpl);
-}
-
-void Lsu::simulate_batch(const tgen::TestTemplate& tmpl,
-                         const Compiled* compiled,
-                         std::span<const std::uint64_t> seeds,
-                         std::span<coverage::CoverageVector> out) const {
-  if (compiled == nullptr) {
-    run_lanes(*make_tables(tmpl), seeds, out);
-    return;
+  for (std::size_t k = 0; k < fwdq_events_.size(); ++k) {
+    if (max_fwd >= k + 1) vec.hit(fwdq_events_[k]);
   }
-  const auto* tables = dynamic_cast<const Tables*>(compiled);
-  ASCDG_ASSERT(tables != nullptr, "compiled tables do not belong to this unit");
-  run_lanes(*tables, seeds, out);
 }
 
 std::vector<tgen::TestTemplate> Lsu::suite() const {

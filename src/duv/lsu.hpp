@@ -19,11 +19,15 @@
 
 #include <cstdint>
 
-#include "duv/duv.hpp"
+#include "duv/kernel.hpp"
 
 namespace ascdg::duv {
 
-class Lsu final : public Duv {
+/// Compiled distribution tables + precomputed entry codes (lsu.cpp).
+struct LsuTables;
+extern template class KernelDuv<LsuTables>;
+
+class Lsu final : public KernelDuv<LsuTables> {
  public:
   Lsu();
 
@@ -34,13 +38,6 @@ class Lsu final : public Duv {
   [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
     return defaults_;
   }
-  [[nodiscard]] coverage::CoverageVector simulate(
-      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override;
-  [[nodiscard]] std::unique_ptr<Compiled> compile(
-      const tgen::TestTemplate& tmpl) const override;
-  void simulate_batch(const tgen::TestTemplate& tmpl, const Compiled* compiled,
-                      std::span<const std::uint64_t> seeds,
-                      std::span<coverage::CoverageVector> out) const override;
   [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override;
 
   /// The lsu_fwdq_01..12 family (ordered easy -> hard).
@@ -52,13 +49,9 @@ class Lsu final : public Duv {
   static constexpr std::int64_t kLineCount = 256;  ///< distinct cache lines
 
  private:
-  /// Compiled distribution tables + precomputed entry codes (lsu.cpp).
-  struct Tables;
-  [[nodiscard]] std::unique_ptr<Tables> make_tables(
-      const tgen::TestTemplate& tmpl) const;
-  /// The one simulation kernel: lane i advances seeds[i] into out[i].
-  void run_lanes(const Tables& tables, std::span<const std::uint64_t> seeds,
-                 std::span<coverage::CoverageVector> out) const;
+  /// The one simulation kernel (lsu.cpp).
+  void run(const LsuTables& tables, std::uint64_t seed,
+           coverage::CoverageVector& out) const override;
 
   coverage::CoverageSpace space_;
   tgen::TestTemplate defaults_;

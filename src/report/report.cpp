@@ -183,8 +183,10 @@ void render_session(std::ostream& os, const flow::SessionSummary& session) {
      << "| stage | status | sims | wall ms |\n"
      << "| --- | --- | ---: | ---: |\n";
   for (const auto& stage : session.stages) {
+    char wall_ms[32];
+    std::snprintf(wall_ms, sizeof wall_ms, "%.1f", stage.wall_ms);
     os << "| " << stage.name << " | " << stage.status << " | " << stage.sims
-       << " | " << util::format_number(stage.wall_ms, 1) << " |\n";
+       << " | " << wall_ms << " |\n";
   }
 }
 

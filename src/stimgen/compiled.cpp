@@ -40,7 +40,10 @@ std::size_t CompiledParam::draw_index(util::Xoshiro256& rng) const {
 }
 
 const tgen::Value& CompiledParam::draw_value(util::Xoshiro256& rng) const {
-  return weight_->entries[draw_index(rng)].value;
+  // Draw first: draw_index throws on a non-weight kind, whose weight_
+  // is null.
+  const std::size_t index = draw_index(rng);
+  return weight_->entries[index].value;
 }
 
 std::int64_t CompiledParam::draw_int(util::Xoshiro256& rng) const {
@@ -74,10 +77,9 @@ CompiledTemplate::CompiledTemplate(const tgen::TestTemplate* overrides,
   params_.reserve(defaults.size());
   for (const tgen::Parameter& fallback : defaults.parameters()) {
     const std::string& name = tgen::parameter_name(fallback);
-    // Same resolution order as ParameterSampler::lookup: the override
-    // template wins, whatever its kind — a template may even redeclare
-    // a parameter with a different kind, and the mismatch must then
-    // surface as the scalar path's draw-time ValidationError.
+    // The override template wins, whatever its kind: a template may
+    // redeclare a parameter with a different kind, and the mismatch
+    // then surfaces as a ValidationError at draw time.
     const tgen::Parameter* resolved =
         overrides != nullptr ? overrides->find(name) : nullptr;
     if (resolved == nullptr) resolved = &fallback;

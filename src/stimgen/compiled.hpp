@@ -1,21 +1,18 @@
-// Compiled template→distribution tables for the batch hot path.
+// Compiled template→distribution tables: the one draw implementation.
 //
-// ParameterSampler resolves every draw by name: a hash lookup over the
-// override template, a fallback lookup over the defaults, and a fresh
-// std::vector<double> of weights per weighted draw. That is fine for a
-// handful of draws but dominates the profile once the farm simulates
-// tens of thousands of instances of the *same* template — the
-// resolution result never changes within a job.
-//
+// Resolving a parameter by name means a lookup over the override
+// template, a fallback lookup over the defaults, and a weights vector
+// per weighted draw. The result never changes within a job, so
 // CompiledTemplate performs that resolution once per (overrides,
-// defaults) pair and exposes allocation-free draw routines that are
-// bit-identical to the ParameterSampler path: the same RNG consumption
-// (one uniform() per weighted pick, Lemire rejection per range pick,
-// nothing consumed on a zero-total weight), the same floating-point
-// summation order for total weights, and the same error behaviour
-// (util::ValidationError with identical messages, thrown at draw time,
-// not compile time). Unit kernels hold CompiledParam pointers resolved
-// at compile time and draw through them per lane.
+// defaults) pair and exposes allocation-free draw routines. Unit
+// kernels hold CompiledParam pointers resolved at compile time and draw
+// through them; ParameterSampler (sampler.hpp) is a by-name view over
+// the same tables for generators that look parameters up by name.
+//
+// Draw semantics: one uniform() per weighted pick, Lemire rejection per
+// range pick, nothing consumed on a zero-total weight; kind mismatches
+// and zero total weights throw util::ValidationError at draw time, not
+// compile time. Every draw counts once on the active ScopedDrawProfiler.
 #pragma once
 
 #include <cstdint>
@@ -46,38 +43,34 @@ class CompiledParam {
     return weights_.size();
   }
 
-  /// Draws the entry index of a weight parameter. Equivalent to
-  /// ParameterSampler::draw() up to (but not including) returning the
-  /// entry's value. Throws util::ValidationError on kind mismatch or
-  /// zero total weight (consuming no randomness in the latter case,
-  /// like Xoshiro256::weighted_index).
+  /// Draws the entry index of a weight parameter. Throws
+  /// util::ValidationError on kind mismatch or zero total weight
+  /// (consuming no randomness in the latter case).
   [[nodiscard]] std::size_t draw_index(util::Xoshiro256& rng) const;
 
-  /// ParameterSampler::draw(): the drawn entry's value.
+  /// The drawn entry's value.
   [[nodiscard]] const tgen::Value& draw_value(util::Xoshiro256& rng) const;
 
-  /// ParameterSampler::draw_int_value(): the drawn entry's integer
-  /// payload; throws util::ValidationError naming the offending value
-  /// when the entry is a symbol.
+  /// The drawn entry's integer payload; throws util::ValidationError
+  /// naming the offending value when the entry is a symbol.
   [[nodiscard]] std::int64_t draw_int(util::Xoshiro256& rng) const;
 
-  /// ParameterSampler::draw_range(): uniform within a range parameter,
-  /// or weighted-subrange-then-uniform within a subrange parameter.
+  /// Uniform within a range parameter, or weighted-subrange-then-
+  /// uniform within a subrange parameter.
   [[nodiscard]] std::int64_t draw_range(util::Xoshiro256& rng) const;
 
  private:
   friend class CompiledTemplate;
 
-  /// Weighted pick over weights_ with total_ precomputed; replicates
-  /// Xoshiro256::weighted_index exactly (returns entry_count() on zero
-  /// total, clamps negatives in the scan, last-positive fallback).
+  /// Weighted pick over weights_ with total_ precomputed: returns
+  /// entry_count() on zero total, clamps negatives in the scan, and
+  /// falls back to the last positive weight on floating-point slack.
   [[nodiscard]] std::size_t pick(util::Xoshiro256& rng) const noexcept;
 
   std::string_view name_;
   Kind kind_ = Kind::kRange;
   // kWeight / kSubrange: raw entry weights in entry order and their
-  // clamped sum (same summation order as the per-draw scalar path, so
-  // the product is IEEE-identical).
+  // clamped sum, added in entry order.
   std::vector<double> weights_;
   double total_ = 0.0;
   const tgen::WeightParameter* weight_ = nullptr;
@@ -116,7 +109,7 @@ class CompiledTemplate {
 };
 
 /// Sentinel code for a weight entry whose value is an integer where a
-/// symbol is expected; entry_code() reproduces the scalar path's
+/// symbol is expected; entry_code() throws Value::as_symbol()'s
 /// std::bad_variant_access when such an entry is drawn.
 inline constexpr std::int32_t kNonSymbolEntry = -1;
 
@@ -128,8 +121,8 @@ inline constexpr std::int32_t kNonSymbolEntry = -1;
     const CompiledParam& param, std::span<const std::string_view> symbols,
     std::int32_t unmatched);
 
-/// Resolves a drawn entry's precomputed code, replicating the scalar
-/// path's as_symbol() throw for integer entries.
+/// Resolves a drawn entry's precomputed code; throws as as_symbol()
+/// does for integer entries.
 [[nodiscard]] inline std::int32_t entry_code(
     const CompiledParam& param, std::span<const std::int32_t> codes,
     std::size_t index) {

@@ -2,15 +2,13 @@
 
 namespace ascdg::stimgen {
 
-namespace {
-thread_local ScopedDrawProfiler* g_active = nullptr;
-}  // namespace
-
-ScopedDrawProfiler::ScopedDrawProfiler() : previous_(g_active) {
-  g_active = this;
+ScopedDrawProfiler::ScopedDrawProfiler() : previous_(detail::active_profiler) {
+  detail::active_profiler = this;
 }
 
-ScopedDrawProfiler::~ScopedDrawProfiler() { g_active = previous_; }
+ScopedDrawProfiler::~ScopedDrawProfiler() {
+  detail::active_profiler = previous_;
+}
 
 std::size_t ScopedDrawProfiler::total() const noexcept {
   std::size_t total = 0;
@@ -18,9 +16,9 @@ std::size_t ScopedDrawProfiler::total() const noexcept {
   return total;
 }
 
-void note_draw(std::string_view name) {
-  if (g_active == nullptr) return;
-  auto [it, inserted] = g_active->counts_.try_emplace(std::string(name), 0);
+void record_draw(std::string_view name) {
+  auto [it, inserted] =
+      detail::active_profiler->counts_.try_emplace(std::string(name), 0);
   ++it->second;
 }
 

@@ -10,7 +10,7 @@
 //
 // The hook is thread-local, so profiling must run simulations on the
 // calling thread (not through the SimFarm); when no profiler is active
-// the sampler pays a single thread-local read per draw.
+// every draw pays a single inline thread-local test.
 #pragma once
 
 #include <map>
@@ -40,13 +40,25 @@ class ScopedDrawProfiler {
   void reset() noexcept { counts_.clear(); }
 
  private:
-  friend void note_draw(std::string_view name);
+  friend void record_draw(std::string_view name);
   std::map<std::string, std::size_t> counts_;
   ScopedDrawProfiler* previous_ = nullptr;
 };
 
+namespace detail {
+/// The profiler active on this thread, or nullptr.
+inline thread_local ScopedDrawProfiler* active_profiler = nullptr;
+}  // namespace detail
+
+/// Counts one draw of `name` on the active profiler, which must exist.
+void record_draw(std::string_view name);
+
 /// Records one draw of `name` on the active profiler (no-op when none).
-/// Called by ParameterSampler; exposed for custom generators.
-void note_draw(std::string_view name);
+/// Called by every CompiledParam draw; exposed for custom generators.
+inline void note_draw(std::string_view name) {
+  if (detail::active_profiler != nullptr) [[unlikely]] {
+    record_draw(name);
+  }
+}
 
 }  // namespace ascdg::stimgen

@@ -4,7 +4,8 @@
 // template) and the same simulation count — wall-clock is the only
 // thing allowed to differ. Also pins the strict --backend parsing
 // contract: a bad spec is a usage error (exit 1) with a hint, never a
-// runtime error (exit 2) or a silent fallback.
+// runtime error (exit 2) or a silent fallback. And a value flag never
+// takes the next flag as its value.
 //
 // The binary path arrives via the ASCDG_CLI_PATH compile definition
 // (see tests/CMakeLists.txt).
@@ -133,6 +134,19 @@ TEST_F(BackendCli, BareBackendFlagWithoutSpecIsRejected) {
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find("--backend"), std::string::npos)
       << result.output;
+}
+
+TEST_F(BackendCli, ValueFlagNeverTakesTheNextFlagAsItsValue) {
+  // `--trace --save-best best.tmpl`: --trace falls back to its bare
+  // form instead of writing a trace file named "--save-best".
+  const CliResult result = run_cli(
+      "cd " + dir_.string() + " && " + ASCDG_CLI_PATH +
+      " run io_unit --family crc --before-sims 50 --samples 10"
+      " --sample-sims 20 --iterations 2 --point-sims 20 --harvest 100"
+      " --seed 5 --trace --save-best best.tmpl");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_TRUE(fs::exists(dir_ / "best.tmpl")) << result.output;
+  EXPECT_FALSE(fs::exists(dir_ / "--save-best"));
 }
 
 TEST_F(BackendCli, ProcessBackendWorksOnAuxiliaryCommands) {

@@ -2,7 +2,7 @@
 // bit-identical to the scalar simulate() path — for every unit, at every
 // batch width, with and without precompiled tables, and through the
 // SimFarm at any worker count. This is the non-negotiable determinism
-// contract of the SoA lane kernels: instance i's coverage is a pure
+// contract of the batch path: instance i's coverage is a pure
 // function of (seed_root, i), and batching is an execution detail, never
 // an observable one.
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@ namespace {
 
 constexpr std::uint64_t kSeedRoot = 0xB5;
 
-/// The batch widths every equivalence test sweeps: a single lane, a
+/// The batch widths every equivalence test sweeps: a single seed, a
 /// width that is neither 1 nor a power of two, and the farm's full
 /// chunk width.
 constexpr std::size_t kWidths[] = {1, 7, 64};
@@ -68,7 +68,7 @@ TEST_P(BatchEquivalence, BatchMatchesScalarAtAllWidths) {
       for (std::size_t i = 0; i < width; ++i) {
         EXPECT_EQ(batch[i], duv->simulate(tmpl, seeds[i]))
             << duv->name() << "/" << tmpl.name() << " width " << width
-            << " lane " << i;
+            << " seed " << i;
       }
     }
   }
@@ -86,7 +86,7 @@ TEST_P(BatchEquivalence, PrecompiledTablesMatchScalar) {
       for (std::size_t i = 0; i < width; ++i) {
         EXPECT_EQ(batch[i], duv->simulate(tmpl, seeds[i]))
             << duv->name() << "/" << tmpl.name() << " width " << width
-            << " lane " << i;
+            << " seed " << i;
       }
     }
   }
@@ -116,7 +116,7 @@ TEST_P(BatchEquivalence, BatchOverwritesStaleOutputState) {
   const auto stale = make_seeds(7, 99);
   const auto seeds = make_seeds(7);
   // Dirty the output vectors with another batch first: the second call
-  // must fully overwrite them (the farm's per-worker arenas recycle the
+  // must fully overwrite them (the farm's per-worker workspaces recycle the
   // same vectors chunk after chunk).
   std::vector<coverage::CoverageVector> out(7);
   duv->simulate_batch(tmpl, nullptr, stale,
@@ -124,7 +124,7 @@ TEST_P(BatchEquivalence, BatchOverwritesStaleOutputState) {
   duv->simulate_batch(tmpl, nullptr, seeds,
                       std::span<coverage::CoverageVector>(out));
   for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(out[i], duv->simulate(tmpl, seeds[i])) << "lane " << i;
+    EXPECT_EQ(out[i], duv->simulate(tmpl, seeds[i])) << "seed " << i;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -215,6 +216,10 @@ struct BadOptionsCase {
   double upper;
   std::size_t x0_dim;
 };
+
+// Print the label, not the raw bytes: the struct holds pointers, so the
+// default byte dump would put load addresses into the test's name.
+void PrintTo(const BadOptionsCase& c, std::ostream* os) { *os << c.label; }
 
 class ImplicitFilteringBadOptions
     : public ::testing::TestWithParam<BadOptionsCase> {};

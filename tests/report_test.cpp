@@ -235,6 +235,33 @@ TEST(Telemetry, MarkdownReportIncludesFarmCounters) {
   std::filesystem::remove_all(path.parent_path(), ec);
 }
 
+TEST(Markdown, SessionStageTablePrintsWallMsFixedPoint) {
+  const auto flow = fake_flow();
+  const auto space = three_event_space();
+  const std::vector<EventId> events{EventId{0}, EventId{1}, EventId{2}};
+  flow::SessionSummary session;
+  session.dir = "sess";
+  session.stages = {{"sampling", "done", 2000, 312.5},
+                    {"harvest", "done", 1000, 1234.56},
+                    {"optimization", "pending", 0, 0.0}};
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("ascdg_report_session_" + std::to_string(::getpid())) /
+                    "flow.md";
+  write_flow_markdown(path, space, events, flow, nullptr, &session);
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  EXPECT_NE(text.find("| sampling | done | 2000 | 312.5 |"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("| harvest | done | 1000 | 1234.6 |"), std::string::npos);
+  EXPECT_NE(text.find("| optimization | pending | 0 | 0.0 |"),
+            std::string::npos);
+  EXPECT_EQ(text.find("e+"), std::string::npos);
+  std::error_code ec;
+  std::filesystem::remove_all(path.parent_path(), ec);
+}
+
 TEST(Convergence, SectionRendersCurveAndCoverageProgress) {
   auto flow = fake_flow();
   flow.first_hits = {{EventId{0}, "before"},

@@ -1,11 +1,15 @@
-// Tests for the biased-random parameter sampler: override/default
-// fallback, draw semantics per parameter kind, and distribution
-// correctness (chi-square goodness of fit).
+// Tests for the one draw implementation (stimgen::CompiledParam) and
+// the by-name ParameterSampler view over it: override/default fallback,
+// draw semantics per parameter kind, and distribution correctness
+// (chi-square goodness of fit).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <ostream>
 #include <vector>
 
+#include "stimgen/compiled.hpp"
 #include "stimgen/profile.hpp"
 #include "stimgen/sampler.hpp"
 #include "tgen/parser.hpp"
@@ -35,7 +39,8 @@ TestTemplate defaults_template() {
 TEST(Sampler, FallsBackToDefaults) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(1);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   EXPECT_TRUE(sampler.has("Cmd"));
   const Value v = sampler.draw("Cmd");
   EXPECT_TRUE(v.as_symbol() == "read" || v.as_symbol() == "write");
@@ -46,7 +51,8 @@ TEST(Sampler, OverrideShadowsDefault) {
   const auto overrides =
       parse_template("template o { weight Cmd { write: 1 } }");
   util::Xoshiro256 rng(2);
-  ParameterSampler sampler(&overrides, defaults, rng);
+  const CompiledTemplate table(&overrides, defaults);
+  ParameterSampler sampler(table, rng);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(sampler.draw("Cmd").as_symbol(), "write");
   }
@@ -57,7 +63,8 @@ TEST(Sampler, OverrideDoesNotHideOtherDefaults) {
   const auto overrides =
       parse_template("template o { weight Cmd { write: 1 } }");
   util::Xoshiro256 rng(3);
-  ParameterSampler sampler(&overrides, defaults, rng);
+  const CompiledTemplate table(&overrides, defaults);
+  ParameterSampler sampler(table, rng);
   const std::int64_t d = sampler.draw_range("Delay");
   EXPECT_GE(d, 0);
   EXPECT_LE(d, 9);
@@ -66,7 +73,8 @@ TEST(Sampler, OverrideDoesNotHideOtherDefaults) {
 TEST(Sampler, UnknownParameterThrows) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(4);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   EXPECT_THROW((void)sampler.draw("Nope"), NotFoundError);
   EXPECT_THROW((void)sampler.draw_range("Nope"), NotFoundError);
   EXPECT_FALSE(sampler.has("Nope"));
@@ -75,7 +83,8 @@ TEST(Sampler, UnknownParameterThrows) {
 TEST(Sampler, KindMismatchThrows) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(5);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   EXPECT_THROW((void)sampler.draw("Delay"), ValidationError);      // range as weight
   EXPECT_THROW((void)sampler.draw_range("Cmd"), ValidationError);  // weight as range
 }
@@ -83,7 +92,8 @@ TEST(Sampler, KindMismatchThrows) {
 TEST(Sampler, DrawIntValueOnSymbolThrows) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(6);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   EXPECT_THROW((void)sampler.draw_int_value("Cmd"), ValidationError);
   const std::int64_t t = sampler.draw_int_value("Thr");
   EXPECT_TRUE(t == 0 || t == 1);
@@ -92,7 +102,8 @@ TEST(Sampler, DrawIntValueOnSymbolThrows) {
 TEST(Sampler, RangeDrawUniform) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(7);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   std::vector<std::size_t> counts(10, 0);
   constexpr int kDraws = 50000;
   for (int i = 0; i < kDraws; ++i) {
@@ -106,7 +117,8 @@ TEST(Sampler, RangeDrawUniform) {
 TEST(Sampler, SubrangeDrawHonorsWeightsAndUniformWithin) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(8);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   // Size: [1,4] weight 3, [5,8] weight 1 -> per-value probability is
   // (3/4)/4 for 1..4 and (1/4)/4 for 5..8.
   std::vector<std::size_t> counts(8, 0);
@@ -125,7 +137,8 @@ TEST(Sampler, WeightedDrawMatchesDistribution) {
   const auto tmpl = parse_template(
       "template t { weight W { a: 10, b: 30, c: 60, d: 0 } }");
   util::Xoshiro256 rng(9);
-  ParameterSampler sampler(nullptr, tmpl, rng);
+  const CompiledTemplate table(nullptr, tmpl);
+  ParameterSampler sampler(table, rng);
   std::map<std::string, std::size_t> counts;
   constexpr int kDraws = 60000;
   for (int i = 0; i < kDraws; ++i) ++counts[sampler.draw("W").as_symbol()];
@@ -141,34 +154,90 @@ TEST(Sampler, DeterministicGivenSeed) {
   std::vector<std::int64_t> first, second;
   for (auto* out : {&first, &second}) {
     util::Xoshiro256 rng(99);
-    ParameterSampler sampler(nullptr, defaults, rng);
+    const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
     for (int i = 0; i < 50; ++i) out->push_back(sampler.draw_range("Delay"));
   }
   EXPECT_EQ(first, second);
 }
 
+TEST(Sampler, UndeclaredOverrideIsNotFound) {
+  // The defaults declare every parameter a unit can draw; a name only
+  // an override template declares is never consulted.
+  const auto defaults = defaults_template();
+  const auto overrides =
+      parse_template("template o { weight Extra { a: 1 } }");
+  util::Xoshiro256 rng(13);
+  const CompiledTemplate table(&overrides, defaults);
+  ParameterSampler sampler(table, rng);
+  EXPECT_FALSE(sampler.has("Extra"));
+  EXPECT_THROW((void)sampler.draw("Extra"), NotFoundError);
+}
+
+// ------------------------------------------------------ compiled draws --
+
+/// A template holding just `param`.
+TestTemplate one_param(tgen::Parameter param) {
+  TestTemplate t("t");
+  t.add(std::move(param));
+  return t;
+}
+
 TEST(DrawFrom, RangeSingleton) {
   util::Xoshiro256 rng(10);
-  const tgen::RangeParameter p{"R", 5, 5};
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(draw_from(p, rng), 5);
+  const TestTemplate tmpl = one_param(tgen::RangeParameter{"R", 5, 5});
+  const CompiledTemplate table(nullptr, tmpl);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(table.param(0).draw_range(rng), 5);
 }
 
 TEST(DrawFrom, NegativeRange) {
   util::Xoshiro256 rng(11);
-  const tgen::RangeParameter p{"R", -10, -1};
+  const TestTemplate tmpl = one_param(tgen::RangeParameter{"R", -10, -1});
+  const CompiledTemplate table(nullptr, tmpl);
   for (int i = 0; i < 1000; ++i) {
-    const auto v = draw_from(p, rng);
+    const auto v = table.param(0).draw_range(rng);
     EXPECT_GE(v, -10);
     EXPECT_LE(v, -1);
   }
 }
 
 TEST(DrawFrom, ZeroTotalWeightThrows) {
-  util::Xoshiro256 rng(12);
-  const tgen::WeightParameter w{"W", {{Value{"a"}, 0.0}}};
-  EXPECT_THROW((void)draw_from(w, rng), ValidationError);
-  const tgen::SubrangeParameter s{"S", {{0, 1, 0.0}}};
-  EXPECT_THROW((void)draw_from(s, rng), ValidationError);
+  // A zero-total weight or subrange parameter cannot enter a template,
+  // so no compiled parameter ever draws from one.
+  TestTemplate t("t");
+  EXPECT_THROW(t.add(tgen::WeightParameter{"W", {{Value{"a"}, 0.0}}}),
+               ValidationError);
+  EXPECT_THROW(t.add(tgen::SubrangeParameter{"S", {{0, 1, 0.0}}}),
+               ValidationError);
+}
+
+TEST(DrawFrom, RedeclaredKindThrowsAtDrawTimeNotCompileTime) {
+  // The override wins whatever its kind; the mismatch with the unit's
+  // use surfaces when the parameter is drawn.
+  const auto defaults = defaults_template();
+  const auto overrides = parse_template(
+      "template o { range Cmd [0, 3] weight Delay { 1: 1 } }");
+  std::optional<CompiledTemplate> table;
+  ASSERT_NO_THROW(table.emplace(&overrides, defaults));
+  util::Xoshiro256 rng(14);
+  EXPECT_THROW((void)table->find("Cmd")->draw_index(rng), ValidationError);
+  EXPECT_THROW((void)table->find("Delay")->draw_range(rng), ValidationError);
+  ParameterSampler sampler(*table, rng);
+  EXPECT_THROW((void)sampler.draw("Cmd"), ValidationError);
+  EXPECT_THROW((void)sampler.draw_range("Delay"), ValidationError);
+  // Drawn the way the override declares them, both work.
+  EXPECT_LE(table->find("Cmd")->draw_range(rng), 3);
+  EXPECT_EQ(sampler.draw_int_value("Delay"), 1);
+}
+
+TEST(DrawFrom, DefaultsOrderHandlesMatchNames) {
+  const auto defaults = defaults_template();
+  const CompiledTemplate table(nullptr, defaults);
+  ASSERT_EQ(table.size(), defaults.size());
+  for (std::size_t h = 0; h < table.size(); ++h) {
+    EXPECT_EQ(table.find(table.param(h).name()), &table.param(h));
+  }
+  EXPECT_EQ(table.find("Nope"), nullptr);
 }
 
 // Parameterized sweep: sampled frequencies track template weights for a
@@ -177,6 +246,10 @@ struct WeightShape {
   const char* label;
   std::vector<double> weights;
 };
+
+// Print the label, not the raw bytes: the struct holds pointers, so the
+// default byte dump would put load addresses into the test's name.
+void PrintTo(const WeightShape& c, std::ostream* os) { *os << c.label; }
 
 class WeightFidelity : public ::testing::TestWithParam<WeightShape> {};
 
@@ -187,11 +260,13 @@ TEST_P(WeightFidelity, ChiSquareWithinCritical) {
     param.entries.push_back(
         {Value{static_cast<std::int64_t>(i)}, shape.weights[i]});
   }
+  const TestTemplate tmpl = one_param(std::move(param));
+  const CompiledTemplate table(nullptr, tmpl);
   util::Xoshiro256 rng(1234);
   std::vector<std::size_t> counts(shape.weights.size(), 0);
   constexpr int kDraws = 60000;
   for (int i = 0; i < kDraws; ++i) {
-    ++counts[static_cast<std::size_t>(draw_from(param, rng).as_int())];
+    ++counts[static_cast<std::size_t>(table.param(0).draw_int(rng))];
   }
   std::size_t dof = 0;
   for (const double w : shape.weights) {
@@ -217,7 +292,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Profiler, CountsDrawsPerParameter) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(31);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   ScopedDrawProfiler profiler;
   for (int i = 0; i < 10; ++i) (void)sampler.draw("Cmd");
   for (int i = 0; i < 3; ++i) (void)sampler.draw_range("Delay");
@@ -231,7 +307,8 @@ TEST(Profiler, CountsDrawsPerParameter) {
 TEST(Profiler, InactiveByDefault) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(32);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   // No active profiler: draws must not crash and leave no trace.
   (void)sampler.draw("Cmd");
   ScopedDrawProfiler profiler;
@@ -241,7 +318,8 @@ TEST(Profiler, InactiveByDefault) {
 TEST(Profiler, NestingRestoresOuter) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(33);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   ScopedDrawProfiler outer;
   (void)sampler.draw("Cmd");
   {
@@ -258,7 +336,8 @@ TEST(Profiler, NestingRestoresOuter) {
 TEST(Profiler, FailedDrawsAreStillCounted) {
   const auto defaults = defaults_template();
   util::Xoshiro256 rng(34);
-  ParameterSampler sampler(nullptr, defaults, rng);
+  const CompiledTemplate table(nullptr, defaults);
+  ParameterSampler sampler(table, rng);
   ScopedDrawProfiler profiler;
   EXPECT_THROW((void)sampler.draw("Missing"), util::NotFoundError);
   // The consult attempt is what the profiler measures.

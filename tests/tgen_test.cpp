@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,10 @@ struct MalformedCase {
   const char* label;
   const char* text;
 };
+
+// Print the label, not the raw bytes: the struct holds pointers, so the
+// default byte dump would put load addresses into the test's name.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.label; }
 
 class MalformedInput : public ::testing::TestWithParam<MalformedCase> {};
 

@@ -157,7 +157,10 @@ class Args {
     return false;
   }
 
-  /// Accepts both "--name VALUE" and "--name=VALUE".
+  /// Accepts both "--name VALUE" and "--name=VALUE". A following token
+  /// that starts with "--" is the next flag, never a value: "--name"
+  /// then stays unconsumed, so a caller may still take it as a bare
+  /// flag.
   std::optional<std::string> value(const char* name) {
     const std::string joined = std::string(name) + "=";
     for (std::size_t i = 0; i < args_.size(); ++i) {
@@ -166,7 +169,8 @@ class Args {
         args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
         return out;
       }
-      if (i + 1 < args_.size() && args_[i] == name) {
+      if (i + 1 < args_.size() && args_[i] == name &&
+          !args_[i + 1].starts_with("--")) {
         std::string out = args_[i + 1];
         args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
                     args_.begin() + static_cast<std::ptrdiff_t>(i) + 2);
