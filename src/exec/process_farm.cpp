@@ -6,107 +6,23 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <csignal>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <thread>
 #include <utility>
 
 #include "duv/registry.hpp"
+#include "exec/frame.hpp"
 #include "tgen/parser.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
-#include "util/json.hpp"
-#include "util/jsonl.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace ascdg::exec {
 
 namespace {
-
-/// Simulations per worker chunk — same granularity as the thread farm
-/// (the batch ≡ scalar contract makes results independent of chunk
-/// size either way; matching keeps simulate_batch widths comparable).
-constexpr std::size_t kChunk = 64;
-
-/// Frame-size sanity cap: a length prefix beyond this means the stream
-/// is desynchronized, not that a 1 GiB batch is in flight.
-constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
-
-/// Reads exactly `n` bytes; false on EOF or a non-EINTR error.
-bool read_exact(int fd, void* buf, std::size_t n) {
-  auto* out = static_cast<char*>(buf);
-  while (n > 0) {
-    const ssize_t got = ::read(fd, out, n);
-    if (got > 0) {
-      out += got;
-      n -= static_cast<std::size_t>(got);
-      continue;
-    }
-    if (got == 0) return false;  // EOF: peer closed
-    if (errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-/// Writes exactly `n` bytes; false on a non-EINTR error (e.g. EPIPE).
-bool write_exact(int fd, const void* buf, std::size_t n) {
-  const auto* in = static_cast<const char*>(buf);
-  while (n > 0) {
-    const ssize_t put = ::write(fd, in, n);
-    if (put > 0) {
-      in += put;
-      n -= static_cast<std::size_t>(put);
-      continue;
-    }
-    if (put < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-/// Length-prefixed (u32 little-endian) frame I/O.
-bool read_frame_fd(int fd, std::string& payload) {
-  std::uint8_t prefix[4];
-  if (!read_exact(fd, prefix, sizeof prefix)) return false;
-  const std::uint32_t length =
-      static_cast<std::uint32_t>(prefix[0]) |
-      (static_cast<std::uint32_t>(prefix[1]) << 8) |
-      (static_cast<std::uint32_t>(prefix[2]) << 16) |
-      (static_cast<std::uint32_t>(prefix[3]) << 24);
-  if (length > kMaxFrameBytes) return false;
-  payload.resize(length);
-  return length == 0 || read_exact(fd, payload.data(), length);
-}
-
-bool write_frame_fd(int fd, std::string_view payload) {
-  if (payload.size() > kMaxFrameBytes) return false;
-  const auto length = static_cast<std::uint32_t>(payload.size());
-  const std::uint8_t prefix[4] = {
-      static_cast<std::uint8_t>(length & 0xff),
-      static_cast<std::uint8_t>((length >> 8) & 0xff),
-      static_cast<std::uint8_t>((length >> 16) & 0xff),
-      static_cast<std::uint8_t>((length >> 24) & 0xff),
-  };
-  if (!write_exact(fd, prefix, sizeof prefix)) return false;
-  return payload.empty() || write_exact(fd, payload.data(), payload.size());
-}
-
-/// seed_root travels as a decimal string: JSON numbers lose precision
-/// beyond 2^53 and seed roots are full 64-bit values.
-std::uint64_t parse_seed_root(const std::string& text) {
-  std::uint64_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    throw util::Error("process backend: malformed seed_root '" + text + "'");
-  }
-  return value;
-}
 
 std::string describe_errno(int error_number) {
   return std::string(std::strerror(error_number)) + " (errno " +
@@ -244,7 +160,7 @@ bool ProcessFarm::write_frame(Worker& worker, const std::string& payload) {
     errno = injected;
     return false;
   }
-  return write_frame_fd(worker.to_child, payload);
+  return frame::write_frame(worker.to_child, payload);
 }
 
 bool ProcessFarm::read_frame(Worker& worker, std::string& payload) {
@@ -253,7 +169,7 @@ bool ProcessFarm::read_frame(Worker& worker, std::string& payload) {
     errno = injected;
     return false;
   }
-  return read_frame_fd(worker.from_child, payload);
+  return frame::read_frame(worker.from_child, payload);
 }
 
 std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
@@ -287,7 +203,7 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
   std::size_t chunk_count = 0;
   for (const Job& job : jobs) {
     ASCDG_ASSERT(job.tmpl != nullptr, "job with null template");
-    chunk_count += (job.count + kChunk - 1) / kChunk;
+    chunk_count += (job.count + frame::kChunk - 1) / frame::kChunk;
   }
   if (chunk_count == 0) {
     metrics_.runs->inc();
@@ -295,32 +211,30 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
                                            coverage::SimStats(event_count));
   }
 
-  // Round-robin the chunks across workers; each worker gets at most one
-  // slice per job (its share of that job's seed ranges).
-  const std::size_t worker_n = workers_.size();
-  constexpr std::size_t kNoSlice = std::numeric_limits<std::size_t>::max();
-  std::vector<std::vector<WorkerJobSlice>> plan(worker_n);
-  std::vector<std::vector<std::size_t>> slice_of(
-      worker_n, std::vector<std::size_t>(job_n, kNoSlice));
-  std::size_t next_worker = 0;
-  for (std::size_t j = 0; j < job_n; ++j) {
-    for (std::size_t begin = 0; begin < jobs[j].count; begin += kChunk) {
-      const std::size_t end = std::min(begin + kChunk, jobs[j].count);
-      const std::size_t w = next_worker++ % worker_n;
-      std::size_t& slice = slice_of[w][j];
-      if (slice == kNoSlice) {
-        slice = plan[w].size();
-        plan[w].push_back(WorkerJobSlice{j, {}});
-      }
-      plan[w][slice].chunks.emplace_back(begin, end);
-    }
-  }
-
-  // One request frame per participating worker. Template text is
-  // serialized once per job and shared across workers' frames.
+  // Template text is serialized once per job; every worker's request
+  // views the same bytes.
   std::vector<std::string> tmpl_text(job_n);
   for (std::size_t j = 0; j < job_n; ++j) {
     tmpl_text[j] = tgen::to_text(*jobs[j].tmpl);
+  }
+
+  // Round-robin the chunks across workers. Jobs are visited in order,
+  // so a worker's entry for job j, if it has one, is its last.
+  const std::size_t worker_n = workers_.size();
+  std::vector<frame::Request> plan(worker_n, frame::Request{unit_name, {}});
+  std::size_t next_worker = 0;
+  for (std::size_t j = 0; j < job_n; ++j) {
+    for (std::size_t begin = 0; begin < jobs[j].count;
+         begin += frame::kChunk) {
+      const std::size_t end = std::min(begin + frame::kChunk, jobs[j].count);
+      std::vector<frame::JobRequest>& share =
+          plan[next_worker++ % worker_n].jobs;
+      if (share.empty() || share.back().id != j) {
+        share.push_back(
+            frame::JobRequest{j, jobs[j].seed_root, tmpl_text[j], {}});
+      }
+      share.back().chunks.emplace_back(begin, end);
+    }
   }
 
   // Phase 1 — ship every request before reading any response. Workers
@@ -329,26 +243,8 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
   std::string first_error;
   std::vector<bool> awaiting(worker_n, false);
   for (std::size_t w = 0; w < worker_n; ++w) {
-    if (plan[w].empty()) continue;
-    std::string payload = "{\"op\":\"run\",\"unit\":\"" +
-                          util::json_escape(unit_name) + "\",\"jobs\":[";
-    for (std::size_t s = 0; s < plan[w].size(); ++s) {
-      const WorkerJobSlice& slice = plan[w][s];
-      if (s != 0) payload += ',';
-      payload += "{\"id\":" + std::to_string(slice.job) + ",\"tmpl\":\"" +
-                 util::json_escape(tmpl_text[slice.job]) +
-                 "\",\"seed_root\":\"" +
-                 std::to_string(jobs[slice.job].seed_root) +
-                 "\",\"chunks\":[";
-      for (std::size_t c = 0; c < slice.chunks.size(); ++c) {
-        if (c != 0) payload += ',';
-        payload += '[' + std::to_string(slice.chunks[c].first) + ',' +
-                   std::to_string(slice.chunks[c].second) + ']';
-      }
-      payload += "]}";
-    }
-    payload += "]}";
-    if (write_frame(workers_[w], payload)) {
+    if (plan[w].jobs.empty()) continue;
+    if (write_frame(workers_[w], frame::encode_request(plan[w]))) {
       awaiting[w] = true;
     } else {
       if (first_error.empty()) {
@@ -367,42 +263,31 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
   std::string payload;
   for (std::size_t w = 0; w < worker_n; ++w) {
     if (!awaiting[w]) continue;
-    if (!read_frame(workers_[w], payload)) {
-      if (first_error.empty()) {
-        first_error = "process backend: worker " + std::to_string(w) +
-                      " (pid " + std::to_string(workers_[w].pid) +
-                      ") died mid-batch: " + describe_errno(errno);
-      }
-      retire_worker(w);
-      continue;
-    }
     try {
-      const util::JsonValue response = util::json_parse(payload);
-      if (!response.at("ok").as_bool()) {
+      if (!read_frame(workers_[w], payload)) {
+        if (first_error.empty()) {
+          first_error = "process backend: worker " + std::to_string(w) +
+                        " (pid " + std::to_string(workers_[w].pid) +
+                        ") died mid-batch: " + describe_errno(errno);
+        }
+        retire_worker(w);
+        continue;
+      }
+      frame::Response response =
+          frame::decode_response(payload, job_n, event_count);
+      if (!response.ok) {
         // The worker is alive and its stream is synchronized; the batch
         // itself failed (simulation threw). Report, keep the worker.
         if (first_error.empty()) {
-          first_error =
-              "process backend: worker " + std::to_string(w) +
-              " reported: " + response.at("error").as_string();
+          first_error = "process backend: worker " + std::to_string(w) +
+                        " reported: " + response.error;
         }
         continue;
       }
-      for (const util::JsonValue& partial :
-           response.at("partials").as_array()) {
-        const std::size_t job = partial.at("id").as_size();
-        ASCDG_ASSERT(job < job_n, "worker partial for unknown job");
-        const std::size_t sims = partial.at("sims").as_size();
-        const util::JsonValue::Array& hit_values =
-            partial.at("hits").as_array();
-        std::vector<std::size_t> hits(hit_values.size());
-        for (std::size_t i = 0; i < hit_values.size(); ++i) {
-          hits[i] = hit_values[i].as_size();
-        }
-        ASCDG_ASSERT(hits.size() == event_count,
-                     "worker partial with wrong event count");
-        out[job].merge(coverage::SimStats::from_counts(sims, std::move(hits)));
-        merged_sims += sims;
+      for (frame::JobPartial& partial : response.partials) {
+        out[partial.id].merge(coverage::SimStats::from_counts(
+            partial.sims, std::move(partial.hits)));
+        merged_sims += partial.sims;
       }
     } catch (const std::exception& e) {
       // Malformed frame: the stream can no longer be trusted.
@@ -431,41 +316,37 @@ void ProcessFarm::worker_main(int request_fd, int response_fd) {
   std::vector<std::uint64_t> seeds;
   std::vector<coverage::CoverageVector> vectors;
   for (;;) {
-    if (!read_frame_fd(request_fd, payload)) {
+    bool got_request = false;
+    try {
+      got_request = frame::read_frame(request_fd, payload);
+    } catch (const util::Error&) {
+      // Oversized length prefix: the stream is desynchronized.
+    }
+    if (!got_request) {
       ::_exit(0);  // EOF: parent closed the request pipe — clean shutdown
     }
-    std::string response;
+    frame::Response response;
     try {
-      const util::JsonValue request = util::json_parse(payload);
-      const std::string& unit_name = request.at("unit").as_string();
-      auto it = units.find(unit_name);
+      const frame::Request request = frame::decode_request(payload);
+      auto it = units.find(request.unit);
       if (it == units.end()) {
+        std::string unit_name(request.unit);
         auto unit = duv::make_unit(unit_name);
         if (unit == nullptr) {
           throw util::ConfigError("unknown unit '" + unit_name + "'");
         }
-        it = units.emplace(unit_name, std::move(unit)).first;
+        it = units.emplace(std::move(unit_name), std::move(unit)).first;
       }
       const duv::Duv& duv = *it->second;
       const std::size_t event_count = duv.space().size();
-      response = "{\"ok\":true,\"partials\":[";
-      bool first_partial = true;
-      for (const util::JsonValue& job : request.at("jobs").as_array()) {
-        const tgen::TestTemplate tmpl =
-            tgen::parse_template(job.at("tmpl").as_string());
-        const std::uint64_t seed_root =
-            parse_seed_root(job.at("seed_root").as_string());
+      response.partials.reserve(request.jobs.size());
+      for (const frame::JobRequest& job : request.jobs) {
+        const tgen::TestTemplate tmpl = tgen::parse_template(job.tmpl_text);
         const auto compiled = duv.compile(tmpl);
         coverage::SimStats stats(event_count);
-        const util::SeedStream stream(seed_root);
-        for (const util::JsonValue& chunk : job.at("chunks").as_array()) {
-          const util::JsonValue::Array& range = chunk.as_array();
-          if (range.size() != 2) {
-            throw util::Error("malformed chunk range");
-          }
-          const std::size_t begin = range[0].as_size();
-          const std::size_t end = range[1].as_size();
-          if (end < begin) throw util::Error("malformed chunk range");
+        const util::SeedStream stream(job.seed_root);
+        for (const auto& [begin, end] : job.chunks) {
+          // decode_request bounds every chunk to at most kChunk seeds.
           const std::size_t n = end - begin;
           seeds.resize(n);
           for (std::size_t i = 0; i < n; ++i) {
@@ -480,24 +361,13 @@ void ProcessFarm::worker_main(int request_fd, int response_fd) {
               std::span<coverage::CoverageVector>(vectors.data(), n));
           for (std::size_t i = 0; i < n; ++i) stats.record(vectors[i]);
         }
-        if (!first_partial) response += ',';
-        first_partial = false;
-        response += "{\"id\":" + std::to_string(job.at("id").as_size()) +
-                    ",\"sims\":" + std::to_string(stats.sims()) +
-                    ",\"hits\":[";
-        const std::vector<std::size_t>& hits = stats.hit_counts();
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-          if (i != 0) response += ',';
-          response += std::to_string(hits[i]);
-        }
-        response += "]}";
+        response.partials.push_back(
+            frame::JobPartial{job.id, stats.sims(), stats.hit_counts()});
       }
-      response += "]}";
     } catch (const std::exception& e) {
-      response = std::string("{\"ok\":false,\"error\":\"") +
-                 util::json_escape(e.what()) + "\"}";
+      response = frame::Response{false, e.what(), {}};
     }
-    if (!write_frame_fd(response_fd, response)) {
+    if (!frame::write_frame(response_fd, frame::encode_response(response))) {
       ::_exit(1);  // parent gone mid-response
     }
   }

@@ -1,14 +1,14 @@
 // The fork-based multi-process backend (docs/backends.md).
 //
 // ProcessFarm forks N worker processes at construction and ships work
-// over per-worker pipe pairs using length-prefixed JSON frames. Each
-// worker re-executes the job locally — duv::make_unit(name) to rebuild
-// the unit, tgen::parse_template on the shipped DSL text, Duv::compile
-// once per job, then simulate_batch over each assigned chunk's seeds —
-// and replies with per-job hit-count partials. The parent merges the
-// partials with SimStats::merge, which is commutative, so results are
-// bit-identical to the thread backend for any worker count and any
-// chunk assignment.
+// over per-worker pipe pairs using length-prefixed binary frames
+// (exec/frame.hpp). Each worker re-executes the job locally —
+// duv::make_unit(name) to rebuild the unit, tgen::parse_template on the
+// shipped DSL text, Duv::compile once per job, then simulate_batch over
+// each assigned chunk's seeds — and replies with per-job raw hit-count
+// partials. The parent merges the partials with SimStats::merge, which
+// is commutative, so results are bit-identical to the thread backend
+// for any worker count and any chunk assignment.
 //
 // Requirements this backend adds over ThreadFarm:
 //   * the unit must be registry-resolvable: duv.name() must round-trip
@@ -17,9 +17,10 @@
 //   * templates must round-trip through tgen::to_text/parse_template
 //     (every template the flow builds does).
 //
-// Failure semantics: a worker that dies mid-batch (SIGKILL, crash) or
+// Failure semantics: a worker that dies mid-batch (SIGKILL, crash),
 // desynchronizes its stream (short read/write, EPIPE — injectable via
-// the exec.pipe_read / exec.pipe_write failure points) surfaces as a
+// the exec.pipe_read / exec.pipe_write failure points) or sends a frame
+// that fails to decode surfaces as a
 // clean util::Error from run_all after every live worker's response has
 // been collected; the dead worker is reaped immediately and respawned
 // at the next run_all, so the farm stays usable and never hangs.
@@ -90,12 +91,6 @@ class ProcessFarm final : public Backend {
     bool alive = false;
   };
 
-  /// One job's chunk assignment for one worker (contiguous seed ranges).
-  struct WorkerJobSlice {
-    std::size_t job = 0;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  };
-
   void spawn_worker(std::size_t slot);
   /// Reaps exited workers (waitpid WNOHANG) and respawns every dead
   /// slot, so a worker killed between runs heals silently.
@@ -103,8 +98,9 @@ class ProcessFarm final : public Backend {
   /// Kills (if still running), reaps, and closes `slot`. Idempotent.
   void retire_worker(std::size_t slot);
 
-  /// Length-prefixed frame I/O on the parent side; both return false on
-  /// EOF / error / injected failure (the caller retires the worker).
+  /// frame::write_frame / frame::read_frame behind the exec.pipe_write /
+  /// exec.pipe_read failure points; both return false on EOF / error /
+  /// injected failure (the caller retires the worker).
   [[nodiscard]] bool write_frame(Worker& worker, const std::string& payload);
   [[nodiscard]] bool read_frame(Worker& worker, std::string& payload);
 

@@ -5,23 +5,6 @@
 
 namespace ascdg::util {
 
-std::size_t Xoshiro256::weighted_index(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (const double w : weights) total += (w > 0.0 ? w : 0.0);
-  if (total <= 0.0) return weights.size();
-  double pick = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (pick < w) return i;
-    pick -= w;
-  }
-  // Floating-point slack: return the last positive-weight index.
-  for (std::size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return weights.size();
-}
-
 double Xoshiro256::normal() noexcept {
   // Box–Muller; discard the second variate for simplicity.
   double u1 = uniform();

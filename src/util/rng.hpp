@@ -89,10 +89,6 @@ class Xoshiro256 {
   /// Bernoulli draw with success probability p.
   constexpr bool bernoulli(double p) noexcept { return uniform() < p; }
 
-  /// Index drawn from unnormalized non-negative weights; returns
-  /// weights.size() if all weights are zero (caller must handle).
-  [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) noexcept;
-
   /// Standard normal via Box–Muller (polar form not needed; precision fine).
   double normal() noexcept;
 

@@ -5,7 +5,8 @@
 // thing allowed to differ. Also pins the strict --backend parsing
 // contract: a bad spec is a usage error (exit 1) with a hint, never a
 // runtime error (exit 2) or a silent fallback. And a value flag never
-// takes the next flag as its value.
+// takes the next flag as its value, and an unknown flag fails `run` and
+// `campaign` before anything is simulated or written.
 //
 // The binary path arrives via the ASCDG_CLI_PATH compile definition
 // (see tests/CMakeLists.txt).
@@ -147,6 +148,26 @@ TEST_F(BackendCli, ValueFlagNeverTakesTheNextFlagAsItsValue) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_TRUE(fs::exists(dir_ / "best.tmpl")) << result.output;
   EXPECT_FALSE(fs::exists(dir_ / "--save-best"));
+}
+
+TEST_F(BackendCli, LeftoverArgumentsFailBeforeTheFlowStarts) {
+  // With the default budgets a real run would take seconds and create
+  // the session directory; the typo must fail first, with no side
+  // effect.
+  const fs::path session = dir_ / "session";
+  for (const std::string command :
+       {" run l3_cache --family byp_reqs --bogus --session ",
+        " campaign l3_cache --families byp_reqs --bogus --session "}) {
+    const CliResult result =
+        run_cli(ASCDG_CLI_PATH + command + session.string());
+    EXPECT_EQ(result.exit_code, 1) << command << ": " << result.output;
+    EXPECT_NE(result.output.find("unrecognized argument(s): --bogus"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("total simulations"), std::string::npos)
+        << result.output;
+    EXPECT_FALSE(fs::exists(session)) << command;
+  }
 }
 
 TEST_F(BackendCli, ProcessBackendWorksOnAuxiliaryCommands) {

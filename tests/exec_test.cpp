@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "cdg/skeletonizer.hpp"
 #include "coverage/repository.hpp"
 #include "duv/registry.hpp"
 #include "exec/backend.hpp"
@@ -21,6 +22,7 @@
 #include "exec/thread_farm.hpp"
 #include "flow/session.hpp"
 #include "flow/types.hpp"
+#include "tgen/parser.hpp"
 #include "tgen/test_template.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
@@ -117,6 +119,39 @@ TEST_P(BackendEquivalence, ProcessMatchesThreadAtAllWorkerCounts) {
           << duv->name() << "/" << tmpls[j].name() << " with " << workers
           << " workers";
     }
+  }
+}
+
+/// Pins what the frame carries for a tuned template, the kind the
+/// fine-grained phase builds: the unit's defaults skeletonized and
+/// instantiated at a random point. Workers rebuild the template from
+/// its tgen::to_text bytes, which print weights to six significant
+/// digits, so the thread reference runs on the re-parsed text. When
+/// template text prints weights exactly (ROADMAP item 1), the
+/// reference becomes `tuned` itself.
+TEST_P(BackendEquivalence, ProcessOnTunedTemplateMatchesThreadOnItsText) {
+  const auto duv = duv::make_unit(GetParam());
+  ASSERT_NE(duv, nullptr);
+  const tgen::Skeleton skel =
+      cdg::Skeletonizer().skeletonize(duv->defaults());
+  util::Xoshiro256 rng(0x7E57);
+  std::vector<double> point(skel.mark_count());
+  for (double& weight : point) weight = rng.uniform();
+  const tgen::TestTemplate tuned = skel.instantiate("tuned", point);
+  const tgen::TestTemplate reparsed =
+      tgen::parse_template(tgen::to_text(tuned));
+
+  const std::vector<Job> on_text = {{&reparsed, 150, 0xA11},
+                                    {&reparsed, 33, 0xB22}};
+  ThreadFarm thread_farm(2);
+  const auto expected = thread_farm.run_all(*duv, on_text);
+
+  const std::vector<Job> on_tuned = {{&tuned, 150, 0xA11},
+                                     {&tuned, 33, 0xB22}};
+  for (const std::size_t workers : {1u, 4u}) {
+    ProcessFarm process_farm(workers);
+    EXPECT_EQ(process_farm.run_all(*duv, on_tuned), expected)
+        << duv->name() << " with " << workers << " workers";
   }
 }
 
@@ -272,6 +307,37 @@ TEST(ProcessBackend, InjectedPipeReadFailureRaisesAndHeals) {
   }
   EXPECT_EQ(farm.run(*duv, duv->defaults(), 100, 3), expected);
   EXPECT_GE(farm.respawns(), 1u);
+}
+
+TEST(ProcessBackend, WorkerReportedErrorRaisesAndKeepsTheWorkers) {
+  const auto duv = duv::make_unit("io_unit");
+  ASSERT_NE(duv, nullptr);
+  // Parses and compiles, but the unit draws Cmd as a weight parameter:
+  // the redeclared kind throws ValidationError inside the worker's
+  // simulate_batch, and the worker reports it over a healthy stream.
+  const tgen::TestTemplate redeclared =
+      tgen::parse_template("template redeclared { range Cmd [0, 3] }");
+  ThreadFarm thread_farm(2);
+  EXPECT_THROW((void)thread_farm.run(*duv, redeclared, 100, 5),
+               util::ValidationError);
+
+  ProcessFarm farm(2);
+  const auto pids = farm.worker_pids();
+  try {
+    (void)farm.run(*duv, redeclared, 100, 5);
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& err) {
+    EXPECT_NE(std::string(err.what()).find("reported:"), std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(farm.respawns(), 0u);
+  EXPECT_EQ(farm.worker_pids(), pids);
+
+  // The same workers serve the next batch.
+  EXPECT_EQ(farm.run(*duv, duv->defaults(), 100, 5),
+            thread_farm.run(*duv, duv->defaults(), 100, 5));
+  EXPECT_EQ(farm.respawns(), 0u);
+  EXPECT_EQ(farm.worker_pids(), pids);
 }
 
 // --- Registry-resolvable-unit precondition ---------------------------

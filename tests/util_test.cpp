@@ -108,29 +108,6 @@ TEST(Xoshiro, NormalMomentsMatch) {
   EXPECT_NEAR(stats.variance(), 1.0, 0.03);
 }
 
-TEST(Xoshiro, WeightedIndexRespectsWeights) {
-  Xoshiro256 rng(29);
-  const std::vector<double> weights{1.0, 3.0, 0.0, 6.0};
-  std::vector<std::size_t> counts(4, 0);
-  constexpr int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i) ++counts[rng.weighted_index(weights)];
-  EXPECT_EQ(counts[2], 0u);  // zero weight never drawn
-  const double stat = chi_square_statistic(counts, weights);
-  EXPECT_LT(stat, chi_square_critical(2, 0.001));
-}
-
-TEST(Xoshiro, WeightedIndexAllZeroReturnsSize) {
-  Xoshiro256 rng(31);
-  const std::vector<double> weights{0.0, 0.0};
-  EXPECT_EQ(rng.weighted_index(weights), weights.size());
-}
-
-TEST(Xoshiro, WeightedIndexNegativeTreatedAsZero) {
-  Xoshiro256 rng(37);
-  const std::vector<double> weights{-5.0, 2.0};
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(rng.weighted_index(weights), 1u);
-}
-
 TEST(SeedStream, AtIsPureFunction) {
   const SeedStream s(99);
   EXPECT_EQ(s.at(0), s.at(0));

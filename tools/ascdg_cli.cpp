@@ -209,28 +209,50 @@ class Args {
   std::vector<std::string> args_;
 };
 
-/// Consumes --backend[=SPEC] and builds the execution backend (thread
-/// farm by default). A spec that does not parse is a usage error: the
-/// message lands on stderr and nullptr comes back, so callers `return
-/// 1` instead of letting the exception reach main's runtime-error path
-/// (exit 2). Callers must construct the result BEFORE starting any
-/// helper thread (HTTP server, watchdog, timeline sampler): the
-/// process backend forks its workers here, and fork + threads do not
-/// mix (see docs/backends.md).
-std::unique_ptr<ascdg::exec::Backend> backend_from_args(
-    Args& args, ascdg::exec::BackendConfig* out = nullptr) {
+/// Consumes --backend[=SPEC] (thread farm by default). A spec that
+/// does not parse is a usage error: the message lands on stderr and
+/// nullopt comes back, so callers `return 1` instead of letting the
+/// exception reach main's runtime-error path (exit 2).
+std::optional<ascdg::exec::BackendConfig> backend_config_from_args(
+    Args& args) {
   ascdg::exec::BackendConfig config;
   if (const auto spec = args.value("--backend"); spec.has_value()) {
     try {
       config = ascdg::exec::parse_backend_spec(*spec);
     } catch (const util::ConfigError& err) {
       std::cerr << "error: " << err.what() << '\n';
-      return nullptr;
+      return std::nullopt;
     }
   }
-  if (out != nullptr) *out = config;
+  return config;
+}
+
+/// Builds the configured execution backend. Callers must do so BEFORE
+/// starting any helper thread (HTTP server, watchdog, timeline
+/// sampler): the process backend forks its workers here, and fork +
+/// threads do not mix (see docs/backends.md).
+std::unique_ptr<ascdg::exec::Backend> start_backend(
+    const ascdg::exec::BackendConfig& config) {
   obs::run_state().set_backend(ascdg::exec::to_string(config));
   return ascdg::exec::make_backend(config);
+}
+
+/// backend_config_from_args + start_backend; nullptr on a bad spec.
+std::unique_ptr<ascdg::exec::Backend> backend_from_args(Args& args) {
+  const auto config = backend_config_from_args(args);
+  if (!config.has_value()) return nullptr;
+  return start_backend(*config);
+}
+
+/// Unknown flags fail the command: a typo like --wachdog=30 that
+/// silently no-ops is worse than an error. Prints the usage error and
+/// returns true when any argument is left unconsumed.
+bool reject_leftover_args(const Args& args) {
+  if (args.rest().empty()) return false;
+  std::cerr << "error: unrecognized argument(s):";
+  for (const auto& arg : args.rest()) std::cerr << ' ' << arg;
+  std::cerr << "\nrun `ascdg` without arguments for usage\n";
+  return true;
 }
 
 coverage::CoverageRepository simulate_suite(const duv::Duv& unit,
@@ -490,13 +512,9 @@ int cmd_run(Args& args) {
     config.session_dir = *session;
   }
   config.resume = args.flag("--resume");
-
-  // The backend forks its worker processes (when --backend=process)
-  // right here — before the trace/watchdog/timeline/HTTP helper
-  // threads below exist, because fork + threads do not mix
-  // (docs/backends.md).
-  const auto farm = backend_from_args(args, &config.backend);
-  if (farm == nullptr) return 1;
+  const auto backend_config = backend_config_from_args(args);
+  if (!backend_config.has_value()) return 1;
+  config.backend = *backend_config;
 
   // Live introspection. Bare `--serve` (consumed first so value() below
   // cannot eat the next flag as a port) means "ephemeral port"; the
@@ -518,6 +536,31 @@ int cmd_run(Args& args) {
   } else {
     config.timeline_interval_ms = args.size_value("--timeline", 0);
   }
+  std::string trace_path;
+  if (const auto path = args.value("--trace"); path.has_value()) {
+    trace_path = *path;
+  } else if (args.flag("--trace") && !config.session_dir.empty()) {
+    // Bare --trace (no FILE) drops the sink into the session directory,
+    // where `ascdg inspect` picks it up.
+    trace_path = (std::filesystem::path(config.session_dir) /
+                  std::filesystem::path(flow::kTraceFile))
+                     .string();
+  }
+  const auto metrics_path = args.value("--metrics");
+  const auto before_csv = args.value("--before-csv");
+  const auto save_before = args.value("--save-before");
+  const auto save_best = args.value("--save-best");
+  const auto csv_path = args.value("--csv");
+  const auto report_path = args.value("--report");
+  // Every option is read: a typo fails here, before any simulation or
+  // side effect (worker processes, session directory, trace file).
+  if (reject_leftover_args(args)) return 1;
+
+  // The backend forks its worker processes (when --backend=process)
+  // right here — before the trace/watchdog/timeline/HTTP helper
+  // threads below exist, because fork + threads do not mix
+  // (docs/backends.md).
+  const auto farm = start_backend(config.backend);
 
   // The telemetry sinks below (--trace, --timeline) may live inside the
   // session directory, which Session::create would otherwise only make
@@ -530,21 +573,10 @@ int cmd_run(Args& args) {
   // runs in reverse order).
   std::unique_ptr<obs::FlightRecorder> recorder;
   std::unique_ptr<obs::Tracer> trace;
-  std::string trace_path;
-  if (const auto path = args.value("--trace"); path.has_value()) {
-    trace_path = *path;
-  } else if (args.flag("--trace") && !config.session_dir.empty()) {
-    // Bare --trace (no FILE) drops the sink into the session directory,
-    // where `ascdg inspect` picks it up.
-    trace_path = (std::filesystem::path(config.session_dir) /
-                  std::filesystem::path(flow::kTraceFile))
-                     .string();
-  }
   if (!trace_path.empty()) {
     trace = std::make_unique<obs::Tracer>(trace_path);
     config.trace = trace.get();
   }
-  const auto metrics_path = args.value("--metrics");
 
   // The recorder mirrors the trace stream, so it needs a Tracer even
   // when no --trace file was asked for (a sink-less one records only
@@ -604,16 +636,16 @@ int cmd_run(Args& args) {
   }
 
   coverage::CoverageRepository repo(unit->space().size());
-  if (const auto csv = args.value("--before-csv"); csv.has_value()) {
-    repo = coverage::load_repository(*csv, unit->space());
-    std::cerr << "loaded before-CDG coverage from " << *csv << " ("
+  if (before_csv.has_value()) {
+    repo = coverage::load_repository(*before_csv, unit->space());
+    std::cerr << "loaded before-CDG coverage from " << *before_csv << " ("
               << util::format_count(repo.total_sims()) << " sims)\n";
   } else {
     repo = simulate_suite(*unit, *farm, before_sims);
   }
-  if (const auto csv = args.value("--save-before"); csv.has_value()) {
-    coverage::save_repository(*csv, unit->space(), repo);
-    std::cerr << "wrote before-CDG coverage to " << *csv << '\n';
+  if (save_before.has_value()) {
+    coverage::save_repository(*save_before, unit->space(), repo);
+    std::cerr << "wrote before-CDG coverage to " << *save_before << '\n';
   }
   const auto target =
       neighbors::family_target(unit->space(), *family, repo.total());
@@ -651,22 +683,22 @@ int cmd_run(Args& args) {
     std::cout << '\n';
   }
 
-  if (const auto out = args.value("--save-best"); out.has_value()) {
-    tgen::save_template(*out, result.best_template);
-    std::cerr << "wrote best template to " << *out << '\n';
+  if (save_best.has_value()) {
+    tgen::save_template(*save_best, result.best_template);
+    std::cerr << "wrote best template to " << *save_best << '\n';
   }
-  if (const auto csv = args.value("--csv"); csv.has_value()) {
-    std::ofstream out(*csv);
+  if (csv_path.has_value()) {
+    std::ofstream out(*csv_path);
     report::phase_table(unit->space(), events, result).render_csv(out);
-    std::cerr << "wrote " << *csv << '\n';
+    std::cerr << "wrote " << *csv_path << '\n';
   }
-  if (const auto md = args.value("--report"); md.has_value()) {
+  if (report_path.has_value()) {
     const auto farm_stats = farm->telemetry();
     const auto& session = runner.session_summary();
-    report::write_flow_markdown(*md, unit->space(), events, result,
+    report::write_flow_markdown(*report_path, unit->space(), events, result,
                                 &farm_stats,
                                 session.has_value() ? &*session : nullptr);
-    std::cerr << "wrote " << *md << '\n';
+    std::cerr << "wrote " << *report_path << '\n';
   }
   if (metrics_path.has_value()) {
     report::write_metrics_json(*metrics_path, unit->space(), result,
@@ -717,15 +749,22 @@ int cmd_campaign(Args& args) {
     config.session_dir = *session;
   }
   config.resume = args.flag("--resume");
-  // Construct the backend before the timeline sampler thread below:
-  // the process backend forks, and fork + threads do not mix.
-  const auto farm = backend_from_args(args, &config.backend);
-  if (farm == nullptr) return 1;
+  const auto backend_config = backend_config_from_args(args);
+  if (!backend_config.has_value()) return 1;
+  config.backend = *backend_config;
   if (args.flag("--timeline")) {
     config.timeline_interval_ms = 1000;
   } else {
     config.timeline_interval_ms = args.size_value("--timeline", 0);
   }
+  const auto seed_template_name = args.value("--seed-template");
+  const auto save_best = args.value("--save-best");
+  // Every option is read: a typo fails here, before any simulation or
+  // side effect (worker processes, session directory).
+  if (reject_leftover_args(args)) return 1;
+  // Construct the backend before the timeline sampler thread below:
+  // the process backend forks, and fork + threads do not mix.
+  const auto farm = start_backend(config.backend);
   // The campaign timeline lives at the campaign root, spanning every
   // per-target sub-session; without a session directory there is no
   // durable home (or live server) for it, so it stays off.
@@ -767,8 +806,8 @@ int cmd_campaign(Args& args) {
   // search's top pick for the first family.
   const auto suite = unit->suite();
   std::string wanted;
-  if (const auto name = args.value("--seed-template"); name.has_value()) {
-    wanted = *name;
+  if (seed_template_name.has_value()) {
+    wanted = *seed_template_name;
   } else {
     wanted = flow::coarse_search(targets.front(), repo, 1).front().name;
   }
@@ -818,12 +857,12 @@ int cmd_campaign(Args& args) {
               << result.sessions.size() << " sub-sessions)\n";
   }
 
-  if (const auto out = args.value("--save-best"); out.has_value()) {
+  if (save_best.has_value()) {
     std::vector<tgen::TestTemplate> bests;
     bests.reserve(result.per_target.size());
     for (const auto& fr : result.per_target) bests.push_back(fr.best_template);
-    tgen::save_templates(*out, bests);
-    std::cerr << "wrote " << bests.size() << " best templates to " << *out
+    tgen::save_templates(*save_best, bests);
+    std::cerr << "wrote " << bests.size() << " best templates to " << *save_best
               << '\n';
   }
   if (timeline != nullptr) {
@@ -1324,14 +1363,7 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
-    if (rc == 0 && !args.rest().empty()) {
-      // Unknown flags fail the command: a typo like --wachdog=30 that
-      // silently no-ops is worse than an error.
-      std::cerr << "error: unrecognized argument(s):";
-      for (const auto& arg : args.rest()) std::cerr << ' ' << arg;
-      std::cerr << "\nrun `ascdg` without arguments for usage\n";
-      return 1;
-    }
+    if (rc == 0 && reject_leftover_args(args)) return 1;
     return rc;
   } catch (const std::exception& err) {
     std::cerr << "error: " << err.what() << '\n';
