@@ -21,6 +21,7 @@
 #include "duv/ifu.hpp"
 #include "duv/io_unit.hpp"
 #include "duv/l3_cache.hpp"
+#include "duv/registry.hpp"
 #include "stimgen/compiled.hpp"
 #include "stimgen/sampler.hpp"
 #include "tac/tac.hpp"
@@ -147,26 +148,35 @@ void BM_CoveragePopcount(benchmark::State& state) {
 }
 BENCHMARK(BM_CoveragePopcount);
 
-// One batched kernel step: a full farm-chunk-wide simulate_batch call
-// with precompiled tables — the farm's unit of work minus scheduling.
-// items/sec here is per-simulation kernel throughput.
-void BM_DuvStep(benchmark::State& state) {
-  const duv::IoUnit io;
-  const auto& tmpl = io.defaults();
-  const auto compiled = io.compile(tmpl);
+// One kernel step per unit: a farm-chunk-wide simulate_batch call with
+// precompiled tables — the farm's unit of work minus scheduling. The
+// template is the unit's skeletonized defaults instantiated at a fixed
+// random point, i.e. the fine-grained flow's weight and subrange draw
+// mix. items/sec here is per-simulation kernel throughput.
+void BM_DuvStep(benchmark::State& state, const char* unit_name) {
+  const auto unit = duv::make_unit(unit_name);
+  const auto skel = cdg::Skeletonizer().skeletonize(unit->defaults());
+  util::Xoshiro256 rng(0x7E57);
+  std::vector<double> point(skel.mark_count());
+  for (double& weight : point) weight = rng.uniform();
+  const tgen::TestTemplate tmpl = skel.instantiate("point", point);
+  const auto compiled = unit->compile(tmpl);
   constexpr std::size_t kWidth = 64;
   std::vector<std::uint64_t> seeds(kWidth);
   std::vector<coverage::CoverageVector> out(kWidth);
   std::uint64_t next = 1;
   for (auto _ : state) {
     for (auto& s : seeds) s = next++;
-    io.simulate_batch(tmpl, compiled.get(), seeds, out);
+    unit->simulate_batch(tmpl, compiled.get(), seeds, out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWidth));
 }
-BENCHMARK(BM_DuvStep);
+BENCHMARK_CAPTURE(BM_DuvStep, ifu, "ifu")->UseRealTime();
+BENCHMARK_CAPTURE(BM_DuvStep, io_unit, "io_unit")->UseRealTime();
+BENCHMARK_CAPTURE(BM_DuvStep, l3_cache, "l3_cache")->UseRealTime();
+BENCHMARK_CAPTURE(BM_DuvStep, lsu, "lsu")->UseRealTime();
 
 void BM_TacBestTemplates(benchmark::State& state) {
   const duv::IoUnit io;

@@ -138,22 +138,17 @@ const CrossProduct* CoverageSpace::find_cross_product(
   return nullptr;
 }
 
-EventId CoverageSpace::cross_event(const CrossProduct& cp,
-                                   std::span<const std::size_t> coords) const {
-  if (coords.size() != cp.features.size()) {
-    throw ValidationError("cross product '" + cp.family + "' expects " +
-                          std::to_string(cp.features.size()) + " coordinates");
-  }
-  std::size_t offset = 0;
-  for (std::size_t d = 0; d < coords.size(); ++d) {
-    if (coords[d] >= cp.features[d].cardinality) {
-      throw ValidationError("coordinate " + std::to_string(coords[d]) +
-                            " out of range for feature '" +
-                            cp.features[d].name + "'");
-    }
-    offset = offset * cp.features[d].cardinality + coords[d];
-  }
-  return EventId{cp.first.value + static_cast<std::uint32_t>(offset)};
+void CoverageSpace::throw_cross_arity(const CrossProduct& cp) {
+  throw ValidationError("cross product '" + cp.family + "' expects " +
+                        std::to_string(cp.features.size()) + " coordinates");
+}
+
+void CoverageSpace::throw_cross_coordinate(const CrossProduct& cp,
+                                           std::size_t feature,
+                                           std::size_t coord) {
+  throw ValidationError("coordinate " + std::to_string(coord) +
+                        " out of range for feature '" +
+                        cp.features[feature].name + "'");
 }
 
 std::vector<std::size_t> CoverageSpace::coords_of(const CrossProduct& cp,

@@ -76,7 +76,8 @@ class CoverageSpace {
       std::string_view family) const noexcept;
 
   /// Event at the given coordinates of a cross product.
-  /// Throws util::ValidationError on arity/bounds violations.
+  /// Throws util::ValidationError on arity/bounds violations. Inline:
+  /// unit kernels call it once per simulated request.
   [[nodiscard]] EventId cross_event(const CrossProduct& cp,
                                     std::span<const std::size_t> coords) const;
 
@@ -86,6 +87,12 @@ class CoverageSpace {
                                                    EventId id) const;
 
  private:
+  // cross_event's cold paths, out of line in space.cpp.
+  [[noreturn]] static void throw_cross_arity(const CrossProduct& cp);
+  [[noreturn]] static void throw_cross_coordinate(const CrossProduct& cp,
+                                                  std::size_t feature,
+                                                  std::size_t coord);
+
   std::vector<std::string> names_;
   std::unordered_map<std::string, EventId> by_name_;
   struct FamilyRecord {
@@ -98,5 +105,18 @@ class CoverageSpace {
   std::deque<CrossProduct> cross_products_;
   std::vector<std::int32_t> event_cross_;  // index into cross_products_ or -1
 };
+
+inline EventId CoverageSpace::cross_event(
+    const CrossProduct& cp, std::span<const std::size_t> coords) const {
+  if (coords.size() != cp.features.size()) [[unlikely]] throw_cross_arity(cp);
+  std::size_t offset = 0;
+  for (std::size_t d = 0; d < coords.size(); ++d) {
+    if (coords[d] >= cp.features[d].cardinality) [[unlikely]] {
+      throw_cross_coordinate(cp, d, coords[d]);
+    }
+    offset = offset * cp.features[d].cardinality + coords[d];
+  }
+  return EventId{cp.first.value + static_cast<std::uint32_t>(offset)};
+}
 
 }  // namespace ascdg::coverage

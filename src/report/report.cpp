@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/export.hpp"
 #include "util/error.hpp"
@@ -138,14 +140,26 @@ void render_trace(std::ostream& os, const opt::OptResult& result,
     os << "  (no optimization iterations)\n";
     return;
   }
-  double lo = result.trace.front().best_value;
-  double hi = lo;
-  for (const auto& record : result.trace) {
-    lo = std::min(lo, record.best_value);
-    hi = std::max(hi, record.best_value);
+  // At most kMaxColumns columns, 4 characters each: a longer trace is
+  // bucketed, each column plotting its bucket's max best_value under
+  // the bucket's last iteration.
+  constexpr std::size_t kMaxColumns = 60;
+  const std::size_t iterations = result.trace.size();
+  const std::size_t per_column = (iterations + kMaxColumns - 1) / kMaxColumns;
+  std::vector<double> values;
+  std::vector<std::size_t> last_iteration;
+  for (std::size_t begin = 0; begin < iterations; begin += per_column) {
+    const std::size_t end = std::min(iterations, begin + per_column);
+    double value = result.trace[begin].best_value;
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      value = std::max(value, result.trace[i].best_value);
+    }
+    values.push_back(value);
+    last_iteration.push_back(end);
   }
-  if (hi == lo) hi = lo + 1.0;
-  const std::size_t columns = result.trace.size();
+  const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
+  const double lo = *lo_it;
+  const double hi = *hi_it == lo ? lo + 1.0 : *hi_it;
 
   // Top to bottom rows of the plot.
   for (std::size_t row = height; row-- > 0;) {
@@ -154,22 +168,24 @@ void render_trace(std::ostream& os, const opt::OptResult& result,
     char label[32];
     std::snprintf(label, sizeof label, "%8.3f |", level);
     os << label;
-    for (std::size_t c = 0; c < columns; ++c) {
-      const double v = result.trace[c].best_value;
+    for (const double v : values) {
       const double cell = (v - lo) / (hi - lo) * static_cast<double>(height - 1);
       os << (std::llround(cell) == static_cast<long long>(row) ? " *  " : "    ");
     }
     os << '\n';
   }
-  os << "         +";
-  for (std::size_t c = 0; c < columns; ++c) os << "----";
-  os << "\n          ";
-  for (std::size_t c = 0; c < columns; ++c) {
+  os << "         +" << std::string(4 * values.size(), '-') << "\n          ";
+  for (const std::size_t iteration : last_iteration) {
     char label[32];
-    std::snprintf(label, sizeof label, "%3zu ", c + 1);
+    std::snprintf(label, sizeof label, "%3zu ", iteration);
     os << label;
   }
-  os << "  (iteration)\n";
+  // The caption gets a line of its own, so no line outgrows the plot.
+  os << "\n          (iteration";
+  if (per_column > 1) {
+    os << "; each column is the max of up to " << per_column;
+  }
+  os << ")\n";
 }
 
 void render_session(std::ostream& os, const flow::SessionSummary& session) {

@@ -53,7 +53,9 @@ void render_status_bars(std::ostream& os,
                         const flow::FlowResult& flow, bool use_color = true);
 
 /// Renders a Fig. 6-style ASCII line chart: max target value per
-/// optimization iteration.
+/// optimization iteration. Traces longer than 60 iterations are
+/// bucketed into at most 60 columns, each plotting its bucket's max and
+/// labelled with the bucket's last iteration.
 void render_trace(std::ostream& os, const opt::OptResult& result,
                   std::size_t height = 16);
 

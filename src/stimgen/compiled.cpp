@@ -3,21 +3,13 @@
 #include <string>
 #include <variant>
 
-#include "stimgen/profile.hpp"
 #include "util/error.hpp"
 
 namespace ascdg::stimgen {
 
 using util::ValidationError;
 
-std::size_t CompiledParam::pick(util::Xoshiro256& rng) const noexcept {
-  if (total_ <= 0.0) return weights_.size();
-  double p = rng.uniform() * total_;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    const double w = weights_[i] > 0.0 ? weights_[i] : 0.0;
-    if (p < w) return i;
-    p -= w;
-  }
+std::size_t CompiledParam::pick_slack() const noexcept {
   // Floating-point slack: return the last positive-weight index.
   for (std::size_t i = weights_.size(); i-- > 0;) {
     if (weights_[i] > 0.0) return i;
@@ -25,51 +17,21 @@ std::size_t CompiledParam::pick(util::Xoshiro256& rng) const noexcept {
   return weights_.size();
 }
 
-std::size_t CompiledParam::draw_index(util::Xoshiro256& rng) const {
-  note_draw(name_);
-  if (kind_ != Kind::kWeight) {
-    throw ValidationError("parameter '" + std::string(name_) +
-                          "' is not a weight parameter");
-  }
-  const std::size_t index = pick(rng);
-  if (index >= weights_.size()) {
-    throw ValidationError("weight parameter '" + std::string(name_) +
-                          "' has zero total weight");
-  }
-  return index;
+void CompiledParam::throw_wrong_kind(const char* expected) const {
+  throw ValidationError("parameter '" + std::string(name_) + "' is not a " +
+                        expected + " parameter");
 }
 
-const tgen::Value& CompiledParam::draw_value(util::Xoshiro256& rng) const {
-  // Draw first: draw_index throws on a non-weight kind, whose weight_
-  // is null.
-  const std::size_t index = draw_index(rng);
-  return weight_->entries[index].value;
+void CompiledParam::throw_zero_total() const {
+  throw ValidationError(
+      std::string(kind_ == Kind::kWeight ? "weight" : "subrange") +
+      " parameter '" + std::string(name_) + "' has zero total weight");
 }
 
-std::int64_t CompiledParam::draw_int(util::Xoshiro256& rng) const {
-  const std::size_t index = draw_index(rng);
-  if (!entry_is_int_[index]) {
-    throw ValidationError("parameter '" + std::string(name_) +
-                          "' produced non-integer value '" +
-                          weight_->entries[index].value.to_string() + "'");
-  }
-  return int_values_[index];
-}
-
-std::int64_t CompiledParam::draw_range(util::Xoshiro256& rng) const {
-  note_draw(name_);
-  if (kind_ == Kind::kRange) return rng.uniform_i64(lo_, hi_);
-  if (kind_ == Kind::kSubrange) {
-    const std::size_t index = pick(rng);
-    if (index >= weights_.size()) {
-      throw ValidationError("subrange parameter '" + std::string(name_) +
-                            "' has zero total weight");
-    }
-    const auto& entry = subrange_->entries[index];
-    return rng.uniform_i64(entry.lo, entry.hi);
-  }
+void CompiledParam::throw_non_integer(std::size_t index) const {
   throw ValidationError("parameter '" + std::string(name_) +
-                        "' is not a range or subrange parameter");
+                        "' produced non-integer value '" +
+                        weight_->entries[index].value.to_string() + "'");
 }
 
 CompiledTemplate::CompiledTemplate(const tgen::TestTemplate* overrides,
@@ -93,8 +55,8 @@ CompiledTemplate::CompiledTemplate(const tgen::TestTemplate* overrides,
       cp.int_values_.reserve(wp->entries.size());
       cp.entry_is_int_.reserve(wp->entries.size());
       for (const auto& entry : wp->entries) {
-        cp.weights_.push_back(entry.weight);
-        cp.total_ += entry.weight > 0.0 ? entry.weight : 0.0;
+        cp.weights_.push_back(entry.weight > 0.0 ? entry.weight : 0.0);
+        cp.total_ += cp.weights_.back();
         cp.entry_is_int_.push_back(entry.value.is_int() ? 1 : 0);
         cp.int_values_.push_back(entry.value.is_int() ? entry.value.as_int()
                                                       : 0);
@@ -109,8 +71,8 @@ CompiledTemplate::CompiledTemplate(const tgen::TestTemplate* overrides,
       cp.subrange_ = &sp;
       cp.weights_.reserve(sp.entries.size());
       for (const auto& entry : sp.entries) {
-        cp.weights_.push_back(entry.weight);
-        cp.total_ += entry.weight > 0.0 ? entry.weight : 0.0;
+        cp.weights_.push_back(entry.weight > 0.0 ? entry.weight : 0.0);
+        cp.total_ += cp.weights_.back();
       }
     }
     params_.push_back(std::move(cp));

@@ -13,6 +13,11 @@
 // range pick, nothing consumed on a zero-total weight; kind mismatches
 // and zero total weights throw util::ValidationError at draw time, not
 // compile time. Every draw counts once on the active ScopedDrawProfiler.
+//
+// The draw fast path is inline, so a unit kernel's per-request loop
+// makes no calls. Only the throws, pick()'s floating-point-slack
+// fallback and the active profiler's record_draw are out of line
+// (compiled.cpp, profile.cpp).
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "stimgen/profile.hpp"
 #include "tgen/test_template.hpp"
 #include "util/rng.hpp"
 
@@ -49,7 +55,12 @@ class CompiledParam {
   [[nodiscard]] std::size_t draw_index(util::Xoshiro256& rng) const;
 
   /// The drawn entry's value.
-  [[nodiscard]] const tgen::Value& draw_value(util::Xoshiro256& rng) const;
+  [[nodiscard]] const tgen::Value& draw_value(util::Xoshiro256& rng) const {
+    // Draw first: draw_index throws on a non-weight kind, whose weight_
+    // is null.
+    const std::size_t index = draw_index(rng);
+    return weight_->entries[index].value;
+  }
 
   /// The drawn entry's integer payload; throws util::ValidationError
   /// naming the offending value when the entry is a symbol.
@@ -63,14 +74,20 @@ class CompiledParam {
   friend class CompiledTemplate;
 
   /// Weighted pick over weights_ with total_ precomputed: returns
-  /// entry_count() on zero total, clamps negatives in the scan, and
-  /// falls back to the last positive weight on floating-point slack.
+  /// entry_count() on zero total, and falls back to the last positive
+  /// weight on floating-point slack.
   [[nodiscard]] std::size_t pick(util::Xoshiro256& rng) const noexcept;
+
+  // Cold paths, out of line in compiled.cpp.
+  [[nodiscard]] std::size_t pick_slack() const noexcept;
+  [[noreturn]] void throw_wrong_kind(const char* expected) const;
+  [[noreturn]] void throw_zero_total() const;
+  [[noreturn]] void throw_non_integer(std::size_t index) const;
 
   std::string_view name_;
   Kind kind_ = Kind::kRange;
-  // kWeight / kSubrange: raw entry weights in entry order and their
-  // clamped sum, added in entry order.
+  // kWeight / kSubrange: entry weights in entry order, clamped at
+  // compile time (w > 0 ? w : 0), and their sum, added in entry order.
   std::vector<double> weights_;
   double total_ = 0.0;
   const tgen::WeightParameter* weight_ = nullptr;
@@ -82,6 +99,50 @@ class CompiledParam {
   std::int64_t lo_ = 0;
   std::int64_t hi_ = 0;
 };
+
+inline std::size_t CompiledParam::pick(util::Xoshiro256& rng) const noexcept {
+  if (total_ <= 0.0) return weights_.size();
+  double p = rng.uniform() * total_;
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    if (p < weights_[i]) return i;
+    p -= weights_[i];
+  }
+  return pick_slack();
+}
+
+inline std::size_t CompiledParam::draw_index(util::Xoshiro256& rng) const {
+  note_draw(name_);
+  if (kind_ != Kind::kWeight) [[unlikely]] throw_wrong_kind("weight");
+  const std::size_t index = pick(rng);
+  if (index >= weights_.size()) [[unlikely]] throw_zero_total();
+  return index;
+}
+
+inline std::int64_t CompiledParam::draw_int(util::Xoshiro256& rng) const {
+  const std::size_t index = draw_index(rng);
+  if (entry_is_int_[index] == 0) [[unlikely]] throw_non_integer(index);
+  return int_values_[index];
+}
+
+// always_inline: a weighted pick plus a Lemire loop is past GCC's -O2
+// inlining limits, which would leave draw_range out of line in the
+// unit kernels.
+[[gnu::always_inline]] inline std::int64_t CompiledParam::draw_range(
+    util::Xoshiro256& rng) const {
+  note_draw(name_);
+  std::int64_t lo = lo_;
+  std::int64_t hi = hi_;
+  if (kind_ != Kind::kRange) {
+    if (kind_ != Kind::kSubrange) [[unlikely]] {
+      throw_wrong_kind("range or subrange");
+    }
+    const std::size_t index = pick(rng);
+    if (index >= weights_.size()) [[unlikely]] throw_zero_total();
+    lo = subrange_->entries[index].lo;
+    hi = subrange_->entries[index].hi;
+  }
+  return rng.uniform_i64(lo, hi);
+}
 
 /// All of a DUV's parameters resolved against one override template,
 /// in the defaults' declaration order. Built once per batch job.

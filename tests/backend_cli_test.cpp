@@ -5,8 +5,8 @@
 // thing allowed to differ. Also pins the strict --backend parsing
 // contract: a bad spec is a usage error (exit 1) with a hint, never a
 // runtime error (exit 2) or a silent fallback. And a value flag never
-// takes the next flag as its value, and an unknown flag fails `run` and
-// `campaign` before anything is simulated or written.
+// takes the next flag as its value, and an unknown flag fails every
+// subcommand before anything is simulated or written.
 //
 // The binary path arrives via the ASCDG_CLI_PATH compile definition
 // (see tests/CMakeLists.txt).
@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #ifndef ASCDG_CLI_PATH
 #error "ASCDG_CLI_PATH must be defined by the build"
@@ -167,6 +168,44 @@ TEST_F(BackendCli, LeftoverArgumentsFailBeforeTheFlowStarts) {
     EXPECT_EQ(result.output.find("total simulations"), std::string::npos)
         << result.output;
     EXPECT_FALSE(fs::exists(session)) << command;
+  }
+}
+
+TEST_F(BackendCli, BeforeRejectsLeftoverArgumentsBeforeSimulating) {
+  const fs::path csv = dir_ / "before.csv";
+  const CliResult result = run_cli(std::string(ASCDG_CLI_PATH) +
+                                   " before l3_cache --bogus --csv " +
+                                   csv.string());
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("unrecognized argument(s): --bogus"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("uncovered events"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(fs::exists(csv));
+}
+
+TEST_F(BackendCli, EverySubcommandRejectsLeftoverArgumentsFirst) {
+  // The usage error is the only output: nothing was simulated, read or
+  // printed before it. skeletonize and inspect name paths that do not
+  // exist, so they would fail differently had they run.
+  const std::string missing = (dir_ / "missing").string();
+  const std::vector<std::string> commands{" units",
+                                          " events l3_cache",
+                                          " suite l3_cache",
+                                          " skeletonize " + missing,
+                                          " policy l3_cache",
+                                          " profile l3_cache",
+                                          " holes ifu --family ifu",
+                                          " inspect " + missing,
+                                          " metrics-dump l3_cache"};
+  for (const std::string& command : commands) {
+    const CliResult result = run_cli(ASCDG_CLI_PATH + command + " --bogus");
+    EXPECT_EQ(result.exit_code, 1) << command << ": " << result.output;
+    EXPECT_EQ(result.output,
+              "error: unrecognized argument(s): --bogus\n"
+              "run `ascdg` without arguments for usage\n")
+        << command;
   }
 }
 

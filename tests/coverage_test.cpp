@@ -131,6 +131,20 @@ TEST(Space, CrossProductBadCoordsThrow) {
   EXPECT_THROW((void)space.cross_event(cp, out_of_range), ValidationError);
 }
 
+TEST(Space, CrossEventOutOfRangeNamesCoordinateAndFeature) {
+  CoverageSpace space;
+  const auto& cp = space.declare_cross_product("x", {{"a", 2}, {"b", 3}});
+  const std::array<std::size_t, 2> last{1, 2};
+  EXPECT_EQ(space.cross_event(cp, last).value, cp.first.value + 5);
+  const std::array<std::size_t, 2> out_of_range{1, 3};
+  try {
+    (void)space.cross_event(cp, out_of_range);
+    FAIL() << "out-of-range coordinate did not throw";
+  } catch (const ValidationError& err) {
+    EXPECT_STREQ(err.what(), "coordinate 3 out of range for feature 'b'");
+  }
+}
+
 TEST(Space, CoordsOfForeignEventThrows) {
   CoverageSpace space;
   const EventId plain = space.declare_event("plain");

@@ -2,9 +2,11 @@
 // coding by hit status, and the ASCII trace/status renderers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <unistd.h>
 
 #include "report/report.hpp"
@@ -141,6 +143,27 @@ TEST(Trace, RendersAllIterations) {
   // One star per iteration.
   EXPECT_EQ(std::count(text.begin(), text.end(), '*'), 7);
   EXPECT_NE(text.find("(iteration)"), std::string::npos);
+}
+
+TEST(Trace, LongTraceIsBucketedIntoAtMostSixtyColumns) {
+  // 200 iterations, 4 per column: 50 columns, each plotting its
+  // bucket's max and labelled with the bucket's last iteration.
+  opt::OptResult long_run;
+  for (std::size_t i = 0; i < 200; ++i) {
+    const double value = static_cast<double>(i % 7);
+    long_run.trace.push_back({i, value, value, 0.1, i + 1, false});
+  }
+  std::ostringstream os;
+  render_trace(os, long_run);
+  const std::string text = os.str();
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_LE(line.size(), 260u) << line;
+  }
+  EXPECT_EQ(std::count(text.begin(), text.end(), '*'), 50);
+  EXPECT_NE(text.find(" 200 "), std::string::npos);
+  EXPECT_EQ(text.find(" 199 "), std::string::npos);
+  EXPECT_NE(text.find("max of up to 4"), std::string::npos);
 }
 
 TEST(Trace, EmptyTraceHandled) {

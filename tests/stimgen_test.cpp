@@ -240,6 +240,70 @@ TEST(DrawFrom, DefaultsOrderHandlesMatchNames) {
   EXPECT_EQ(table.find("Nope"), nullptr);
 }
 
+TEST(DrawFrom, ZeroWeightEntriesAreNeverDrawn) {
+  // Zero weights at the front, middle and back of the entry list.
+  const auto tmpl = parse_template(
+      "template t { weight W { a: 0, b: 1, c: 0, d: 2, e: 0 } }");
+  const CompiledTemplate table(nullptr, tmpl);
+  util::Xoshiro256 rng(15);
+  std::vector<std::size_t> counts(5, 0);
+  for (int i = 0; i < 20000; ++i) ++counts[table.param(0).draw_index(rng)];
+  EXPECT_EQ(counts[0], 0u);
+  EXPECT_EQ(counts[2], 0u);
+  EXPECT_EQ(counts[4], 0u);
+  EXPECT_GT(counts[1], 0u);
+  EXPECT_GT(counts[3], counts[1]);
+}
+
+TEST(DrawFrom, ZeroWeightSubrangesOfASkeletonInstanceAreNeverDrawn) {
+  // A negative mark clamps to zero at instantiation, like an explicit 0.
+  const auto skel = tgen::parse_skeleton(R"(skeleton s {
+    subrange S { [0, 9]: <W>, [10, 19]: <W>, [20, 29]: <W>, [30, 39]: <W> }
+  })");
+  const std::vector<double> point{0.0, 0.7, -0.4, 0.2};
+  const TestTemplate instance = skel.instantiate("point", point);
+  const CompiledTemplate table(nullptr, instance);
+  util::Xoshiro256 rng(16);
+  std::vector<std::size_t> per_subrange(4, 0);
+  for (int i = 0; i < 20000; ++i) {
+    const std::int64_t v = table.param(0).draw_range(rng);
+    ASSERT_GE(v, 0);
+    ASSERT_LE(v, 39);
+    ++per_subrange[static_cast<std::size_t>(v / 10)];
+  }
+  EXPECT_EQ(per_subrange[0], 0u);
+  EXPECT_EQ(per_subrange[2], 0u);
+  EXPECT_GT(per_subrange[1], per_subrange[3]);
+  EXPECT_GT(per_subrange[3], 0u);
+}
+
+TEST(DrawFrom, RangeDrawOnAWeightParameterThrowsAndStillCounts) {
+  const auto defaults = defaults_template();
+  const CompiledTemplate table(nullptr, defaults);
+  util::Xoshiro256 rng(17);
+  ScopedDrawProfiler profiler;
+  try {
+    (void)table.find("Cmd")->draw_range(rng);
+    FAIL() << "draw_range on a weight parameter did not throw";
+  } catch (const ValidationError& err) {
+    EXPECT_STREQ(err.what(),
+                 "parameter 'Cmd' is not a range or subrange parameter");
+  }
+  EXPECT_EQ(profiler.counts().at("Cmd"), 1u);
+}
+
+TEST(DrawFrom, IntDrawOnASymbolEntryNamesTheValue) {
+  const auto tmpl = parse_template("template t { weight W { sym: 1 } }");
+  const CompiledTemplate table(nullptr, tmpl);
+  util::Xoshiro256 rng(18);
+  try {
+    (void)table.param(0).draw_int(rng);
+    FAIL() << "draw_int on a symbol entry did not throw";
+  } catch (const ValidationError& err) {
+    EXPECT_STREQ(err.what(), "parameter 'W' produced non-integer value 'sym'");
+  }
+}
+
 // Parameterized sweep: sampled frequencies track template weights for a
 // spread of weight shapes (property-style).
 struct WeightShape {

@@ -237,13 +237,6 @@ std::unique_ptr<ascdg::exec::Backend> start_backend(
   return ascdg::exec::make_backend(config);
 }
 
-/// backend_config_from_args + start_backend; nullptr on a bad spec.
-std::unique_ptr<ascdg::exec::Backend> backend_from_args(Args& args) {
-  const auto config = backend_config_from_args(args);
-  if (!config.has_value()) return nullptr;
-  return start_backend(*config);
-}
-
 /// Unknown flags fail the command: a typo like --wachdog=30 that
 /// silently no-ops is worse than an error. Prints the usage error and
 /// returns true when any argument is left unconsumed.
@@ -253,6 +246,15 @@ bool reject_leftover_args(const Args& args) {
   for (const auto& arg : args.rest()) std::cerr << ' ' << arg;
   std::cerr << "\nrun `ascdg` without arguments for usage\n";
   return true;
+}
+
+/// Reads --backend, rejects leftover arguments, then starts the
+/// backend; nullptr after the usage error on a bad spec or a leftover.
+/// Call once every other option is read.
+std::unique_ptr<ascdg::exec::Backend> backend_from_args(Args& args) {
+  const auto config = backend_config_from_args(args);
+  if (!config.has_value() || reject_leftover_args(args)) return nullptr;
+  return start_backend(*config);
 }
 
 coverage::CoverageRepository simulate_suite(const duv::Duv& unit,
@@ -271,7 +273,8 @@ coverage::CoverageRepository simulate_suite(const duv::Duv& unit,
   return repo;
 }
 
-int cmd_units() {
+int cmd_units(const Args& args) {
+  if (reject_leftover_args(args)) return 1;
   for (const auto& name : duv::unit_names()) {
     std::cout << name << std::string(name.size() < 10 ? 10 - name.size() : 1, ' ')
               << duv::unit_description(name) << '\n';
@@ -288,6 +291,7 @@ int cmd_events(Args& args) {
     return 1;
   }
   const auto prefix = args.positional().value_or("");
+  if (reject_leftover_args(args)) return 1;
   const auto& space = unit->space();
   std::size_t shown = 0;
   for (std::size_t i = 0; i < space.size(); ++i) {
@@ -312,8 +316,10 @@ int cmd_suite(Args& args) {
     std::cerr << "unknown unit '" << *unit_name << "'\n";
     return 1;
   }
+  const auto out = args.value("--out");
+  if (reject_leftover_args(args)) return 1;
   const auto suite = unit->suite();
-  if (const auto out = args.value("--out"); out.has_value()) {
+  if (out.has_value()) {
     tgen::save_templates(*out, suite);
     std::cerr << "wrote " << suite.size() << " templates to " << *out << '\n';
     return 0;
@@ -331,9 +337,11 @@ int cmd_skeletonize(Args& args) {
     options.spacing = cdg::SubrangeSpacing::kGeometric;
   }
   options.mark_zero_weights = args.flag("--mark-zeros");
+  const auto out = args.value("--out");
+  if (reject_leftover_args(args)) return 1;
   const auto tmpl = tgen::load_template(*file);
   const auto skeleton = cdg::Skeletonizer(options).skeletonize(tmpl);
-  if (const auto out = args.value("--out"); out.has_value()) {
+  if (out.has_value()) {
     tgen::save_skeleton(*out, skeleton);
     std::cerr << "wrote skeleton (" << skeleton.mark_count() << " marks) to "
               << *out << '\n';
@@ -353,6 +361,7 @@ int cmd_before(Args& args) {
     return 1;
   }
   const std::size_t sims = args.size_value("--sims", 2000);
+  const auto csv = args.value("--csv");
   const auto farm = backend_from_args(args);
   if (farm == nullptr) return 1;
   const auto repo = simulate_suite(*unit, *farm, sims);
@@ -386,7 +395,7 @@ int cmd_before(Args& args) {
     std::cout << ' ' << unit->space().name(event);
   }
   std::cout << '\n';
-  if (const auto csv = args.value("--csv"); csv.has_value()) {
+  if (csv.has_value()) {
     std::ofstream out(*csv);
     table.render_csv(out);
     std::cerr << "wrote " << *csv << '\n';
@@ -423,6 +432,7 @@ int cmd_profile(Args& args) {
     return 1;
   }
   const std::size_t sims = args.size_value("--sims", 500);
+  if (reject_leftover_args(args)) return 1;
   stimgen::ScopedDrawProfiler profiler;
   for (std::size_t i = 0; i < sims; ++i) {
     (void)unit->simulate(unit->defaults(), 0xF0F1A + i);
@@ -1213,6 +1223,7 @@ int cmd_inspect(Args& args) {
   }
   const bool as_json = args.flag("--json");
   const auto compare_dir = args.value("--compare");
+  if (reject_leftover_args(args)) return 1;
 
   const InspectData a = inspect_dir(*dir);
   if (!compare_dir.has_value()) {
@@ -1335,36 +1346,19 @@ int main(int argc, char** argv) {
     // Arm fault-injection points before any IO so the fuzz harness can
     // hit the very first manifest write; a malformed spec is fatal.
     util::FailurePoint::install_from_env();
-    int rc;
-    if (command == "units") {
-      rc = cmd_units();
-    } else if (command == "events") {
-      rc = cmd_events(args);
-    } else if (command == "suite") {
-      rc = cmd_suite(args);
-    } else if (command == "skeletonize") {
-      rc = cmd_skeletonize(args);
-    } else if (command == "before") {
-      rc = cmd_before(args);
-    } else if (command == "policy") {
-      rc = cmd_policy(args);
-    } else if (command == "profile") {
-      rc = cmd_profile(args);
-    } else if (command == "holes") {
-      rc = cmd_holes(args);
-    } else if (command == "run") {
-      rc = cmd_run(args);
-    } else if (command == "campaign") {
-      rc = cmd_campaign(args);
-    } else if (command == "inspect") {
-      rc = cmd_inspect(args);
-    } else if (command == "metrics-dump") {
-      rc = cmd_metrics_dump(args);
-    } else {
-      return usage();
-    }
-    if (rc == 0 && reject_leftover_args(args)) return 1;
-    return rc;
+    if (command == "units") return cmd_units(args);
+    if (command == "events") return cmd_events(args);
+    if (command == "suite") return cmd_suite(args);
+    if (command == "skeletonize") return cmd_skeletonize(args);
+    if (command == "before") return cmd_before(args);
+    if (command == "policy") return cmd_policy(args);
+    if (command == "profile") return cmd_profile(args);
+    if (command == "holes") return cmd_holes(args);
+    if (command == "run") return cmd_run(args);
+    if (command == "campaign") return cmd_campaign(args);
+    if (command == "inspect") return cmd_inspect(args);
+    if (command == "metrics-dump") return cmd_metrics_dump(args);
+    return usage();
   } catch (const std::exception& err) {
     std::cerr << "error: " << err.what() << '\n';
     return 2;
