@@ -87,9 +87,8 @@ void BM_EvalBatchDispatch(benchmark::State& state) {
   const auto& p = problem();
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   exec::ThreadFarm farm(static_cast<std::size_t>(state.range(1)));
-  cdg::CdgObjective objective(
-      p.io, farm, p.skeleton, p.target, kSimsPerPoint,
-      cdg::EvalCacheConfig{.enabled = false, .capacity = 0});
+  cdg::CdgObjective objective(p.io, farm, p.skeleton, p.target,
+                              kSimsPerPoint);
 
   const std::size_t dim = objective.dimension();
   std::vector<opt::Point> xs;

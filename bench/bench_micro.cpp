@@ -12,7 +12,6 @@
 #include "coverage/repository.hpp"
 #include "flow/artifacts.hpp"
 #include "flow/session.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_state.hpp"
@@ -379,34 +378,9 @@ void BM_TracerSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_TracerSpan);
 
-// --- live-introspection overhead guards (acceptance: the *ServeOn /
-// *RecorderOn variants regress < 5% vs their baselines above; the CI
-// bench artifact archives both sides of each pair).
-
-void BM_FlightRecorderRecord(benchmark::State& state) {
-  obs::FlightRecorder recorder(1024);
-  const std::string line(96, 'x');  // a typical trace-event width
-  for (auto _ : state) {
-    recorder.record(line);
-  }
-  benchmark::DoNotOptimize(recorder.recorded());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FlightRecorderRecord);
-
-// BM_TracerSpan with a flight-recorder mirror attached — the delta is
-// the per-event cost of keeping the crash ring warm.
-void BM_TracerSpanRecorderOn(benchmark::State& state) {
-  obs::FlightRecorder recorder(1024);
-  obs::Tracer tracer(std::filesystem::path("/dev/null"));
-  tracer.mirror_to(&recorder);
-  for (auto _ : state) {
-    obs::Span span = tracer.span("bench");
-    benchmark::DoNotOptimize(span.id());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TracerSpanRecorderOn);
+// --- live-introspection overhead guards (acceptance: the *ServeOn
+// variant regresses < 5% vs its baseline above; the CI bench artifact
+// archives both sides of the pair).
 
 // One full /metrics scrape against a registry shaped like a real run
 // (a few dozen series) — bounds what a 1 Hz Prometheus poller costs.
@@ -542,8 +516,8 @@ BENCHMARK(BM_FailurePointCheckOff);
 // it must stay far below any sane sampling period.
 void BM_TimeSeriesSample(benchmark::State& state) {
   obs::Registry reg;
-  // A realistic registry shape: per-farm counters, cache counters,
-  // busy gauges, latency histograms.
+  // A realistic registry shape: per-farm counters, busy gauges,
+  // latency histograms, optimizer counters.
   for (int farm = 0; farm < 4; ++farm) {
     const std::string id = std::to_string(farm);
     reg.counter("ascdg_farm_simulations_total", {{"farm", id}}).add(100'000);
@@ -551,8 +525,8 @@ void BM_TimeSeriesSample(benchmark::State& state) {
     auto& hist = reg.histogram("ascdg_farm_chunk_latency_us", {{"farm", id}});
     for (std::uint64_t v = 1; v < 4096; v *= 2) hist.observe(v);
   }
-  reg.counter("ascdg_eval_cache_hits_total").add(5'000);
-  reg.counter("ascdg_eval_cache_misses_total").add(1'000);
+  reg.counter("ascdg_opt_iterations_total").add(25);
+  reg.histogram("ascdg_eval_batch_size").observe(20);
   obs::RunState run;
   run.start_flow("bench");
   run.enter_phase("optimization");
@@ -560,7 +534,6 @@ void BM_TimeSeriesSample(benchmark::State& state) {
   config.start_thread = false;
   config.registry = &reg;
   config.run_state = &run;
-  config.mirror_to_recorder = false;
   obs::TimeSeriesRecorder recorder(config);
   for (auto _ : state) {
     recorder.sample_now();

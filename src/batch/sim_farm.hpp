@@ -76,7 +76,7 @@ struct TelemetrySnapshot {
   std::uint64_t busy_ns = 0;        ///< summed wall time inside chunks
   /// Fraction of the pool's wall-clock capacity spent inside chunks
   /// since construction (0..1): busy_ns / (workers x farm lifetime).
-  /// The watchdog/report read the same number from the
+  /// The report and /timeseries read the same number from the
   /// `ascdg_farm_worker_busy_fraction` gauge (stored in ppm).
   double busy_fraction = 0.0;
   std::array<std::size_t, kLatencyBuckets> chunk_latency{};
@@ -111,16 +111,12 @@ class SimFarm {
                                        std::size_t count,
                                        std::uint64_t seed_root);
 
-  /// A batch job: one template simulated `count` times. `tag` is an
-  /// opaque caller-correlation id carried alongside the job (e.g. the
-  /// batch position a multi-point evaluation maps this job back to);
-  /// the farm never interprets it — results come back in job order
-  /// regardless.
+  /// A batch job: one template simulated `count` times; results come
+  /// back in job order.
   struct Job {
     const tgen::TestTemplate* tmpl = nullptr;
     std::size_t count = 0;
     std::uint64_t seed_root = 0;
-    std::size_t tag = 0;
   };
 
   /// Runs all jobs (interleaved across the pool); results are returned
@@ -239,9 +235,9 @@ class SimFarm {
     /// lock in take_task(), so it can never dip negative and its peak
     /// watermark is exact (the old ad-hoc gauge raced enqueue/steal).
     obs::Gauge* queue_depth = nullptr;
-    /// run_all() calls currently inside the farm — the watchdog's
-    /// "work outstanding" signal (a wedged worker keeps this positive
-    /// while every progress counter flatlines).
+    /// run_all() calls currently inside the farm, exported by /metrics
+    /// (a wedged worker keeps this positive while every progress counter
+    /// flatlines).
     obs::Gauge* active_runs = nullptr;
     /// Pool utilization in parts-per-million (gauges are integral);
     /// refreshed at every run_all() completion.

@@ -1,8 +1,6 @@
 #include "cdg/cdg_objective.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <optional>
 #include <utility>
 
 #include "util/error.hpp"
@@ -24,22 +22,18 @@ std::uint64_t next_objective_id() {
 CdgObjective::CdgObjective(const duv::Duv& duv, exec::Backend& farm,
                            const tgen::Skeleton& skeleton,
                            const neighbors::ApproximatedTarget& target,
-                           std::size_t sims_per_point, EvalCacheConfig cache,
-                           obs::Tracer* trace, std::string probe_label)
+                           std::size_t sims_per_point, obs::Tracer* trace,
+                           std::string probe_label)
     : duv_(&duv),
       farm_(&farm),
       skeleton_(&skeleton),
       target_(&target),
       sims_per_point_(sims_per_point),
-      cache_config_(cache),
       trace_(trace),
       probe_prefix_(skeleton.name() + "_o" +
                     std::to_string(next_objective_id())),
       probe_label_(std::move(probe_label)),
       combined_(duv.space().size()),
-      m_cache_hits_(&obs::registry().counter("ascdg_eval_cache_hits_total")),
-      m_cache_misses_(
-          &obs::registry().counter("ascdg_eval_cache_misses_total")),
       m_batch_size_(&obs::registry().histogram("ascdg_eval_batch_size")) {
   if (sims_per_point_ == 0) {
     throw util::ConfigError("CdgObjective needs sims_per_point >= 1");
@@ -47,48 +41,6 @@ CdgObjective::CdgObjective(const duv::Duv& duv, exec::Backend& farm,
   if (skeleton_->mark_count() == 0) {
     throw util::ConfigError("CdgObjective over a skeleton with no marks");
   }
-}
-
-std::size_t CdgObjective::CacheKeyHash::operator()(
-    const CacheKey& key) const noexcept {
-  std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ key.seed;
-  for (const std::int64_t v : key.point) {
-    h ^= static_cast<std::uint64_t>(v) + 0x9E3779B97F4A7C15ULL + (h << 6) +
-         (h >> 2);
-  }
-  return static_cast<std::size_t>(h);
-}
-
-CdgObjective::CacheKey CdgObjective::make_key(std::span<const double> x,
-                                              std::uint64_t seed) const {
-  CacheKey key;
-  key.seed = seed;
-  key.point.reserve(x.size());
-  for (const double v : x) {
-    key.point.push_back(static_cast<std::int64_t>(std::llround(v * 1e9)));
-  }
-  return key;
-}
-
-const CdgObjective::CacheEntry* CdgObjective::cache_lookup(
-    const CacheKey& key) {
-  const auto it = cache_index_.find(key);
-  if (it == cache_index_.end()) return nullptr;
-  // Touch: move to the front of the LRU list (iterators stay valid).
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  return &*it->second;
-}
-
-void CdgObjective::cache_insert(CacheKey key, double value,
-                                const coverage::SimStats& stats) {
-  if (!cache_config_.enabled || cache_config_.capacity == 0) return;
-  if (cache_index_.contains(key)) return;
-  while (cache_index_.size() >= cache_config_.capacity) {
-    cache_index_.erase(cache_lru_.back().key);
-    cache_lru_.pop_back();
-  }
-  cache_lru_.push_front({std::move(key), value, stats});
-  cache_index_.emplace(cache_lru_.front().key, cache_lru_.begin());
 }
 
 double CdgObjective::evaluate(std::span<const double> x,
@@ -126,82 +78,31 @@ std::vector<CdgObjective::PointEval> CdgObjective::evaluate_batch_full(
   m_batch_size_->observe(n);
   obs::Span span = obs::make_span(trace_, "eval_batch");
 
-  const bool use_cache = cache_config_.enabled && cache_config_.capacity > 0;
-  constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
-
-  // Pass 1: resolve each point against the cache; instantiate one
-  // template + farm job per uncached (point, seed). Duplicates within
-  // the batch share one job (the scalar path would have hit the cache
-  // for the repeats). Hit statistics are copied out immediately —
-  // insertions below may evict the entry before pass 2 reads it.
-  std::vector<CacheKey> keys(use_cache ? n : 0);
-  std::vector<std::optional<PointEval>> cached(n);
-  std::vector<std::size_t> job_of(n, kNoJob);
-  std::vector<char> owns_job(n, 0);
+  // One template and one backend job per point, all in a single
+  // dispatch; the point's eval seed is the job's seed root, so each
+  // point's stats match a scalar evaluate() of the same (point, seed).
   std::vector<tgen::TestTemplate> templates;
   templates.reserve(n);
   std::vector<exec::Job> jobs;
   jobs.reserve(n);
-  std::unordered_map<CacheKey, std::size_t, CacheKeyHash> batch_jobs;
   for (std::size_t i = 0; i < n; ++i) {
-    if (use_cache) {
-      keys[i] = make_key(xs[i], seeds[i]);
-      if (const CacheEntry* entry = cache_lookup(keys[i])) {
-        cached[i] = PointEval{entry->value, entry->stats};
-        continue;
-      }
-      if (const auto dup = batch_jobs.find(keys[i]);
-          dup != batch_jobs.end()) {
-        job_of[i] = dup->second;
-        continue;
-      }
-    }
     templates.push_back(skeleton_->instantiate(
         probe_prefix_ + "_" + probe_label_ + std::to_string(evals_ + i),
         xs[i]));
-    jobs.push_back({&templates.back(), sims_per_point_, seeds[i], i});
-    job_of[i] = jobs.size() - 1;
-    owns_job[i] = 1;
-    if (use_cache) batch_jobs.emplace(keys[i], job_of[i]);
+    jobs.push_back({&templates.back(), sims_per_point_, seeds[i]});
   }
+  std::vector<coverage::SimStats> results = farm_->run_all(*duv_, jobs);
 
-  // One farm dispatch covers every uncached point's sims_per_point
-  // simulations; per-point stats come back separated by job, with the
-  // point's eval seed as the job's seed root — the same (point, seed)
-  // determinism as the scalar path.
-  std::vector<coverage::SimStats> results;
-  if (!jobs.empty()) results = farm_->run_all(*duv_, jobs);
-
-  // Pass 2: account every point in batch order, so evaluation counting,
+  // Account every point in batch order, so evaluation counting,
   // coverage accumulation, and best tracking are identical to a
   // sequence of scalar evaluate() calls.
   std::size_t batch_sims = 0;
   std::vector<PointEval> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    PointEval eval;
-    if (cached[i].has_value()) {
-      eval = std::move(*cached[i]);
-      ++cache_hits_;
-      m_cache_hits_->inc();
-    } else {
-      const coverage::SimStats& stats = results[job_of[i]];
-      eval.value = target_->value(stats);
-      eval.stats = stats;
-      if (owns_job[i]) {
-        sims_ += stats.sims();
-        batch_sims += stats.sims();
-        if (use_cache) {
-          ++cache_misses_;
-          m_cache_misses_->inc();
-          cache_insert(std::move(keys[i]), eval.value, stats);
-        }
-      } else {
-        // In-batch duplicate of an owned job: a cache hit in effect.
-        ++cache_hits_;
-        m_cache_hits_->inc();
-      }
-    }
+    PointEval eval{target_->value(results[i]), std::move(results[i])};
+    sims_ += eval.stats.sims();
+    batch_sims += eval.stats.sims();
     ++evals_;
     combined_.merge(eval.stats);
     if (!has_best() || eval.value > best_value_) {
@@ -211,11 +112,7 @@ std::vector<CdgObjective::PointEval> CdgObjective::evaluate_batch_full(
     out.push_back(std::move(eval));
   }
 
-  span.fields()
-      .add("points", n)
-      .add("cache_hits", use_cache ? n - jobs.size() : 0)
-      .add("cache_misses", use_cache ? jobs.size() : 0)
-      .add("sims", batch_sims);
+  span.fields().add("points", n).add("sims", batch_sims);
   return out;
 }
 

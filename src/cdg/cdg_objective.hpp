@@ -12,21 +12,17 @@
 // the point's eval seed), preserving the per-(point, seed) determinism
 // of the scalar path — scalar evaluate() is just a batch of one.
 //
-// A bounded LRU cache keyed on (quantized point, eval seed) short-
-// circuits resimulation: a center resample with a reused seed or a
-// revisited stencil point returns the cached value and statistics
-// (bit-identical to what the simulation would produce, since the same
-// (point, seed) always yields the same stats). Cache traffic is
-// exported as ascdg_eval_cache_{hits,misses}_total; batch sizes feed
-// the ascdg_eval_batch_size histogram, and each batch can emit an
-// "eval_batch" span when a tracer is attached.
+// Every evaluation simulates: the optimizers draw a fresh eval seed for
+// each point (util::SeedStream), so a repeated (point, seed) pair does
+// not occur in a flow, and one that a caller does repeat resimulates to
+// bit-identical statistics. Batch sizes feed the ascdg_eval_batch_size
+// histogram, and each batch can emit an "eval_batch" span when a tracer
+// is attached.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/backend.hpp"
@@ -38,15 +34,6 @@
 
 namespace ascdg::cdg {
 
-/// Configuration of the seeded evaluation cache. `capacity` bounds the
-/// number of retained (point, seed) entries (LRU eviction); disabling
-/// the cache never changes evaluation *values* — only whether repeated
-/// (point, seed) pairs cost simulations again.
-struct EvalCacheConfig {
-  bool enabled = true;
-  std::size_t capacity = 1024;
-};
-
 class CdgObjective final : public opt::Objective {
  public:
   /// All referenced objects (including `trace`, when given) must
@@ -57,8 +44,8 @@ class CdgObjective final : public opt::Objective {
   CdgObjective(const duv::Duv& duv, exec::Backend& farm,
                const tgen::Skeleton& skeleton,
                const neighbors::ApproximatedTarget& target,
-               std::size_t sims_per_point, EvalCacheConfig cache = {},
-               obs::Tracer* trace = nullptr, std::string probe_label = "probe");
+               std::size_t sims_per_point, obs::Tracer* trace = nullptr,
+               std::string probe_label = "probe");
 
   [[nodiscard]] std::size_t dimension() const noexcept override {
     return skeleton_->mark_count();
@@ -81,18 +68,15 @@ class CdgObjective final : public opt::Objective {
   /// Batched evaluation that also hands back each point's statistics —
   /// the random-sampling phase and multi-target re-scoring need the
   /// per-point stats, not just the values. Semantics are identical to
-  /// evaluate_batch (same dispatch, cache, and bookkeeping).
+  /// evaluate_batch (same dispatch and bookkeeping).
   [[nodiscard]] std::vector<PointEval> evaluate_batch_full(
       std::span<const opt::Point> xs, std::span<const std::uint64_t> seeds);
 
-  /// Simulations actually run through this objective so far. Cache hits
-  /// do not resimulate, so this can be less than evaluations * N.
+  /// Simulations run through this objective so far: evaluations * N.
   [[nodiscard]] std::size_t simulations() const noexcept { return sims_; }
 
-  /// Coverage accumulated across every evaluation (cache hits merge
-  /// their cached statistics, so this matches a cache-free run) — the
-  /// paper's "Optimization phase" hit-statistics column aggregates
-  /// exactly this.
+  /// Coverage accumulated across every evaluation — the paper's
+  /// "Optimization phase" hit-statistics column aggregates exactly this.
   [[nodiscard]] const coverage::SimStats& combined() const noexcept {
     return combined_;
   }
@@ -104,13 +88,6 @@ class CdgObjective final : public opt::Objective {
   [[nodiscard]] double best_value() const noexcept { return best_value_; }
   [[nodiscard]] bool has_best() const noexcept { return !best_point_.empty(); }
 
-  /// Cache traffic (this objective only; the registry counters
-  /// aggregate process-wide).
-  [[nodiscard]] std::size_t cache_hits() const noexcept { return cache_hits_; }
-  [[nodiscard]] std::size_t cache_misses() const noexcept {
-    return cache_misses_;
-  }
-
   /// The per-objective template-name prefix ("<skeleton>_o<id>"), for
   /// collision checks.
   [[nodiscard]] const std::string& probe_prefix() const noexcept {
@@ -118,36 +95,11 @@ class CdgObjective final : public opt::Objective {
   }
 
  private:
-  /// Cache key: the eval seed plus the point quantized to 1e-9 per
-  /// coordinate (doubles that differ below the quantum instantiate
-  /// the same template weights for every practical purpose).
-  struct CacheKey {
-    std::vector<std::int64_t> point;
-    std::uint64_t seed = 0;
-    bool operator==(const CacheKey&) const = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& key) const noexcept;
-  };
-  struct CacheEntry {
-    CacheKey key;
-    double value = 0.0;
-    coverage::SimStats stats;
-  };
-
-  [[nodiscard]] CacheKey make_key(std::span<const double> x,
-                                  std::uint64_t seed) const;
-  /// Returns the cached entry for `key` (touching it most-recently-used)
-  /// or nullptr.
-  [[nodiscard]] const CacheEntry* cache_lookup(const CacheKey& key);
-  void cache_insert(CacheKey key, double value, const coverage::SimStats& stats);
-
   const duv::Duv* duv_;
   exec::Backend* farm_;
   const tgen::Skeleton* skeleton_;
   const neighbors::ApproximatedTarget* target_;
   std::size_t sims_per_point_;
-  EvalCacheConfig cache_config_;
   obs::Tracer* trace_;
   std::string probe_prefix_;
   std::string probe_label_;
@@ -157,17 +109,8 @@ class CdgObjective final : public opt::Objective {
   std::vector<double> best_point_;
   double best_value_ = 0.0;
 
-  std::size_t cache_hits_ = 0;
-  std::size_t cache_misses_ = 0;
-  /// LRU order, most-recent first; the map indexes into the list.
-  std::list<CacheEntry> cache_lru_;
-  std::unordered_map<CacheKey, std::list<CacheEntry>::iterator, CacheKeyHash>
-      cache_index_;
-
-  /// Registry handles (process-wide series, registered once per
+  /// Registry handle (process-wide series, registered once per
   /// objective construction — registration is cold, mutation wait-free).
-  obs::Counter* m_cache_hits_;
-  obs::Counter* m_cache_misses_;
   obs::Histogram* m_batch_size_;
 };
 

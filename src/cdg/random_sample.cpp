@@ -25,8 +25,7 @@ RandomSampleResult random_sample(const duv::Duv& duv, exec::Backend& farm,
   // the CdgObjective batch path: one farm dispatch covers the whole
   // phase, and the objective's bookkeeping (per-point stats, combined
   // coverage, simulation count) replaces the bespoke job assembly this
-  // phase used to carry. The cache is irrelevant here (every point is
-  // fresh), so it is left disabled.
+  // phase used to carry.
   std::vector<opt::Point> points(options.templates);
   std::vector<std::uint64_t> seeds(options.templates);
   for (std::size_t t = 0; t < options.templates; ++t) {
@@ -36,9 +35,7 @@ RandomSampleResult random_sample(const duv::Duv& duv, exec::Backend& farm,
   }
 
   CdgObjective objective(duv, farm, skeleton, target,
-                         options.sims_per_template,
-                         EvalCacheConfig{.enabled = false, .capacity = 0},
-                         nullptr, "rand");
+                         options.sims_per_template, nullptr, "rand");
   auto evals = objective.evaluate_batch_full(points, seeds);
 
   RandomSampleResult result;

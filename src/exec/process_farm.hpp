@@ -26,7 +26,7 @@
 // at the next run_all, so the farm stays usable and never hangs.
 //
 // Fork caveat: construct the farm before starting unrelated threads
-// (HTTP server, watchdog, samplers) — fork() in a multi-threaded
+// (HTTP server, timeline sampler) — fork() in a multi-threaded
 // process clones only the calling thread, and a lock held by another
 // thread at fork time would deadlock the child. The CLI constructs its
 // backend first for exactly this reason. The constructor ignores

@@ -171,23 +171,31 @@ PhaseOutcome phase_outcome_from_json(const util::JsonValue& value) {
 }
 
 std::string to_json(const cdg::RandomSampleResult& sampling) {
-  std::string samples = "[";
+  std::string out;
+  write_json([&out](std::string_view piece) { out += piece; }, sampling);
+  return out;
+}
+
+void write_json(const util::ContentSink& sink,
+                const cdg::RandomSampleResult& sampling) {
+  sink("{\"samples\":[");
   for (std::size_t i = 0; i < sampling.samples.size(); ++i) {
-    if (i != 0) samples += ',';
+    if (i != 0) sink(",");
     const auto& sample = sampling.samples[i];
-    samples += util::JsonObject{}
-                   .add_raw("point", json_double_array(sample.point))
-                   .add("target_value", sample.target_value)
-                   .add_raw("stats", to_json(sample.stats))
-                   .str();
+    sink(util::JsonObject{}
+             .add_raw("point", json_double_array(sample.point))
+             .add("target_value", sample.target_value)
+             .add_raw("stats", to_json(sample.stats))
+             .str());
   }
-  samples += ']';
-  return util::JsonObject{}
-      .add_raw("samples", samples)
-      .add("best_index", sampling.best_index)
-      .add_raw("combined", to_json(sampling.combined))
-      .add("simulations", sampling.simulations)
-      .str();
+  // The fields after the array: this object's body, minus its '{'.
+  const std::string rest = util::JsonObject{}
+                               .add("best_index", sampling.best_index)
+                               .add_raw("combined", to_json(sampling.combined))
+                               .add("simulations", sampling.simulations)
+                               .str();
+  sink("],");
+  sink(std::string_view(rest).substr(1));
 }
 
 cdg::RandomSampleResult sampling_from_json(const util::JsonValue& value) {

@@ -18,6 +18,7 @@
 #include "coverage/repository.hpp"
 #include "flow/types.hpp"
 #include "opt/implicit_filtering.hpp"
+#include "util/fs.hpp"
 #include "util/json.hpp"
 
 namespace ascdg::flow {
@@ -37,6 +38,10 @@ namespace ascdg::flow {
     const util::JsonValue& value);
 
 [[nodiscard]] std::string to_json(const cdg::RandomSampleResult& sampling);
+/// The same JSON as to_json(sampling), handed to `sink` one sample at a
+/// time: at thousands of samples it runs to megabytes.
+void write_json(const util::ContentSink& sink,
+                const cdg::RandomSampleResult& sampling);
 [[nodiscard]] cdg::RandomSampleResult sampling_from_json(
     const util::JsonValue& value);
 

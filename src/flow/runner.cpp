@@ -64,18 +64,22 @@ const std::vector<std::string> kTemplateStages = {
 
 }  // namespace
 
+void validate(const FlowConfig& config) {
+  if (config.sample_templates == 0 || config.sample_sims == 0) {
+    throw util::ConfigError("flow config: sampling budget must be non-zero");
+  }
+  if (config.opt_directions == 0 || config.opt_sims_per_point == 0) {
+    throw util::ConfigError("flow config: optimization budget must be non-zero");
+  }
+  if (config.resume && config.session_dir.empty()) {
+    throw util::ConfigError("flow config: resume requires a session directory");
+  }
+}
+
 CdgRunner::CdgRunner(const duv::Duv& duv, exec::Backend& farm,
                      FlowConfig config)
     : duv_(&duv), farm_(&farm), config_(std::move(config)) {
-  if (config_.sample_templates == 0 || config_.sample_sims == 0) {
-    throw util::ConfigError("flow config: sampling budget must be non-zero");
-  }
-  if (config_.opt_directions == 0 || config_.opt_sims_per_point == 0) {
-    throw util::ConfigError("flow config: optimization budget must be non-zero");
-  }
-  if (config_.resume && config_.session_dir.empty()) {
-    throw util::ConfigError("flow config: resume requires a session directory");
-  }
+  validate(config_);
 }
 
 std::vector<tac::TemplateScore> coarse_search(

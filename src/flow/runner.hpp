@@ -34,9 +34,15 @@
 
 namespace ascdg::flow {
 
+/// Rejects a config no flow can run: a zero sampling or optimization
+/// budget, or `resume` without a session directory. Throws
+/// util::ConfigError. Drivers call it before simulating anything.
+void validate(const FlowConfig& config);
+
 class CdgRunner {
  public:
-  /// `duv` and `farm` must outlive the runner.
+  /// `duv` and `farm` must outlive the runner. Throws util::ConfigError
+  /// when validate(config) does.
   CdgRunner(const duv::Duv& duv, exec::Backend& farm, FlowConfig config);
 
   /// Full flow. `before` is the unit's existing coverage repository (the

@@ -84,6 +84,13 @@ void atomic_write_file(const std::filesystem::path& path,
   maybe_crash_after_write();
 }
 
+void atomic_write_stream(
+    const std::filesystem::path& path,
+    const std::function<void(const util::ContentSink&)>& produce) {
+  util::atomic_write_stream(path, produce);
+  maybe_crash_after_write();
+}
+
 Session Session::create(const std::filesystem::path& dir,
                         std::uint64_t fingerprint, std::uint64_t seed,
                         std::span<const std::string> stage_names) {

@@ -14,12 +14,14 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "flow/types.hpp"
+#include "util/fs.hpp"
 
 namespace ascdg::flow {
 
@@ -50,6 +52,12 @@ inline constexpr std::string_view kTraceFile = "trace.jsonl";
 /// non-negative integer is a util::ConfigError, not a silent no-op.
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content);
+
+/// atomic_write_file for content produced piece by piece
+/// (util::atomic_write_stream), with the same crash hook.
+void atomic_write_stream(
+    const std::filesystem::path& path,
+    const std::function<void(const util::ContentSink&)>& produce);
 
 /// One pipeline stage's entry in the manifest.
 struct StageRecord {
@@ -136,7 +144,7 @@ class Session {
 /// Fingerprint of everything that shapes the flow's trajectory: the
 /// simulation/optimization budgets and seeds in `config` plus a
 /// caller-supplied context key (unit + target identity). Telemetry
-/// knobs (trace, serve, watchdog, session paths) are excluded — they
+/// knobs (trace, serve, timeline, session paths) are excluded — they
 /// never change what gets simulated, so toggling them between a crash
 /// and a resume is legal. A mismatch on resume is a hard error: the
 /// checkpoints on disk answer a different question.

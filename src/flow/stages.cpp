@@ -66,14 +66,14 @@ coverage::SimStats merged(const coverage::SimStats& prefix,
 }
 
 /// Mid-stage optimizer checkpoint: the resumable IfCheckpoint plus the
-/// stage's cost prefix (sims / stats / cache traffic / wall spent so
-/// far), so a resumed stage reports totals as if never interrupted.
+/// stage's cost prefix (sims / stats / wall spent so far), so a resumed
+/// stage reports totals as if never interrupted. Checkpoints written
+/// before the evaluation cache was removed also carry cache_hits /
+/// cache_misses keys; the reader ignores them.
 struct OptStageCheckpoint {
   opt::IfCheckpoint ifc;
   std::size_t sims = 0;
   coverage::SimStats stats;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   double wall_ms = 0.0;
   double evidence = 0.0;  ///< refine only: the probe's real-target value
 };
@@ -84,8 +84,6 @@ void write_opt_checkpoint(const std::filesystem::path& path,
                               .add_raw("if", to_json(ckpt.ifc))
                               .add("sims", ckpt.sims)
                               .add_raw("stats", to_json(ckpt.stats))
-                              .add("cache_hits", ckpt.cache_hits)
-                              .add("cache_misses", ckpt.cache_misses)
                               .add("wall_ms", ckpt.wall_ms)
                               .add("evidence", ckpt.evidence)
                               .str() +
@@ -98,8 +96,6 @@ OptStageCheckpoint read_opt_checkpoint(const std::filesystem::path& path) {
   ckpt.ifc = checkpoint_from_json(doc.at("if"));
   ckpt.sims = doc.at("sims").as_size();
   ckpt.stats = sim_stats_from_json(doc.at("stats"));
-  ckpt.cache_hits = doc.at("cache_hits").as_size();
-  ckpt.cache_misses = doc.at("cache_misses").as_size();
   ckpt.wall_ms = doc.at("wall_ms").as_double();
   ckpt.evidence = doc.at("evidence").as_double();
   return ckpt;
@@ -235,13 +231,17 @@ void SampleStage::run(StageContext& ctx) {
 }
 
 void SampleStage::save(StageContext& ctx) const {
-  atomic_write_file(
-      ctx.session->artifact_path("sampling.json"),
-      util::JsonObject{}
-          .add_raw("sampling", to_json(ctx.result->sampling))
-          .add_raw("phase", to_json(ctx.result->sampling_phase))
-          .str() +
-          "\n");
+  // Streamed: this is the session's one megabyte-sized artifact, and
+  // as one string it would put several whole copies of itself on the
+  // flow's memory peak.
+  atomic_write_stream(ctx.session->artifact_path("sampling.json"),
+                      [&ctx](const util::ContentSink& sink) {
+                        sink("{\"sampling\":");
+                        write_json(sink, ctx.result->sampling);
+                        sink(",\"phase\":");
+                        sink(to_json(ctx.result->sampling_phase));
+                        sink("}\n");
+                      });
 }
 
 void SampleStage::load(StageContext& ctx) const {
@@ -259,11 +259,9 @@ void OptimizeStage::run(StageContext& ctx) {
   ctx.opt_start = Clock::now();
   ctx.opt_span.emplace(obs::make_span(config.trace, "optimization"));
   ctx.opt_scope.emplace("optimization");
-  const cdg::EvalCacheConfig cache_config{.enabled = config.eval_cache,
-                                          .capacity = 1024};
   cdg::CdgObjective objective(*ctx.duv, *ctx.farm, result.skeleton,
                               *ctx.target, config.opt_sims_per_point,
-                              cache_config, config.trace);
+                              config.trace);
   opt::ImplicitFilteringOptions if_options = base_if_options(config);
   if_options.seed = config.seed ^ seed_mix_;
   if_options.trace_label = "optimization";
@@ -289,8 +287,6 @@ void OptimizeStage::run(StageContext& ctx) {
       ckpt.ifc = ifc;
       ckpt.sims = prefix.sims + objective.simulations();
       ckpt.stats = merged(prefix.stats, objective.combined());
-      ckpt.cache_hits = prefix.cache_hits + objective.cache_hits();
-      ckpt.cache_misses = prefix.cache_misses + objective.cache_misses();
       ckpt.wall_ms = ctx.opt_wall_base + ms_since(*ctx.opt_start);
       write_opt_checkpoint(ckpt_path, ckpt);
     };
@@ -303,8 +299,6 @@ void OptimizeStage::run(StageContext& ctx) {
                                merged(prefix.stats, objective.combined())};
   result.optimization_phase.wall_ms =
       ctx.opt_wall_base + ms_since(*ctx.opt_start);
-  result.eval_cache_hits = prefix.cache_hits + objective.cache_hits();
-  result.eval_cache_misses = prefix.cache_misses + objective.cache_misses();
   util::log_info("optimization: ", result.optimization.trace.size(),
                  " iterations, best value ", result.optimization.best_value,
                  " (", to_string(result.optimization.reason), ")");
@@ -320,8 +314,6 @@ void OptimizeStage::save(StageContext& ctx) const {
       util::JsonObject{}
           .add_raw("optimization", to_json(result.optimization))
           .add_raw("phase", to_json(result.optimization_phase))
-          .add("cache_hits", result.eval_cache_hits)
-          .add("cache_misses", result.eval_cache_misses)
           .str() +
           "\n");
   remove_if_exists(ctx.session->artifact_path("optimization.ckpt.json"));
@@ -333,8 +325,6 @@ void OptimizeStage::load(StageContext& ctx) const {
   FlowResult& result = *ctx.result;
   result.optimization = opt_result_from_json(doc.at("optimization"));
   result.optimization_phase = phase_outcome_from_json(doc.at("phase"));
-  result.eval_cache_hits = doc.at("cache_hits").as_size();
-  result.eval_cache_misses = doc.at("cache_misses").as_size();
   ctx.best_point = result.optimization.best_point;
   ctx.opt_wall_base = result.optimization_phase.wall_ms;
 }
@@ -358,8 +348,6 @@ void RefineStage::run(StageContext& ctx) {
 
   if (config.refine_with_real_target && !ctx.target->targets().empty()) {
     const neighbors::ApproximatedTarget& target = *ctx.target;
-    const cdg::EvalCacheConfig cache_config{.enabled = config.eval_cache,
-                                            .capacity = 1024};
     const std::filesystem::path ckpt_path =
         ctx.session != nullptr
             ? ctx.session->artifact_path("refinement.ckpt.json")
@@ -373,8 +361,6 @@ void RefineStage::run(StageContext& ctx) {
       mid_refine_resume = true;
       result.optimization_phase.sims = prefix.sims;
       result.optimization_phase.stats = prefix.stats;
-      result.eval_cache_hits = prefix.cache_hits;
-      result.eval_cache_misses = prefix.cache_misses;
       ctx.opt_wall_base = prefix.wall_ms;
       util::log_info("refinement: resuming from checkpoint at iteration ",
                      prefix.ifc.next_iteration);
@@ -401,7 +387,7 @@ void RefineStage::run(StageContext& ctx) {
                                                       std::move(raw));
       cdg::CdgObjective refine_objective(*ctx.duv, *ctx.farm, result.skeleton,
                                          real_target, config.opt_sims_per_point,
-                                         cache_config, config.trace);
+                                         config.trace);
       opt::ImplicitFilteringOptions if_options = base_if_options(config);
       if_options.max_iterations = config.refine_max_iterations;
       if_options.seed = config.seed ^ 0x5EF15EEDULL;
@@ -410,8 +396,6 @@ void RefineStage::run(StageContext& ctx) {
       // checkpoint reports these plus the refine objective's own books.
       const std::size_t base_sims = result.optimization_phase.sims;
       const coverage::SimStats base_stats = result.optimization_phase.stats;
-      const std::size_t base_hits = result.eval_cache_hits;
-      const std::size_t base_misses = result.eval_cache_misses;
       if (mid_refine_resume) if_options.resume = &prefix.ifc;
       if (ctx.session != nullptr) {
         if_options.on_checkpoint = [&](const opt::IfCheckpoint& ifc) {
@@ -419,8 +403,6 @@ void RefineStage::run(StageContext& ctx) {
           ckpt.ifc = ifc;
           ckpt.sims = base_sims + refine_objective.simulations();
           ckpt.stats = merged(base_stats, refine_objective.combined());
-          ckpt.cache_hits = base_hits + refine_objective.cache_hits();
-          ckpt.cache_misses = base_misses + refine_objective.cache_misses();
           ckpt.wall_ms = ctx.opt_wall_base + ms_since(refine_start);
           ckpt.evidence = evidence;
           write_opt_checkpoint(ckpt_path, ckpt);
@@ -432,8 +414,6 @@ void RefineStage::run(StageContext& ctx) {
           base_sims + refine_objective.simulations();
       result.optimization_phase.stats =
           merged(base_stats, refine_objective.combined());
-      result.eval_cache_hits = base_hits + refine_objective.cache_hits();
-      result.eval_cache_misses = base_misses + refine_objective.cache_misses();
       if (result.refinement->best_value > evidence) {
         ctx.best_point = result.refinement->best_point;
       }
@@ -473,8 +453,6 @@ void RefineStage::save(StageContext& ctx) const {
     doc.add_raw("refinement", to_json(*result.refinement));
   }
   doc.add_raw("phase", to_json(result.optimization_phase))
-      .add("cache_hits", result.eval_cache_hits)
-      .add("cache_misses", result.eval_cache_misses)
       .add_raw("best_point", json_double_array(ctx.best_point));
   atomic_write_file(ctx.session->artifact_path("refinement.json"),
                     doc.str() + "\n");
@@ -491,8 +469,6 @@ void RefineStage::load(StageContext& ctx) const {
     result.refinement.reset();
   }
   result.optimization_phase = phase_outcome_from_json(doc.at("phase"));
-  result.eval_cache_hits = doc.at("cache_hits").as_size();
-  result.eval_cache_misses = doc.at("cache_misses").as_size();
   ctx.best_point = double_array_from_json(doc.at("best_point"));
   // The optimize stage's shared-telemetry handles are only open when it
   // ran in this process; a restored refine stage must not leave them

@@ -51,11 +51,6 @@ struct FlowConfig {
   double opt_min_step = 1e-3;
   bool opt_resample_center = true;
   std::optional<double> opt_target_value; ///< early-stop threshold
-  /// Seeded evaluation cache for the optimization/refinement
-  /// objectives: center resamples with a reused seed and revisited
-  /// stencil points skip resimulation (values are bit-identical either
-  /// way — only the simulation cost changes). CLI: --eval-cache=on|off.
-  bool eval_cache = true;
 
   // Approximated-target expansion (§IV-A / the "Friends" idea [16]):
   // before the flow starts, pull in events whose per-template hit
@@ -110,19 +105,10 @@ struct FlowConfig {
   // flow itself always publishes its phase stack / optimizer heartbeat
   // into obs::run_state(); these knobs tell the *driver* (ascdg_cli)
   // which companion services to stand up around the run.
-  /// When set, serve /metrics, /healthz, /runz, /flightrecorder on
-  /// 127.0.0.1:<port> for the duration of the run (0 = ephemeral port,
-  /// printed at startup). CLI: --serve[=PORT].
+  /// When set, serve /metrics, /metrics.json, /healthz, /runz and
+  /// /timeseries on 127.0.0.1:<port> for the duration of the run
+  /// (0 = ephemeral port, printed at startup). CLI: --serve[=PORT].
   std::optional<std::uint16_t> serve_port;
-  /// When non-zero, run a watchdog that declares the run stalled (and
-  /// flips /healthz to degraded) after this many seconds without farm
-  /// or optimizer progress while work is outstanding. CLI:
-  /// --watchdog=SECS.
-  std::size_t watchdog_stall_secs = 0;
-  /// When non-zero, mirror the last K trace records into an in-memory
-  /// flight recorder dumped on stall, fatal signal, or /flightrecorder.
-  /// CLI: --flight-recorder=K.
-  std::size_t flight_recorder_records = 0;
   /// When non-zero, run an obs::TimeSeriesRecorder sampling every this
   /// many milliseconds into the session's telemetry.jsonl (and the
   /// /timeseries ring when serving). Requires session_dir for the
@@ -167,8 +153,7 @@ struct FlowResult {
   PhaseOutcome harvest_phase;
   /// One entry per real target event: the first flow phase that hit it.
   std::vector<FirstHit> first_hits;
-  /// Evaluation-cache traffic across the optimization (and refinement)
-  /// objectives — hits are evaluations that skipped resimulation.
+  /// Always 0: kept only because external readers still name them.
   std::size_t eval_cache_hits = 0;
   std::size_t eval_cache_misses = 0;
 

@@ -11,10 +11,8 @@
 #include <sstream>
 
 #include "obs/export.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/run_state.hpp"
 #include "obs/timeline.hpp"
-#include "obs/watchdog.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
 #include "util/jsonl.hpp"
@@ -34,7 +32,6 @@ const char* reason_phrase(int status) noexcept {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
-    case 503: return "Service Unavailable";
   }
   return "Internal Server Error";
 }
@@ -176,26 +173,10 @@ std::string HttpServer::handle(std::string_view method,
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - started_)
             .count();
-    util::JsonObject body;
-    body.add("schema", "ascdg-healthz-v1");
-    if (config_.watchdog == nullptr) {
-      body.add("status", "ok").add("watchdog", false);
-      body.add("uptime_ms", uptime_ms);
-      return json_response(200, body);
-    }
-    const Watchdog::Health health = config_.watchdog->health();
-    body.add("status", health.stalled ? "degraded" : "ok")
-        .add("watchdog", true)
-        .add("reason", health.reason)
-        .add("progress", health.progress)
-        .add("ms_since_progress", health.ms_since_progress)
-        .add("stall_budget_ms",
-             static_cast<std::int64_t>(
-                 config_.watchdog->config().stall_after.count()))
-        .add("stalls", health.stalls)
-        .add("polls", health.polls)
-        .add("uptime_ms", uptime_ms);
-    return json_response(health.stalled ? 503 : 200, body);
+    return json_response(200, util::JsonObject{}
+                                  .add("schema", "ascdg-healthz-v1")
+                                  .add("status", "ok")
+                                  .add("uptime_ms", uptime_ms));
   }
 
   if (path == "/runz") {
@@ -236,37 +217,12 @@ std::string HttpServer::handle(std::string_view method,
                          config_.timeline->to_json() + "\n");
   }
 
-  if (path == "/flightrecorder") {
-    if (config_.recorder == nullptr) {
-      return json_response(
-          404, util::JsonObject{}.add(
-                   "error", "no flight recorder (run with --flight-recorder)"));
-    }
-    const std::vector<std::string> records = config_.recorder->dump();
-    // Records are JSONL trace lines, but long ones may have been
-    // truncated at the ring's byte budget — embed them as strings so
-    // the dump itself is always valid JSON.
-    std::string array = "[";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      if (i != 0) array += ',';
-      array += '"' + util::json_escape(records[i]) + '"';
-    }
-    array += ']';
-    util::JsonObject body;
-    body.add("schema", "ascdg-flightrecorder-v1")
-        .add("capacity", config_.recorder->capacity())
-        .add("recorded", config_.recorder->recorded())
-        .add_raw("records", array);
-    return json_response(200, body);
-  }
-
   return json_response(
       404,
       util::JsonObject{}
           .add("error", "unknown path")
           .add("endpoints",
-               "/metrics /metrics.json /healthz /runz /flightrecorder "
-               "/timeseries"));
+               "/metrics /metrics.json /healthz /runz /timeseries"));
 }
 
 void HttpServer::serve_loop() {

@@ -8,11 +8,10 @@
 //
 //   GET /metrics          Prometheus text exposition (obs::to_prometheus)
 //   GET /metrics.json     ascdg-metrics-v1 JSON snapshot
-//   GET /healthz          liveness + the watchdog's stalled/degraded
-//                         verdict (200 ok / 503 degraded)
+//   GET /healthz          liveness: always 200 {"status":"ok"} while the
+//                         server runs
 //   GET /runz             live flow state: phase span stack, optimizer
 //                         iteration + best value, coverage progress
-//   GET /flightrecorder   dump of the in-memory trace tail
 //   GET /timeseries       ascdg-timeseries-v1 telemetry ring (the live
 //                         tail of the session's telemetry.jsonl)
 //
@@ -33,10 +32,8 @@
 
 namespace ascdg::obs {
 
-class FlightRecorder;
 class RunState;
 class TimeSeriesRecorder;
-class Watchdog;
 
 struct HttpServerConfig {
   /// Port to bind on 127.0.0.1; 0 asks the kernel for an ephemeral
@@ -45,11 +42,6 @@ struct HttpServerConfig {
   /// Registry served by /metrics + /metrics.json; nullptr selects the
   /// process-wide obs::registry().
   Registry* registry = nullptr;
-  /// Health verdict source for /healthz; without one the endpoint
-  /// reports "ok" with a `watchdog:false` marker.
-  Watchdog* watchdog = nullptr;
-  /// Trace tail source for /flightrecorder (404 when absent).
-  FlightRecorder* recorder = nullptr;
   /// Live flow state for /runz; nullptr selects obs::run_state().
   RunState* run_state = nullptr;
   /// Telemetry ring for /timeseries (404 when absent).

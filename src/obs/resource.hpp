@@ -1,8 +1,8 @@
 // Process resource telemetry: RSS and CPU time read from getrusage(2)
 // and /proc/self/statm, published into the metrics registry as
 // `ascdg_proc_*` gauges so the HTTP endpoint, the report's "Run
-// health" section, and the watchdog's periodic sampling all read the
-// same numbers.
+// health" section, and the telemetry timeline all read the same
+// numbers.
 #pragma once
 
 #include <cstdint>

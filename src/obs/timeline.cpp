@@ -6,7 +6,6 @@
 #include <system_error>
 #include <utility>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/resource.hpp"
 #include "util/fs.hpp"
 #include "util/jsonl.hpp"
@@ -182,18 +181,6 @@ std::string TimeSeriesRecorder::render_sample_locked() {
     obj.add("targets_remaining", run.targets_remaining);
   }
 
-  const std::uint64_t cache_hits =
-      sum_counters(snap, "ascdg_eval_cache_hits_total");
-  const std::uint64_t cache_misses =
-      sum_counters(snap, "ascdg_eval_cache_misses_total");
-  obj.add("eval_cache_hits", cache_hits);
-  obj.add("eval_cache_misses", cache_misses);
-  const std::uint64_t lookups = cache_hits + cache_misses;
-  obj.add("eval_cache_hit_rate",
-          lookups == 0
-              ? 0.0
-              : static_cast<double>(cache_hits) / static_cast<double>(lookups));
-
   std::int64_t busy_ppm = 0;
   if (mean_gauge(snap, "ascdg_farm_worker_busy_fraction", busy_ppm)) {
     obj.add("worker_busy_ppm", busy_ppm);
@@ -235,11 +222,6 @@ std::string TimeSeriesRecorder::render_sample_locked() {
 
 void TimeSeriesRecorder::sample_locked() {
   std::string line = render_sample_locked();
-  if (config_.mirror_to_recorder) {
-    if (FlightRecorder* recorder = flight_recorder()) {
-      recorder->record(line);
-    }
-  }
   if (sink_.is_open() && !sink_failed_) {
     try {
       sink_ << line << '\n';

@@ -5,12 +5,11 @@
 //
 // Each sample is rendered ONCE into a JSONL line and that same string
 // is (a) pushed into a bounded in-memory ring served at /timeseries,
-// (b) appended + flushed to `telemetry.jsonl` in the session directory,
-// and (c) mirrored into the process flight recorder so a crash dump
-// carries the tail of the timeline. Because ring and file share the
-// rendered bytes, the live endpoint and the on-disk history are
-// bit-identical over the retained window — `ascdg inspect` replays the
-// file and sees exactly what a live scrape saw.
+// and (b) appended + flushed to `telemetry.jsonl` in the session
+// directory. Because ring and file share the rendered bytes, the live
+// endpoint and the on-disk history are bit-identical over the retained
+// window — `ascdg inspect` replays the file and sees exactly what a
+// live scrape saw.
 //
 // Durability split follows the session layer's convention: samples are
 // plain appends (losing the last partial line in a crash is fine), the
@@ -19,9 +18,9 @@
 // layer's crash-hook wrapper — so telemetry never shifts
 // ASCDG_CRASH_AFTER_WRITES kill counts in durability tests.
 //
-// The sampler thread follows the Watchdog idiom: condition-variable
-// wait with a stopping flag, and `start_thread = false` for tests that
-// drive sample_now() manually. All file IO is best-effort: any
+// The sampler thread waits on a condition variable with a stopping
+// flag; `start_thread = false` leaves it off for tests that drive
+// sample_now() manually. All file IO is best-effort: any
 // filesystem error degrades the recorder to memory-only rather than
 // throwing into the flow (a throw from the sampler thread would
 // terminate the process).
@@ -65,8 +64,6 @@ struct TimeSeriesConfig {
   std::vector<std::string> extra_metrics;
   /// Sample getrusage / /proc/self/statm into each line.
   bool sample_resources = true;
-  /// Mirror each rendered line into the process flight recorder.
-  bool mirror_to_recorder = true;
 };
 
 /// Schema identifier stamped into the index file and /timeseries body.

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/flight_recorder.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -81,12 +80,9 @@ void Tracer::emit(const util::JsonObject& object) {
     line += ',';
     line.append(body.begin() + 1, body.end());
   }
-  if (recorder_ != nullptr) recorder_->record(line);
-  if (os_ != nullptr) {
-    *os_ << line << '\n';
-    os_->flush();
-    if (!*os_) throw util::Error("failed writing trace line");
-  }
+  *os_ << line << '\n';
+  os_->flush();
+  if (!*os_) throw util::Error("failed writing trace line");
 }
 
 Span Tracer::span(std::string_view name) { return Span(this, name); }

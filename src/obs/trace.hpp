@@ -72,8 +72,6 @@ class Span {
   util::JsonObject fields_;
 };
 
-class FlightRecorder;
-
 /// Thread-safe JSONL trace sink with span support.
 class Tracer {
  public:
@@ -84,22 +82,8 @@ class Tracer {
   /// tracer).
   explicit Tracer(std::ostream& os);
 
-  /// Sink-less tracer: lines go only to the mirrored flight recorder
-  /// (see mirror_to). This is what `--flight-recorder` without
-  /// `--trace` runs — full span/event instrumentation, zero file IO.
-  Tracer() = default;
-
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  /// Mirrors every emitted line (stamps included, newline excluded)
-  /// into `recorder` so the trace tail survives a hang or crash even
-  /// without a trace file. Not owned; set before concurrent emitters
-  /// start and clear (nullptr) only while quiescent.
-  void mirror_to(FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
-  }
-  [[nodiscard]] FlightRecorder* mirror() const noexcept { return recorder_; }
 
   /// Appends one line: the object plus seq / ts_ms stamps. Flushes so a
   /// crashed run still leaves a usable trace.
@@ -117,8 +101,7 @@ class Tracer {
   friend class Span;
 
   std::ofstream owned_;
-  std::ostream* os_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
+  std::ostream* os_;
   std::mutex mutex_;
   std::atomic<std::size_t> lines_{0};
   std::atomic<std::uint64_t> next_span_id_{1};

@@ -251,8 +251,7 @@ OptResult implicit_filtering(Objective& objective, std::span<const double> x0,
     result.trace.push_back({iter, center_value, best, step_this_iter,
                             evaluations, moved, resamples, halved});
     m_iterations.inc();
-    // Heartbeat for /runz (and the watchdog's progress signal rides on
-    // the iteration counter above).
+    // Heartbeat for /runz.
     obs::run_state().set_optimizer(iter, center_value);
     if (options.trace != nullptr) {
       // Note center_value here is the *post-move* objective — the value

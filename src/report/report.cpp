@@ -340,13 +340,6 @@ void render_run_health(std::ostream& os, const obs::MetricsSnapshot& snapshot) {
     const obs::MetricSample* sample = snapshot.find(name);
     return sample != nullptr ? sample->gauge : 0;
   };
-  const auto counter_sum = [&](std::string_view name) -> std::uint64_t {
-    std::uint64_t total = 0;
-    for (const auto& sample : snapshot.samples) {
-      if (sample.name == name) total += sample.counter;
-    }
-    return total;
-  };
   const auto mib = [](std::int64_t bytes) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.1f",
@@ -360,14 +353,6 @@ void render_run_health(std::ostream& os, const obs::MetricsSnapshot& snapshot) {
        << " MiB), CPU " << gauge("ascdg_proc_cpu_user_ms") << " ms user + "
        << gauge("ascdg_proc_cpu_system_ms") << " ms system, "
        << gauge("ascdg_proc_major_faults") << " major faults.\n\n";
-  }
-
-  const std::uint64_t stalls = counter_sum("ascdg_watchdog_stalls_total");
-  if (snapshot.find("ascdg_watchdog_stalls_total") != nullptr) {
-    os << "Watchdog: "
-       << (stalls == 0 ? std::string("no stalls detected")
-                       : std::to_string(stalls) + " stall(s) detected")
-       << ".\n\n";
   }
 
   bool any_farm = false;
@@ -396,7 +381,7 @@ void render_run_health(std::ostream& os, const obs::MetricsSnapshot& snapshot) {
        << (rss != nullptr ? mib(rss->gauge) + " MiB" : std::string("?"))
        << " |\n";
   }
-  if (!any_phase && !any_farm && stalls == 0 &&
+  if (!any_phase && !any_farm &&
       snapshot.find("ascdg_proc_rss_bytes") == nullptr) {
     os << "(no health telemetry recorded)\n";
   }
@@ -489,20 +474,6 @@ void render_convergence(std::ostream& os, const coverage::CoverageSpace& space,
                   "us");
     quantile_line("ascdg_eval_batch_size", "Evaluation batch-size quantiles",
                   "points");
-  }
-
-  // Evaluation-cache ablation data: how many optimizer evaluations were
-  // answered from the seeded cache instead of resimulating.
-  if (const std::size_t total = flow.eval_cache_hits + flow.eval_cache_misses;
-      total != 0) {
-    char rate[32];
-    std::snprintf(rate, sizeof rate, "%.1f%%",
-                  100.0 * static_cast<double>(flow.eval_cache_hits) /
-                      static_cast<double>(total));
-    os << "\nEvaluation cache: " << flow.eval_cache_hits << " hits / "
-       << flow.eval_cache_misses << " misses (" << rate
-       << " hit rate" << (flow.eval_cache_hits == 0 ? "; cache off or cold" : "")
-       << ").\n";
   }
 
   if (flow.first_hits.empty()) return;
@@ -602,19 +573,12 @@ void write_metrics_json(const std::filesystem::path& path,
     const obs::MetricSample* sample = snapshot.find(name);
     return sample != nullptr ? sample->gauge : 0;
   };
-  std::uint64_t watchdog_stalls = 0;
-  for (const auto& sample : snapshot.samples) {
-    if (sample.name == "ascdg_watchdog_stalls_total") {
-      watchdog_stalls += sample.counter;
-    }
-  }
   util::JsonObject run_health;
   run_health.add("rss_bytes", health_gauge("ascdg_proc_rss_bytes"))
       .add("max_rss_bytes", health_gauge("ascdg_proc_max_rss_bytes"))
       .add("cpu_user_ms", health_gauge("ascdg_proc_cpu_user_ms"))
       .add("cpu_system_ms", health_gauge("ascdg_proc_cpu_system_ms"))
-      .add("major_faults", health_gauge("ascdg_proc_major_faults"))
-      .add("watchdog_stalls", watchdog_stalls);
+      .add("major_faults", health_gauge("ascdg_proc_major_faults"));
 
   // The throughput headline rides along pre-digested so that
   // `ascdg inspect --compare` (and any trend dashboard) can show the
@@ -627,8 +591,6 @@ void write_metrics_json(const std::filesystem::path& path,
       .add("flow_sims", flow.flow_sims())
       .add("farm_sims", farm.sims)
       .add("sims_per_sec", farm.sims_per_sec())
-      .add("eval_cache_hits", flow.eval_cache_hits)
-      .add("eval_cache_misses", flow.eval_cache_misses)
       .add_raw("run_health", run_health.str())
       .add_raw("opt_series", series_json(flow.optimization));
   if (flow.refinement.has_value()) {

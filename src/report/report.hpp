@@ -72,9 +72,8 @@ void render_farm_telemetry(std::ostream& os,
                            const batch::TelemetrySnapshot& farm);
 
 /// Renders the "Run health" fragment from a metrics-registry snapshot:
-/// process RSS / peak RSS / CPU split (the ascdg_proc_* gauges), the
-/// watchdog verdict (ascdg_watchdog_stalls_total), per-farm worker
-/// utilization (ascdg_farm_worker_busy_fraction, ppm), and the
+/// process RSS / peak RSS / CPU split (the ascdg_proc_* gauges), per-farm
+/// worker utilization (ascdg_farm_worker_busy_fraction, ppm), and the
 /// per-phase CPU/RSS footprint (ascdg_phase_*{phase=...}). Sections
 /// whose series are absent from the snapshot are omitted, so the
 /// fragment degrades gracefully when the sampler never ran.

@@ -78,6 +78,15 @@ bool fsync_retry(int fd, Fp::Id point) noexcept {
 
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content, Durability durability) {
+  atomic_write_stream(
+      path, [content](const ContentSink& sink) { sink(content); },
+      durability);
+}
+
+void atomic_write_stream(
+    const std::filesystem::path& path,
+    const std::function<void(const ContentSink&)>& produce,
+    Durability durability) {
   if (path.has_parent_path()) {
     std::error_code ec;
     std::filesystem::create_directories(path.parent_path(), ec);
@@ -98,10 +107,34 @@ void atomic_write_file(const std::filesystem::path& path,
   }
   if (fd < 0) fail("cannot open temp file", tmp, errno);
 
-  if (!write_all(fd, content.data(), content.size())) {
+  // Pieces smaller than the buffer are gathered into it; a larger one
+  // goes straight to write(2), so a single-string write stays one
+  // write_all call.
+  constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
+  std::string buffer;
+  const auto write_or_fail = [&](std::string_view bytes) {
+    if (!write_all(fd, bytes.data(), bytes.size())) {
+      fail("failed writing", tmp, errno);
+    }
+  };
+  const ContentSink sink = [&](std::string_view piece) {
+    if (buffer.size() + piece.size() > kBufferBytes && !buffer.empty()) {
+      write_or_fail(buffer);
+      buffer.clear();
+    }
+    if (piece.size() >= kBufferBytes) {
+      write_or_fail(piece);
+    } else {
+      buffer.append(piece);
+    }
+  };
+  try {
+    produce(sink);
+    if (!buffer.empty()) write_or_fail(buffer);
+  } catch (...) {
     close_keep_errno(fd);
     unlink_keep_errno(tmp);
-    fail("failed writing", tmp, errno);
+    throw;
   }
 
   // Data must be on stable storage *before* the rename publishes the

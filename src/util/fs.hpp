@@ -18,6 +18,7 @@
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <string_view>
 
 namespace ascdg::util {
@@ -38,6 +39,20 @@ enum class Durability {
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content,
                        Durability durability = Durability::kFull);
+
+/// Receives the next piece of a file's content (see atomic_write_stream).
+using ContentSink = std::function<void(std::string_view)>;
+
+/// atomic_write_file for content too large to build as one string:
+/// `produce` hands the content to its sink piece by piece, and the
+/// pieces reach the temp file through a fixed-size buffer, so memory
+/// stays flat however large the file. Same atomicity, durability,
+/// errors and clean-up; an exception from `produce` also removes the
+/// temp file and propagates.
+void atomic_write_stream(
+    const std::filesystem::path& path,
+    const std::function<void(const ContentSink&)>& produce,
+    Durability durability = Durability::kFull);
 
 /// Removes `*.tmp` files left in `dir` by writes that died between
 /// open and rename (e.g. SIGKILL mid-atomic_write_file). Quietly does

@@ -5,8 +5,9 @@
 // thing allowed to differ. Also pins the strict --backend parsing
 // contract: a bad spec is a usage error (exit 1) with a hint, never a
 // runtime error (exit 2) or a silent fallback. And a value flag never
-// takes the next flag as its value, and an unknown flag fails every
-// subcommand before anything is simulated or written.
+// takes the next flag as its value, and an unknown flag or an
+// unrunnable budget fails every subcommand before anything is
+// simulated or written.
 //
 // The binary path arrives via the ASCDG_CLI_PATH compile definition
 // (see tests/CMakeLists.txt).
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef ASCDG_CLI_PATH
@@ -167,6 +169,32 @@ TEST_F(BackendCli, LeftoverArgumentsFailBeforeTheFlowStarts) {
         << result.output;
     EXPECT_EQ(result.output.find("total simulations"), std::string::npos)
         << result.output;
+    EXPECT_FALSE(fs::exists(session)) << command;
+  }
+}
+
+TEST_F(BackendCli, UnrunnableBudgetsFailBeforeTheFlowStarts) {
+  // A config no flow can run is a usage error caught before the
+  // before-CDG suite runs: no session directory, no trace file, no
+  // target list.
+  const fs::path session = dir_ / "session";
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {" run io_unit --family crc --samples 0 --trace --session " +
+           session.string(),
+       "sampling budget must be non-zero"},
+      {" run io_unit --family crc --resume",
+       "resume requires a session directory"},
+      {" campaign io_unit --families crc --point-sims 0 --session " +
+           session.string(),
+       "optimization budget must be non-zero"}};
+  for (const auto& [command, message] : cases) {
+    const CliResult result = run_cli(ASCDG_CLI_PATH + command);
+    EXPECT_EQ(result.exit_code, 1) << command << ": " << result.output;
+    EXPECT_NE(result.output.find("error: flow config: " + message),
+              std::string::npos)
+        << command << ": " << result.output;
+    EXPECT_EQ(result.output.find("targets ("), std::string::npos)
+        << command << ": " << result.output;
     EXPECT_FALSE(fs::exists(session)) << command;
   }
 }

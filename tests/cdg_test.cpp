@@ -304,78 +304,35 @@ TEST_F(CdgObjectiveTest, MismatchedBatchSpansThrow) {
   EXPECT_THROW((void)objective.evaluate_batch(bad_dim, one_seed), ConfigError);
 }
 
-// ------------------------------------------------------- evaluation cache --
+// ------------------------------------------------ repeated evaluations --
 
-TEST_F(CdgObjectiveTest, CacheHitSkipsSimulationAndRepeatsValue) {
+// The optimizers never repeat an eval seed, so the objective keeps no
+// memo: a repeated (point, seed) pair simulates again, across calls and
+// within one batch, and lands on the same statistics every time.
+TEST_F(CdgObjectiveTest, RepeatedPointAndSeedResimulatesBitIdentically) {
   const auto skel = crc_skeleton();
   const auto target = crc_target();
-  CdgObjective objective(io_, farm_, skel, target, 40);
-  const std::vector<double> x(skel.mark_count(), 0.5);
-
-  const double v1 = objective.evaluate(x, 9);
-  EXPECT_EQ(objective.simulations(), 40u);
-  EXPECT_EQ(objective.cache_misses(), 1u);
-  EXPECT_EQ(objective.cache_hits(), 0u);
-
-  const double v2 = objective.evaluate(x, 9);  // same (point, seed)
-  EXPECT_EQ(v2, v1);
-  EXPECT_EQ(objective.simulations(), 40u);  // no resimulation
-  EXPECT_EQ(objective.cache_hits(), 1u);
-  // The hit still merges its stats: combined coverage matches a
-  // cache-free run of the same evaluation sequence.
-  EXPECT_EQ(objective.combined().sims(), 80u);
-
-  const double v3 = objective.evaluate(x, 10);  // new seed -> miss
-  (void)v3;
-  EXPECT_EQ(objective.simulations(), 80u);
-  EXPECT_EQ(objective.cache_misses(), 2u);
-}
-
-TEST_F(CdgObjectiveTest, CacheOffResimulatesButValuesStillAgree) {
-  const auto skel = crc_skeleton();
-  const auto target = crc_target();
-  CdgObjective objective(io_, farm_, skel, target, 40,
-                         EvalCacheConfig{.enabled = false, .capacity = 0});
-  const std::vector<double> x(skel.mark_count(), 0.5);
-  const double v1 = objective.evaluate(x, 9);
-  const double v2 = objective.evaluate(x, 9);
-  EXPECT_EQ(v1, v2);  // determinism comes from the seed, not the cache
-  EXPECT_EQ(objective.simulations(), 80u);
-  EXPECT_EQ(objective.cache_hits(), 0u);
-  EXPECT_EQ(objective.cache_misses(), 0u);
-}
-
-TEST_F(CdgObjectiveTest, DuplicatePairInOneBatchSimulatesOnce) {
-  const auto skel = crc_skeleton();
-  const auto target = crc_target();
-  CdgObjective objective(io_, farm_, skel, target, 40);
+  constexpr std::size_t kSims = 40;
+  CdgObjective objective(io_, farm_, skel, target, kSims);
   const opt::Point x(skel.mark_count(), 0.5);
-  const std::vector<opt::Point> xs{x, x};
-  const std::vector<std::uint64_t> seeds{7, 7};
-  const auto values = objective.evaluate_batch(xs, seeds);
-  EXPECT_EQ(values[0], values[1]);
-  EXPECT_EQ(objective.simulations(), 40u);  // one farm job for the pair
-  EXPECT_EQ(objective.cache_misses(), 1u);
-  EXPECT_EQ(objective.cache_hits(), 1u);
-  // Both evaluations still count toward combined coverage.
-  EXPECT_EQ(objective.combined().sims(), 80u);
-}
+  const std::vector<opt::Point> one{x};
+  const std::vector<opt::Point> two{x, x};
+  const std::vector<std::uint64_t> seed{9};
+  const std::vector<std::uint64_t> seeds{9, 9};
 
-TEST_F(CdgObjectiveTest, CacheEvictsLeastRecentlyUsed) {
-  const auto skel = crc_skeleton();
-  const auto target = crc_target();
-  CdgObjective objective(io_, farm_, skel, target, 20,
-                         EvalCacheConfig{.enabled = true, .capacity = 1});
-  const std::vector<double> a(skel.mark_count(), 0.2);
-  const std::vector<double> b(skel.mark_count(), 0.8);
-  (void)objective.evaluate(a, 1);  // miss, cached
-  (void)objective.evaluate(a, 1);  // hit: resident
-  (void)objective.evaluate(b, 2);  // miss, evicts (a, 1)
-  (void)objective.evaluate(b, 2);  // hit: resident
-  (void)objective.evaluate(a, 1);  // miss again: was evicted
-  EXPECT_EQ(objective.cache_misses(), 3u);
-  EXPECT_EQ(objective.cache_hits(), 2u);
-  EXPECT_EQ(objective.simulations(), 60u);
+  const auto first = objective.evaluate_batch_full(one, seed);
+  const auto second = objective.evaluate_batch_full(one, seed);
+  const auto pair = objective.evaluate_batch_full(two, seeds);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  ASSERT_EQ(pair.size(), 2u);
+  for (const auto* eval : {&second[0], &pair[0], &pair[1]}) {
+    EXPECT_EQ(eval->value, first[0].value);
+    EXPECT_EQ(eval->stats, first[0].stats);
+  }
+  EXPECT_EQ(first[0].stats.sims(), kSims);
+  EXPECT_EQ(objective.simulations(), 4 * kSims);
+  EXPECT_EQ(objective.combined().sims(), 4 * kSims);
 }
 
 // Regression: each objective instance must emit globally unique template

@@ -158,7 +158,7 @@ TEST_P(BatchEquivalence, FarmRunAllMatchesScalarReferencePerJob) {
   std::vector<batch::SimFarm::Job> jobs;
   for (std::size_t j = 0; j < suite.size(); ++j) {
     // Deliberately not a multiple of the chunk width.
-    jobs.push_back({&suite[j], 70, kSeedRoot + j, j});
+    jobs.push_back({&suite[j], 70, kSeedRoot + j});
   }
 
   batch::SimFarm farm(8);

@@ -92,8 +92,7 @@ std::vector<Job> jobs_for(const std::vector<tgen::TestTemplate>& tmpls) {
   constexpr std::size_t kCounts[] = {0, 33, 64, 150};
   std::vector<Job> jobs;
   for (std::size_t j = 0; j < tmpls.size(); ++j) {
-    jobs.push_back(
-        {&tmpls[j], kCounts[j % std::size(kCounts)], 0xC11 + j, j});
+    jobs.push_back({&tmpls[j], kCounts[j % std::size(kCounts)], 0xC11 + j});
   }
   return jobs;
 }

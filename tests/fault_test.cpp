@@ -267,6 +267,58 @@ TEST_F(FaultTest, NoFsyncDurabilityNeverReachesTheFsyncSites) {
   EXPECT_EQ(FailurePoint::fires(Id::kAtomicWriteDirFsync), 0u);
 }
 
+TEST_F(FaultTest, AtomicWriteStreamJoinsPiecesOfEverySize) {
+  const fs::path dir = scratch_dir("stream_join");
+  // Small pieces share the buffer; the large one bypasses it, so the
+  // file must still come out in order.
+  const std::string large(200000, 'L');
+  std::string expected;
+  ascdg::util::atomic_write_stream(
+      dir / "a.json", [&](const ascdg::util::ContentSink& sink) {
+        for (int i = 0; i < 5000; ++i) {
+          const std::string piece = std::to_string(i) + ",";
+          sink(piece);
+          expected += piece;
+        }
+        sink(large);
+        expected += large;
+        sink("end");
+        expected += "end";
+      });
+  EXPECT_EQ(read_file(dir / "a.json"), expected);
+  EXPECT_FALSE(has_tmp_files(dir));
+}
+
+TEST_F(FaultTest, AtomicWriteStreamProducerThrowKeepsPreviousFile) {
+  const fs::path dir = scratch_dir("stream_throw");
+  const fs::path file = dir / "ckpt.json";
+  ascdg::util::atomic_write_file(file, "previous checkpoint");
+  EXPECT_THROW(ascdg::util::atomic_write_stream(
+                   file,
+                   [](const ascdg::util::ContentSink& sink) {
+                     sink(std::string(100000, 'x'));
+                     throw ascdg::util::Error("producer failed");
+                   }),
+               ascdg::util::Error);
+  EXPECT_EQ(read_file(file), "previous checkpoint");
+  EXPECT_FALSE(has_tmp_files(dir));
+}
+
+TEST_F(FaultTest, AtomicWriteStreamShortWriteKeepsPreviousFile) {
+  const fs::path dir = scratch_dir("stream_short_write");
+  const fs::path file = dir / "ckpt.json";
+  ascdg::util::atomic_write_file(file, "previous checkpoint");
+  FailurePoint::prime_one_shot(Id::kAtomicWriteWrite, ENOSPC);
+  EXPECT_THROW(ascdg::util::atomic_write_stream(
+                   file,
+                   [](const ascdg::util::ContentSink& sink) {
+                     for (int i = 0; i < 100; ++i) sink(std::string(4096, 'x'));
+                   }),
+               ascdg::util::Error);
+  EXPECT_EQ(read_file(file), "previous checkpoint");
+  EXPECT_FALSE(has_tmp_files(dir));
+}
+
 // ------------------------------------------------ session integration
 
 TEST_F(FaultTest, SessionOpenReapsStaleTempFiles) {

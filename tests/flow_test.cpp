@@ -2,10 +2,11 @@
 // round-trips, manifest lifecycle and rejection paths, config
 // fingerprinting, resume-without-resimulation for single runs and
 // campaigns, bit-identical optimizer restart from a serialized
-// checkpoint, and the run / run_from_template shared-tail regression.
+// checkpoint (including one in the pre-removal cache layout), and the run / run_from_template shared-tail regression.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -23,7 +24,9 @@
 #include "opt/implicit_filtering.hpp"
 #include "opt/synthetic.hpp"
 #include "util/error.hpp"
+#include "util/failure.hpp"
 #include "util/json.hpp"
+#include "util/jsonl.hpp"
 
 namespace ascdg::flow {
 namespace {
@@ -108,6 +111,46 @@ TEST(Artifacts, SamplingRoundTrip) {
   EXPECT_EQ(parsed.best_index, 2u);
   EXPECT_EQ(parsed.combined, sampling.combined);
   EXPECT_EQ(parsed.simulations, 60u);
+}
+
+TEST(Artifacts, SamplingJsonKeepsTheLayoutSessionsHold) {
+  // write_json streams the sampling artifact; its bytes must match the
+  // single-object layout that existing session files hold.
+  cdg::RandomSampleResult sampling;
+  const auto expected = [&sampling] {
+    std::string samples = "[";
+    for (std::size_t i = 0; i < sampling.samples.size(); ++i) {
+      if (i != 0) samples += ',';
+      const auto& sample = sampling.samples[i];
+      samples += util::JsonObject{}
+                     .add_raw("point", json_double_array(sample.point))
+                     .add("target_value", sample.target_value)
+                     .add_raw("stats", to_json(sample.stats))
+                     .str();
+    }
+    samples += ']';
+    return util::JsonObject{}
+        .add_raw("samples", samples)
+        .add("best_index", sampling.best_index)
+        .add_raw("combined", to_json(sampling.combined))
+        .add("simulations", sampling.simulations)
+        .str();
+  };
+  sampling.combined = coverage::SimStats(2);
+  EXPECT_EQ(to_json(sampling), expected());
+
+  for (int i = 0; i < 2; ++i) {
+    cdg::Sample sample;
+    sample.point = {0.25 * i, 1.0 / 3.0};
+    sample.target_value = 0.5 * i;
+    sample.stats = coverage::SimStats::from_counts(
+        4, {static_cast<std::size_t>(i), 4});
+    sampling.samples.push_back(std::move(sample));
+  }
+  sampling.best_index = 1;
+  sampling.combined = coverage::SimStats::from_counts(8, {1, 8});
+  sampling.simulations = 8;
+  EXPECT_EQ(to_json(sampling), expected());
 }
 
 TEST(Artifacts, SamplingRejectsBestIndexOutOfRange) {
@@ -335,8 +378,6 @@ TEST(Session, FingerprintTracksTrajectoryNotTelemetry) {
   telemetry.session_dir = "/tmp/elsewhere";
   telemetry.resume = true;
   telemetry.serve_port = 8080;
-  telemetry.watchdog_stall_secs = 60;
-  telemetry.flight_recorder_records = 128;
   EXPECT_EQ(config_fingerprint(telemetry, "run"), base);
 }
 
@@ -481,6 +522,68 @@ TEST(SessionedRun, ResumeRejectsChangedConfig) {
   const auto other_template = io.suite().back();
   EXPECT_THROW((void)other_entry.run_from_template(target, other_template),
                ConfigError);
+}
+
+// Sessions written before the evaluation cache was removed carry
+// cache_hits / cache_misses in every optimizer checkpoint. Such a
+// checkpoint must still load, and the resumed flow must match an
+// uninterrupted one bit for bit.
+TEST(SessionedRun, ResumesFromCheckpointCarryingRetiredCacheKeys) {
+  using Fp = util::FailurePoint;
+  const duv::IoUnit io;
+  const auto target = neighbors::family_target(
+      io.space(), "crc", coverage::SimStats(io.space().size()));
+  const auto seed_template = io.suite().front();
+  FlowConfig config = small_config();
+  config.opt_max_iterations = 3;
+
+  exec::ThreadFarm reference_farm(2);
+  const auto reference = CdgRunner(io, reference_farm, config)
+                             .run_from_template(target, seed_template);
+
+  // Fail the Nth durable write, for the smallest N that leaves the run
+  // interrupted inside the optimizer with a checkpoint on disk.
+  const fs::path dir = scratch_dir("legacy_ckpt");
+  const fs::path ckpt = dir / "optimization.ckpt.json";
+  config.session_dir = dir.string();
+  bool interrupted = false;
+  for (std::uint64_t n = 1; n < 200 && !interrupted; ++n) {
+    fs::remove_all(dir);
+    exec::ThreadFarm farm(2);
+    Fp::prime_every_nth(Fp::Id::kAtomicWriteRename, n);
+    try {
+      (void)CdgRunner(io, farm, config).run_from_template(target,
+                                                          seed_template);
+    } catch (const Error&) {
+      interrupted = fs::exists(ckpt);
+    }
+    Fp::disarm_all();
+  }
+  ASSERT_TRUE(interrupted);
+
+  // Rewrite the checkpoint in the old layout: the two extra keys first.
+  std::string text;
+  {
+    std::ifstream in(ckpt);
+    std::getline(in, text);
+  }
+  ASSERT_EQ(text.find("cache_hits"), std::string::npos);
+  ASSERT_EQ(text.front(), '{');
+  text.insert(1, "\"cache_hits\":3,\"cache_misses\":17,");
+  std::ofstream(ckpt) << text << '\n';
+
+  config.resume = true;
+  exec::ThreadFarm farm(2);
+  const auto resumed =
+      CdgRunner(io, farm, config).run_from_template(target, seed_template);
+  EXPECT_LT(farm.total_simulations(), reference.flow_sims());
+  EXPECT_EQ(resumed.optimization.best_value, reference.optimization.best_value);
+  EXPECT_EQ(resumed.optimization.best_point, reference.optimization.best_point);
+  EXPECT_EQ(resumed.optimization_phase.sims, reference.optimization_phase.sims);
+  EXPECT_EQ(resumed.optimization_phase.stats,
+            reference.optimization_phase.stats);
+  EXPECT_EQ(resumed.harvest_phase.stats, reference.harvest_phase.stats);
+  EXPECT_EQ(resumed.flow_sims(), reference.flow_sims());
 }
 
 // The dedupe regression for the monolith split: run() is coarse search

@@ -236,7 +236,7 @@ TEST_P(GoldenDigest, ThreadFarmRunAllMatchesRecordedDigests) {
   std::vector<exec::Job> jobs;
   for (const tgen::TestTemplate& tmpl : tmpls) {
     for (const std::uint64_t root : kSeedRoots) {
-      jobs.push_back({&tmpl, kSims, root, jobs.size()});
+      jobs.push_back({&tmpl, kSims, root});
     }
   }
   exec::ThreadFarm farm(3);

@@ -1,9 +1,6 @@
-// Tests for the live-introspection service: the flight-recorder ring
-// (ordering, truncation, tear-free concurrent writes, signal-safe
-// dumps), tracer mirroring, the run watchdog's stall verdict, resource
-// telemetry, live run state, and the embedded HTTP server — including
-// the acceptance scenario where /healthz flips to degraded while a
-// farm worker is artificially wedged.
+// Tests for the live-introspection service: resource telemetry, live
+// run state, the embedded HTTP server, and the farm's utilization
+// gauges.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,146 +9,18 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <csignal>
-#include <cstdlib>
-#include <limits>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "batch/sim_farm.hpp"
 #include "duv/io_unit.hpp"
 #include "obs/export.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "obs/run_state.hpp"
-#include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
-#include "util/jsonl.hpp"
 
 namespace ascdg::obs {
 namespace {
-
-// ---------------------------------------------------------------- ring
-
-TEST(FlightRecorder, KeepsTheLastKRecordsInOrder) {
-  FlightRecorder recorder(4);
-  for (int i = 0; i < 10; ++i) {
-    recorder.record("line" + std::to_string(i));
-  }
-  const std::vector<std::string> records = recorder.dump();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(records[0], "line6");
-  EXPECT_EQ(records[1], "line7");
-  EXPECT_EQ(records[2], "line8");
-  EXPECT_EQ(records[3], "line9");
-  EXPECT_EQ(recorder.recorded(), 10u);
-  EXPECT_EQ(recorder.capacity(), 4u);
-}
-
-TEST(FlightRecorder, ZeroCapacityIsClampedToOne) {
-  FlightRecorder recorder(0);
-  EXPECT_EQ(recorder.capacity(), 1u);
-  recorder.record("only");
-  const std::vector<std::string> records = recorder.dump();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0], "only");
-}
-
-TEST(FlightRecorder, TruncatesRecordsAtTheByteBudget) {
-  FlightRecorder recorder(2);
-  const std::string oversized(FlightRecorder::kMaxLine + 100, 'x');
-  recorder.record(oversized);
-  const std::vector<std::string> records = recorder.dump();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].size(), FlightRecorder::kMaxLine);
-  EXPECT_EQ(records[0], oversized.substr(0, FlightRecorder::kMaxLine));
-}
-
-TEST(FlightRecorder, ConcurrentWritersNeverTearRecords) {
-  FlightRecorder recorder(64);
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kPerThread = 2000;
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
-      // Each writer uses a homogeneous line, so any torn copy would
-      // show up as a mixed-character record.
-      const std::string line(32, static_cast<char>('a' + t));
-      for (std::size_t i = 0; i < kPerThread; ++i) recorder.record(line);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(recorder.recorded(), kThreads * kPerThread);
-  const std::vector<std::string> records = recorder.dump();
-  EXPECT_EQ(records.size(), 64u);
-  for (const auto& line : records) {
-    ASSERT_EQ(line.size(), 32u);
-    for (const char c : line) {
-      ASSERT_EQ(c, line[0]) << "torn record: " << line;
-    }
-  }
-}
-
-TEST(FlightRecorder, DumpToFdWritesEveryRetainedLine) {
-  FlightRecorder recorder(3);
-  recorder.record("alpha");
-  recorder.record("beta");
-  recorder.record("gamma");
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(::pipe(fds), 0);
-  recorder.dump_to_fd(fds[1]);
-  ::close(fds[1]);
-  std::string out;
-  char buffer[256];
-  ssize_t n = 0;
-  while ((n = ::read(fds[0], buffer, sizeof buffer)) > 0) {
-    out.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fds[0]);
-  EXPECT_EQ(out, "alpha\nbeta\ngamma\n");
-}
-
-TEST(FlightRecorderDeathTest, FatalSignalDumpsTheTailToStderr) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  FlightRecorder recorder(4);
-  recorder.record("{\"event\":\"last_words\"}");
-  set_flight_recorder(&recorder);
-  install_crash_dump();
-  EXPECT_DEATH(std::abort(), "last_words");
-  set_flight_recorder(nullptr);
-}
-
-TEST(Tracer, MirrorsEveryEmittedLineIntoTheRecorder) {
-  FlightRecorder recorder(8);
-  Tracer tracer;  // sink-less: records only into the ring
-  tracer.mirror_to(&recorder);
-  tracer.emit(util::JsonObject{}.add("event", "custom"));
-  { Span span = tracer.span("phase"); }
-  const std::vector<std::string> records = recorder.dump();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_NE(records[0].find("\"event\":\"custom\""), std::string::npos);
-  EXPECT_NE(records[0].find("\"seq\":0"), std::string::npos);
-  EXPECT_NE(records[1].find("\"span\":\"phase\""), std::string::npos);
-}
-
-TEST(Tracer, MirrorAndFileSinkSeeTheSameLines) {
-  FlightRecorder recorder(8);
-  std::ostringstream sink;
-  Tracer tracer(sink);
-  tracer.mirror_to(&recorder);
-  tracer.emit(util::JsonObject{}.add("event", "both"));
-  const std::vector<std::string> records = recorder.dump();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0] + "\n", sink.str());
-}
 
 // ----------------------------------------------------------- run state
 
@@ -266,85 +135,6 @@ TEST(Resource, PhaseFootprintGaugesAreLabeledPerPhase) {
   EXPECT_EQ(rss->gauge, 8ll << 20);
 }
 
-// ------------------------------------------------------------ watchdog
-
-TEST(Watchdog, ProgressSignalSumsFarmAndOptimizerSeries) {
-  Registry reg;
-  reg.counter("ascdg_farm_simulations_total", {{"farm", "a"}}).add(10);
-  reg.counter("ascdg_farm_simulations_total", {{"farm", "b"}}).add(5);
-  reg.counter("ascdg_opt_iterations_total").add(3);
-  reg.counter("ascdg_unrelated_total").add(100);
-  EXPECT_EQ(Watchdog::progress_signal(reg.snapshot()), 18u);
-
-  EXPECT_FALSE(Watchdog::work_outstanding(reg.snapshot()));
-  reg.gauge("ascdg_farm_active_runs", {{"farm", "a"}}).add(1);
-  EXPECT_TRUE(Watchdog::work_outstanding(reg.snapshot()));
-}
-
-TEST(Watchdog, StallsOnlyWithWorkOutstandingAndRecoversOnProgress) {
-  Registry reg;
-  Counter& sims = reg.counter("ascdg_farm_simulations_total", {{"farm", "w"}});
-  Gauge& active = reg.gauge("ascdg_farm_active_runs", {{"farm", "w"}});
-  std::ostringstream trace_out;
-  Tracer tracer(trace_out);
-
-  WatchdogConfig config;
-  config.start_thread = false;
-  config.sample_resources = false;
-  config.dump_recorder_on_stall = false;
-  config.stall_after = std::chrono::milliseconds(50);
-  config.trace = &tracer;
-  Watchdog dog(reg, config);
-
-  // Idle past the budget with NO work outstanding: healthy.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  dog.poll_now();
-  EXPECT_FALSE(dog.health().stalled);
-
-  // Work outstanding and silent past the budget: stalled.
-  active.add(1);
-  dog.poll_now();
-  Watchdog::Health health = dog.health();
-  EXPECT_TRUE(health.stalled);
-  EXPECT_EQ(health.stalls, 1u);
-  EXPECT_NE(health.reason.find("no progress"), std::string::npos);
-  EXPECT_GE(health.ms_since_progress, 50u);
-  const MetricSample* stalls =
-      reg.snapshot().find("ascdg_watchdog_stalls_total");
-  ASSERT_NE(stalls, nullptr);
-  EXPECT_EQ(stalls->counter, 1u);
-  EXPECT_NE(trace_out.str().find("\"event\":\"stall\""), std::string::npos);
-
-  // Progress clears the verdict (and emits the recovery event).
-  sims.add(64);
-  dog.poll_now();
-  health = dog.health();
-  EXPECT_FALSE(health.stalled);
-  EXPECT_TRUE(health.reason.empty());
-  EXPECT_EQ(health.stalls, 1u);  // flip count is cumulative
-  EXPECT_NE(trace_out.str().find("\"event\":\"stall_recovered\""),
-            std::string::npos);
-  EXPECT_EQ(dog.health().polls, 3u);
-  active.sub(1);
-}
-
-TEST(Watchdog, MonitorThreadPollsAndSamplesResources) {
-  Registry reg;
-  WatchdogConfig config;
-  config.poll_interval = std::chrono::milliseconds(5);
-  config.stall_after = std::chrono::hours(1);
-  Watchdog dog(reg, config);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (dog.health().polls == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT(dog.health().polls, 0u);
-  // sample_resources (default on) publishes the proc gauges as it polls.
-  EXPECT_NE(reg.snapshot().find("ascdg_proc_rss_bytes"), nullptr);
-}
-
 // ---------------------------------------------------------------- http
 
 TEST(HttpServer, MetricsEndpointMatchesTheExporterByteForByte) {
@@ -381,7 +171,7 @@ TEST(HttpServer, MetricsJsonServesTheV1Schema) {
   EXPECT_NE(response.find("\"name\":\"ascdg_demo_total\""), std::string::npos);
 }
 
-TEST(HttpServer, HealthzWithoutWatchdogReportsOk) {
+TEST(HttpServer, HealthzReportsOk) {
   Registry reg;
   HttpServerConfig config;
   config.registry = &reg;
@@ -391,7 +181,6 @@ TEST(HttpServer, HealthzWithoutWatchdogReportsOk) {
   EXPECT_NE(response.find("\"schema\":\"ascdg-healthz-v1\""),
             std::string::npos);
   EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(response.find("\"watchdog\":false"), std::string::npos);
 }
 
 TEST(HttpServer, RunzServesThePrivateRunState) {
@@ -416,34 +205,6 @@ TEST(HttpServer, RunzServesThePrivateRunState) {
   EXPECT_NE(response.find("\"opt_best_value\":1.25"), std::string::npos);
 }
 
-TEST(HttpServer, FlightRecorderEndpointServesTheTailOr404s) {
-  Registry reg;
-  {
-    HttpServerConfig config;
-    config.registry = &reg;
-    HttpServer server(config);
-    const std::string response = server.handle("GET", "/flightrecorder");
-    EXPECT_NE(response.find("HTTP/1.1 404"), std::string::npos);
-  }
-  FlightRecorder recorder(2);
-  recorder.record("first");
-  recorder.record("second");
-  recorder.record("third");  // evicts "first"
-  HttpServerConfig config;
-  config.registry = &reg;
-  config.recorder = &recorder;
-  HttpServer server(config);
-  const std::string response = server.handle("GET", "/flightrecorder");
-  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(response.find("\"schema\":\"ascdg-flightrecorder-v1\""),
-            std::string::npos);
-  EXPECT_NE(response.find("\"capacity\":2"), std::string::npos);
-  EXPECT_NE(response.find("\"recorded\":3"), std::string::npos);
-  EXPECT_NE(response.find("\"records\":[\"second\",\"third\"]"),
-            std::string::npos);
-  EXPECT_EQ(response.find("first"), std::string::npos);
-}
-
 TEST(HttpServer, RejectsUnknownPathsAndNonGetMethods) {
   Registry reg;
   HttpServerConfig config;
@@ -451,7 +212,7 @@ TEST(HttpServer, RejectsUnknownPathsAndNonGetMethods) {
   HttpServer server(config);
   const std::string missing = server.handle("GET", "/nope");
   EXPECT_NE(missing.find("HTTP/1.1 404"), std::string::npos);
-  EXPECT_NE(missing.find("/flightrecorder"), std::string::npos);  // hint
+  EXPECT_NE(missing.find("/timeseries"), std::string::npos);  // hint
   const std::string post = server.handle("POST", "/metrics");
   EXPECT_NE(post.find("HTTP/1.1 405"), std::string::npos);
   // Query strings are ignored, not 404ed.
@@ -489,95 +250,6 @@ TEST(HttpServer, ServesARealSocketClient) {
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
   EXPECT_NE(response.find("ascdg_socket_total 1"), std::string::npos);
-}
-
-// --------------------------------------------- stalled-farm acceptance
-
-/// Forwards to an inner unit, but every simulate() call parks on a
-/// latch until release() — an artificially wedged farm worker.
-class BlockingDuv final : public duv::Duv {
- public:
-  explicit BlockingDuv(const duv::Duv& inner) : inner_(&inner) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "blocking";
-  }
-  [[nodiscard]] const coverage::CoverageSpace& space() const noexcept override {
-    return inner_->space();
-  }
-  [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
-    return inner_->defaults();
-  }
-  [[nodiscard]] coverage::CoverageVector simulate(
-      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override {
-    std::unique_lock lock(mutex_);
-    blocked_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return released_; });
-    lock.unlock();
-    return inner_->simulate(tmpl, seed);
-  }
-  [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override {
-    return inner_->suite();
-  }
-
-  void wait_until_blocked() const {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [this] { return blocked_; });
-  }
-  void release() {
-    const std::scoped_lock lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  const duv::Duv* inner_;
-  mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
-  mutable bool blocked_ = false;
-  bool released_ = false;
-};
-
-TEST(Introspection, HealthzFlipsDegradedWhileAFarmWorkerIsWedged) {
-  const duv::IoUnit io;
-  BlockingDuv blocking(io);
-  batch::SimFarm farm(2);
-
-  // The farm instruments the process-wide registry, so the watchdog and
-  // server watch that (exactly the production wiring of `ascdg run
-  // --serve --watchdog`).
-  WatchdogConfig wd_config;
-  wd_config.start_thread = false;
-  wd_config.sample_resources = false;
-  wd_config.dump_recorder_on_stall = false;
-  wd_config.stall_after = std::chrono::milliseconds(40);
-  Watchdog dog(registry(), wd_config);
-  HttpServerConfig http_config;
-  http_config.watchdog = &dog;
-  HttpServer server(http_config);
-
-  std::thread runner([&farm, &blocking, &io] {
-    (void)farm.run(blocking, io.defaults(), 4, 0xB10C);
-  });
-  blocking.wait_until_blocked();
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  dog.poll_now();
-
-  EXPECT_TRUE(dog.health().stalled);
-  const std::string degraded = server.handle("GET", "/healthz");
-  EXPECT_NE(degraded.find("HTTP/1.1 503"), std::string::npos);
-  EXPECT_NE(degraded.find("\"status\":\"degraded\""), std::string::npos);
-  EXPECT_NE(degraded.find("no progress"), std::string::npos);
-
-  blocking.release();
-  runner.join();
-  dog.poll_now();
-  EXPECT_FALSE(dog.health().stalled);
-  const std::string recovered = server.handle("GET", "/healthz");
-  EXPECT_NE(recovered.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(recovered.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(recovered.find("\"stalls\":1"), std::string::npos);
 }
 
 TEST(Introspection, FarmPublishesActiveRunsAndBusyFraction) {

@@ -55,7 +55,6 @@ TimeSeriesConfig manual_config(Registry& reg, RunState& run) {
   config.registry = &reg;
   config.run_state = &run;
   config.sample_resources = false;  // keep lines deterministic
-  config.mirror_to_recorder = false;
   return config;
 }
 
@@ -63,8 +62,6 @@ TEST(TimeSeries, SampleLineCarriesCoreFields) {
   Registry reg;
   reg.counter("ascdg_farm_simulations_total", {{"farm", "a"}}).add(100);
   reg.counter("ascdg_farm_simulations_total", {{"farm", "b"}}).add(50);
-  reg.counter("ascdg_eval_cache_hits_total").add(30);
-  reg.counter("ascdg_eval_cache_misses_total").add(10);
   reg.gauge("ascdg_farm_worker_busy_fraction", {{"farm", "a"}}).set(600'000);
   RunState run;
   run.start_flow("tmpl_a");
@@ -83,9 +80,6 @@ TEST(TimeSeries, SampleLineCarriesCoreFields) {
   EXPECT_EQ(doc.at("sims_per_sec").as_double(), 0.0);  // no previous sample
   EXPECT_EQ(doc.at("opt_iteration").as_uint64(), 3u);
   EXPECT_EQ(doc.at("opt_best_value").as_double(), 0.25);
-  EXPECT_EQ(doc.at("eval_cache_hits").as_uint64(), 30u);
-  EXPECT_EQ(doc.at("eval_cache_misses").as_uint64(), 10u);
-  EXPECT_EQ(doc.at("eval_cache_hit_rate").as_double(), 0.75);
   EXPECT_EQ(doc.at("worker_busy_ppm").as_int64(), 600'000);
   // Resources were disabled; the fields must be absent, not zero.
   EXPECT_EQ(doc.find("rss_bytes"), nullptr);

@@ -14,7 +14,7 @@
 //             [--point-sims N] [--harvest N] [--seed S] [--refine]
 //             [--backend=thread|process[:N]] [--session DIR] [--resume]
 //             [--save-best FILE] [--csv FILE] [--metrics FILE]
-//             [--serve[=PORT]] [--watchdog=SECS] [--flight-recorder=K]
+//             [--serve[=PORT]] [--timeline[=MS]]
 //   ascdg campaign <unit> --families F1,F2,... [budget flags as `run`]
 //             [--seed-template NAME] [--session DIR] [--resume]
 //             [--save-best FILE] [--timeline[=MS]]
@@ -46,14 +46,12 @@
 #include "flow/artifacts.hpp"
 #include "flow/session.hpp"
 #include "obs/export.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_state.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_profile.hpp"
-#include "obs/watchdog.hpp"
 #include "report/report.hpp"
 #include "stimgen/profile.hpp"
 #include "tac/tac.hpp"
@@ -86,7 +84,6 @@ commands:
   run <unit> --family F             the full AS-CDG flow on a family
       [--before-sims N] [--samples N] [--sample-sims N] [--iterations N]
       [--directions N] [--point-sims N] [--harvest N] [--seed S]
-      [--eval-cache=on|off] (default on: reuse (point, seed) results)
       [--refine] [--save-best FILE] [--csv FILE] [--report FILE.md]
       [--backend=thread|process[:N]] (execution backend, default thread;
                        process forks N worker processes — also accepted
@@ -100,10 +97,6 @@ commands:
       [--metrics FILE.json]
       [--serve[=PORT]] (live HTTP introspection on 127.0.0.1; bare
                         --serve picks an ephemeral port)
-      [--watchdog=SECS] (flip /healthz to degraded after SECS without
-                         progress while work is outstanding)
-      [--flight-recorder=K] (keep the last K trace records in memory;
-                             dumped on stall, crash, or /flightrecorder)
       [--timeline[=MS]] (periodic telemetry sampling into the session's
                          telemetry.jsonl + /timeseries; bare --timeline
                          samples once a second)
@@ -180,17 +173,6 @@ class Args {
     return std::nullopt;
   }
 
-  /// An on/off switch ("--name=on|off" or "--name on|off"); returns
-  /// `fallback` when absent, throws on any other value.
-  bool onoff_value(const char* name, bool fallback) {
-    const auto text = value(name);
-    if (!text.has_value()) return fallback;
-    if (*text == "on") return true;
-    if (*text == "off") return false;
-    throw util::ConfigError(std::string(name) + " must be 'on' or 'off', got '" +
-                            *text + "'");
-  }
-
   std::size_t size_value(const char* name, std::size_t fallback) {
     const auto text = value(name);
     if (!text.has_value()) return fallback;
@@ -228,16 +210,16 @@ std::optional<ascdg::exec::BackendConfig> backend_config_from_args(
 }
 
 /// Builds the configured execution backend. Callers must do so BEFORE
-/// starting any helper thread (HTTP server, watchdog, timeline
-/// sampler): the process backend forks its workers here, and fork +
-/// threads do not mix (see docs/backends.md).
+/// starting any helper thread (HTTP server, timeline sampler): the
+/// process backend forks its workers here, and fork + threads do not
+/// mix (see docs/backends.md).
 std::unique_ptr<ascdg::exec::Backend> start_backend(
     const ascdg::exec::BackendConfig& config) {
   obs::run_state().set_backend(ascdg::exec::to_string(config));
   return ascdg::exec::make_backend(config);
 }
 
-/// Unknown flags fail the command: a typo like --wachdog=30 that
+/// Unknown flags fail the command: a typo like --timline=30 that
 /// silently no-ops is worse than an error. Prints the usage error and
 /// returns true when any argument is left unconsumed.
 bool reject_leftover_args(const Args& args) {
@@ -246,6 +228,19 @@ bool reject_leftover_args(const Args& args) {
   for (const auto& arg : args.rest()) std::cerr << ' ' << arg;
   std::cerr << "\nrun `ascdg` without arguments for usage\n";
   return true;
+}
+
+/// A flow config no run could complete (flow::validate) is a usage
+/// error: prints it and returns true, before any simulation or side
+/// effect.
+bool reject_invalid_config(const flow::FlowConfig& config) {
+  try {
+    flow::validate(config);
+  } catch (const util::ConfigError& err) {
+    std::cerr << "error: " << err.what() << '\n';
+    return true;
+  }
+  return false;
 }
 
 /// Reads --backend, rejects leftover arguments, then starts the
@@ -516,7 +511,6 @@ int cmd_run(Args& args) {
   config.opt_sims_per_point = args.size_value("--point-sims", 200);
   config.harvest_sims = args.size_value("--harvest", 10000);
   config.seed = args.size_value("--seed", 2021);
-  config.eval_cache = args.onoff_value("--eval-cache", true);
   config.refine_with_real_target = args.flag("--refine");
   if (const auto session = args.value("--session"); session.has_value()) {
     config.session_dir = *session;
@@ -538,8 +532,6 @@ int cmd_run(Args& args) {
     }
     config.serve_port = static_cast<std::uint16_t>(*parsed);
   }
-  config.watchdog_stall_secs = args.size_value("--watchdog", 0);
-  config.flight_recorder_records = args.size_value("--flight-recorder", 0);
   // Bare --timeline samples once a second; --timeline=MS tunes it.
   if (args.flag("--timeline")) {
     config.timeline_interval_ms = 1000;
@@ -562,14 +554,14 @@ int cmd_run(Args& args) {
   const auto save_best = args.value("--save-best");
   const auto csv_path = args.value("--csv");
   const auto report_path = args.value("--report");
-  // Every option is read: a typo fails here, before any simulation or
-  // side effect (worker processes, session directory, trace file).
-  if (reject_leftover_args(args)) return 1;
+  // Every option is read: a typo or an unrunnable budget fails here,
+  // before any simulation or side effect (worker processes, session
+  // directory, trace file).
+  if (reject_leftover_args(args) || reject_invalid_config(config)) return 1;
 
   // The backend forks its worker processes (when --backend=process)
-  // right here — before the trace/watchdog/timeline/HTTP helper
-  // threads below exist, because fork + threads do not mix
-  // (docs/backends.md).
+  // right here — before the timeline/HTTP helper threads below exist,
+  // because fork + threads do not mix (docs/backends.md).
   const auto farm = start_backend(config.backend);
 
   // The telemetry sinks below (--trace, --timeline) may live inside the
@@ -579,43 +571,12 @@ int cmd_run(Args& args) {
     std::filesystem::create_directories(config.session_dir);
   }
 
-  // Declared before the tracer so it outlives the mirror (destruction
-  // runs in reverse order).
-  std::unique_ptr<obs::FlightRecorder> recorder;
   std::unique_ptr<obs::Tracer> trace;
   if (!trace_path.empty()) {
     trace = std::make_unique<obs::Tracer>(trace_path);
     config.trace = trace.get();
   }
 
-  // The recorder mirrors the trace stream, so it needs a Tracer even
-  // when no --trace file was asked for (a sink-less one records only
-  // into the ring).
-  if (config.flight_recorder_records != 0) {
-    recorder =
-        std::make_unique<obs::FlightRecorder>(config.flight_recorder_records);
-    if (trace == nullptr) {
-      trace = std::make_unique<obs::Tracer>();
-      config.trace = trace.get();
-    }
-    trace->mirror_to(recorder.get());
-    obs::set_flight_recorder(recorder.get());
-    obs::install_crash_dump();
-  }
-  // Clear the crash-dump pointer before `recorder` dies (this guard is
-  // declared after it), so a late fatal signal never chases a dangling
-  // ring.
-  const struct RecorderGuard {
-    ~RecorderGuard() { obs::set_flight_recorder(nullptr); }
-  } recorder_guard{};
-  std::unique_ptr<obs::Watchdog> watchdog;
-  if (config.watchdog_stall_secs != 0) {
-    obs::WatchdogConfig wd_config;
-    wd_config.stall_after =
-        std::chrono::seconds(config.watchdog_stall_secs);
-    wd_config.trace = config.trace;
-    watchdog = std::make_unique<obs::Watchdog>(obs::registry(), wd_config);
-  }
   // Declared before the server so the /timeseries route never outlives
   // the ring it reads.
   std::unique_ptr<obs::TimeSeriesRecorder> timeline;
@@ -635,14 +596,11 @@ int cmd_run(Args& args) {
   if (config.serve_port.has_value()) {
     obs::HttpServerConfig http_config;
     http_config.port = *config.serve_port;
-    http_config.watchdog = watchdog.get();
-    http_config.recorder = recorder.get();
     http_config.timeline = timeline.get();
     server = std::make_unique<obs::HttpServer>(http_config);
     std::cerr << "serving live introspection on http://127.0.0.1:"
               << server->port()
-              << " (/metrics /metrics.json /healthz /runz /flightrecorder"
-              << " /timeseries)\n";
+              << " (/metrics /metrics.json /healthz /runz /timeseries)\n";
   }
 
   coverage::CoverageRepository repo(unit->space().size());
@@ -754,7 +712,6 @@ int cmd_campaign(Args& args) {
   config.opt_sims_per_point = args.size_value("--point-sims", 200);
   config.harvest_sims = args.size_value("--harvest", 10000);
   config.seed = args.size_value("--seed", 2021);
-  config.eval_cache = args.onoff_value("--eval-cache", true);
   if (const auto session = args.value("--session"); session.has_value()) {
     config.session_dir = *session;
   }
@@ -769,9 +726,10 @@ int cmd_campaign(Args& args) {
   }
   const auto seed_template_name = args.value("--seed-template");
   const auto save_best = args.value("--save-best");
-  // Every option is read: a typo fails here, before any simulation or
-  // side effect (worker processes, session directory).
-  if (reject_leftover_args(args)) return 1;
+  // Every option is read: a typo or an unrunnable budget fails here,
+  // before any simulation or side effect (worker processes, session
+  // directory).
+  if (reject_leftover_args(args) || reject_invalid_config(config)) return 1;
   // Construct the backend before the timeline sampler thread below:
   // the process backend forks, and fork + threads do not mix.
   const auto farm = start_backend(config.backend);
