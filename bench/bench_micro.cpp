@@ -26,7 +26,6 @@
 #include "tac/tac.hpp"
 #include "tgen/parser.hpp"
 #include "util/failure.hpp"
-#include "util/fs.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -425,76 +424,51 @@ void BM_FarmRunAllServeOn(benchmark::State& state) {
 }
 BENCHMARK(BM_FarmRunAllServeOn)->Arg(2)->Arg(8);
 
-// One durable optimizer-iteration checkpoint: serialize a realistically
-// sized IfCheckpoint (20-dim template space, 10 completed iterations)
-// and write it atomically (temp + rename) into a session directory.
-// This is the only extra cost a sessioned run pays per optimizer
-// iteration, so it must stay negligible next to the iteration's
-// simulation budget (thousands of sims).
-void BM_SessionCheckpoint(benchmark::State& state) {
+// One durable optimizer-iteration checkpoint: serialize one journal
+// record (a dim-wide center and best point, one trace entry and
+// 260-event stats, the size of an ifu stage's) and append it. Each
+// append joins the previous record's fdatasync, so an iteration here
+// pays the whole write + sync, where in a flow the sync overlaps the
+// next optimizer iteration. Real time, since the sync blocks.
+void BM_CheckpointJournalAppend(benchmark::State& state) {
   const std::size_t dim = static_cast<std::size_t>(state.range(0));
-  opt::IfCheckpoint ckpt;
-  ckpt.next_iteration = 10;
-  ckpt.center.assign(dim, 0.333333333333);
-  ckpt.center_value = 0.125;
-  ckpt.step = 0.05;
-  ckpt.evaluations = 10 * (dim + 1);
-  ckpt.best_point.assign(dim, 0.666666666666);
-  ckpt.best_value = 0.25;
-  ckpt.rng_state = {0xDEADBEEFCAFEBABEULL, 0x123456789ABCDEF0ULL, 42ULL, 7ULL};
-  ckpt.eval_seed_counter = 1234;
-  for (std::size_t i = 0; i < 10; ++i) {
-    opt::IterationRecord record;
-    record.iteration = i;
-    record.center_value = 0.01 * static_cast<double>(i);
-    record.evaluations = (i + 1) * (dim + 1);
-    ckpt.trace.push_back(record);
-  }
+  constexpr std::size_t kEvents = 260;
+  flow::OptStageCheckpoint ckpt;
+  ckpt.ifc.next_iteration = 10;
+  ckpt.ifc.center.assign(dim, 0.333333333333);
+  ckpt.ifc.center_value = 0.125;
+  ckpt.ifc.step = 0.05;
+  ckpt.ifc.evaluations = 10 * (dim + 1);
+  ckpt.ifc.best_point.assign(dim, 0.666666666666);
+  ckpt.ifc.best_value = 0.25;
+  ckpt.ifc.rng_state = {0xDEADBEEFCAFEBABEULL, 0x123456789ABCDEF0ULL, 42ULL,
+                        7ULL};
+  ckpt.ifc.eval_seed_counter = 1234;
+  opt::IterationRecord record;
+  record.iteration = 9;
+  record.center_value = 0.09;
+  record.evaluations = 10 * (dim + 1);
+  ckpt.ifc.trace.push_back(record);
+  // Hit counts of every magnitude up to the stage's sims, as a flow's
+  // accumulated stats hold.
+  constexpr std::size_t kSims = 40000;
+  std::vector<std::size_t> hits(kEvents);
+  for (std::size_t e = 0; e < kEvents; ++e) hits[e] = (e * 7919) % kSims;
+  ckpt.stats = coverage::SimStats::from_counts(kSims, std::move(hits));
+  ckpt.sims = kSims;
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ascdg_bench_session";
-  const std::filesystem::path file = dir / "optimization.ckpt.json";
-  for (auto _ : state) {
-    flow::atomic_write_file(file, flow::to_json(ckpt));
+      std::filesystem::temp_directory_path() / "ascdg_bench_journal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    flow::JournalWriter journal(dir / "optimization.ckpt.jsonl", 0);
+    for (auto _ : state) journal.append(flow::to_json(ckpt));
+    journal.close();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_SessionCheckpoint)->Arg(20)->Arg(100);
-
-// Same checkpoint write with fsync elided: the gap to
-// BM_SessionCheckpoint is the price of the durability guarantee, and
-// this variant is what a profile of "atomic write minus the disk" looks
-// like. Both must stay cheap relative to an optimizer iteration.
-void BM_SessionCheckpointNoFsync(benchmark::State& state) {
-  const std::size_t dim = static_cast<std::size_t>(state.range(0));
-  opt::IfCheckpoint ckpt;
-  ckpt.next_iteration = 10;
-  ckpt.center.assign(dim, 0.333333333333);
-  ckpt.center_value = 0.125;
-  ckpt.step = 0.05;
-  ckpt.evaluations = 10 * (dim + 1);
-  ckpt.best_point.assign(dim, 0.666666666666);
-  ckpt.best_value = 0.25;
-  ckpt.rng_state = {0xDEADBEEFCAFEBABEULL, 0x123456789ABCDEF0ULL, 42ULL, 7ULL};
-  ckpt.eval_seed_counter = 1234;
-  for (std::size_t i = 0; i < 10; ++i) {
-    opt::IterationRecord record;
-    record.iteration = i;
-    record.center_value = 0.01 * static_cast<double>(i);
-    record.evaluations = (i + 1) * (dim + 1);
-    ckpt.trace.push_back(record);
-  }
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ascdg_bench_session_nofsync";
-  const std::filesystem::path file = dir / "optimization.ckpt.json";
-  const std::string json = flow::to_json(ckpt);
-  for (auto _ : state) {
-    util::atomic_write_file(file, json, util::Durability::kNoFsync);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_SessionCheckpointNoFsync)->Arg(20)->Arg(100);
+BENCHMARK(BM_CheckpointJournalAppend)->Arg(20)->Arg(100)->UseRealTime();
 
 // The disarmed fast path of a failure point: one relaxed atomic load.
 // Injection sites sit on every write/fsync/rename and inside the HTTP

@@ -281,6 +281,27 @@ opt::IfCheckpoint checkpoint_from_json(const util::JsonValue& value) {
   return ckpt;
 }
 
+std::string to_json(const OptStageCheckpoint& ckpt) {
+  return util::JsonObject{}
+      .add_raw("if", to_json(ckpt.ifc))
+      .add("sims", ckpt.sims)
+      .add_raw("stats", to_json(ckpt.stats))
+      .add("wall_ms", ckpt.wall_ms)
+      .add("evidence", ckpt.evidence)
+      .str();
+}
+
+OptStageCheckpoint opt_stage_checkpoint_from_json(
+    const util::JsonValue& value) {
+  OptStageCheckpoint ckpt;
+  ckpt.ifc = checkpoint_from_json(value.at("if"));
+  ckpt.sims = value.at("sims").as_size();
+  ckpt.stats = sim_stats_from_json(value.at("stats"));
+  ckpt.wall_ms = value.at("wall_ms").as_double();
+  ckpt.evidence = value.at("evidence").as_double();
+  return ckpt;
+}
+
 util::JsonValue read_json_file(const std::filesystem::path& path) {
   if (const int e = util::FailurePoint::check(
           util::FailurePoint::Id::kArtifactRead);

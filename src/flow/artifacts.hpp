@@ -52,6 +52,23 @@ void write_json(const util::ContentSink& sink,
 [[nodiscard]] opt::IfCheckpoint checkpoint_from_json(
     const util::JsonValue& value);
 
+/// An optimizer stage's resumable state: the IfCheckpoint plus the
+/// stage's cost prefix (sims / stats / wall spent so far), so a resumed
+/// stage reports totals as if never interrupted. One record of the
+/// stage's checkpoint journal is this with `ifc.trace` holding only
+/// that iteration's record.
+struct OptStageCheckpoint {
+  opt::IfCheckpoint ifc;
+  std::size_t sims = 0;
+  coverage::SimStats stats;
+  double wall_ms = 0.0;
+  double evidence = 0.0;  ///< refine only: the probe's real-target value
+};
+
+[[nodiscard]] std::string to_json(const OptStageCheckpoint& ckpt);
+[[nodiscard]] OptStageCheckpoint opt_stage_checkpoint_from_json(
+    const util::JsonValue& value);
+
 [[nodiscard]] std::string json_double_array(std::span<const double> values);
 [[nodiscard]] std::vector<double> double_array_from_json(
     const util::JsonValue& value);

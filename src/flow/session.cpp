@@ -91,6 +91,14 @@ void atomic_write_stream(
   maybe_crash_after_write();
 }
 
+JournalWriter::JournalWriter(const std::filesystem::path& path,
+                             std::uintmax_t keep_bytes)
+    : util::JournalWriter(path, keep_bytes, maybe_crash_after_write) {}
+
+std::string checkpoint_journal_name(std::string_view stage) {
+  return std::string(stage) + ".ckpt.jsonl";
+}
+
 Session Session::create(const std::filesystem::path& dir,
                         std::uint64_t fingerprint, std::uint64_t seed,
                         std::span<const std::string> stage_names) {
@@ -101,6 +109,10 @@ Session Session::create(const std::filesystem::path& dir,
   session.seed_ = seed;
   for (const auto& name : stage_names) {
     session.stages_.push_back({name, "pending", 0, 0.0});
+    // A stage resumes from any journal it finds, so a fresh run must
+    // not inherit one from the interrupted run it replaces.
+    std::error_code ec;
+    std::filesystem::remove(dir / checkpoint_journal_name(name), ec);
   }
   session.write_manifest();
   return session;

@@ -6,10 +6,13 @@
 // (templates and skeletons in the DSL via tgen::file_io, everything
 // else as JSON). Every write is atomic — temp file in the same
 // directory, then rename — so a SIGKILL at any instant leaves either
-// the previous checkpoint or the new one, never a torn file. Resuming
-// (`ascdg run --session=DIR --resume`) re-opens the manifest, verifies
-// the config fingerprint, and replays completed stages from their
-// artifacts instead of re-simulating them. See docs/sessions.md.
+// the previous checkpoint or the new one, never a torn file. The one
+// exception is the optimizer's per-iteration checkpoint: an
+// append-only journal (flow::JournalWriter) whose reader drops a torn
+// tail. Resuming (`ascdg run --session=DIR --resume`) re-opens the
+// manifest, verifies the config fingerprint, and replays completed
+// stages from their artifacts instead of re-simulating them. See
+// docs/sessions.md.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +50,11 @@ inline constexpr std::string_view kTraceFile = "trace.jsonl";
 ///
 /// Test hook: when the environment variable ASCDG_CRASH_AFTER_WRITES is
 /// set to N > 0, the process raises SIGKILL immediately after the N-th
-/// atomic write completes — the kill-and-resume tests use this to die
-/// deterministically at a checkpoint boundary. A value that is not a
-/// non-negative integer is a util::ConfigError, not a silent no-op.
+/// durable write completes — an atomic write, or a journal record
+/// whose sync completed (flow::JournalWriter). The kill-and-resume
+/// tests use this to die deterministically at a checkpoint boundary.
+/// A value that is not a non-negative integer is a util::ConfigError,
+/// not a silent no-op.
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content);
 
@@ -58,6 +63,18 @@ void atomic_write_file(const std::filesystem::path& path,
 void atomic_write_stream(
     const std::filesystem::path& path,
     const std::function<void(const util::ContentSink&)>& produce);
+
+/// util::JournalWriter that services the crash hook above once per
+/// durable record, after its sync completes and before the next record
+/// is written.
+class JournalWriter : public util::JournalWriter {
+ public:
+  JournalWriter(const std::filesystem::path& path, std::uintmax_t keep_bytes);
+};
+
+/// File name of a stage's optimizer checkpoint journal:
+/// "<stage>.ckpt.jsonl", one record per completed iteration.
+[[nodiscard]] std::string checkpoint_journal_name(std::string_view stage);
 
 /// One pipeline stage's entry in the manifest.
 struct StageRecord {
@@ -83,8 +100,9 @@ struct SessionSummary {
 class Session {
  public:
   /// Starts a fresh session: creates `dir` and writes a manifest with
-  /// every stage pending. An existing manifest is overwritten (a
-  /// non-resume run in the same directory starts over).
+  /// every stage pending. An existing manifest is overwritten and the
+  /// stages' checkpoint journals are deleted (a non-resume run in the
+  /// same directory starts over).
   static Session create(const std::filesystem::path& dir,
                         std::uint64_t fingerprint, std::uint64_t seed,
                         std::span<const std::string> stage_names);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -65,46 +66,76 @@ coverage::SimStats merged(const coverage::SimStats& prefix,
   return out;
 }
 
-/// Mid-stage optimizer checkpoint: the resumable IfCheckpoint plus the
-/// stage's cost prefix (sims / stats / wall spent so far), so a resumed
-/// stage reports totals as if never interrupted. Checkpoints written
-/// before the evaluation cache was removed also carry cache_hits /
-/// cache_misses keys; the reader ignores them.
-struct OptStageCheckpoint {
-  opt::IfCheckpoint ifc;
-  std::size_t sims = 0;
-  coverage::SimStats stats;
-  double wall_ms = 0.0;
-  double evidence = 0.0;  ///< refine only: the probe's real-target value
-};
-
-void write_opt_checkpoint(const std::filesystem::path& path,
-                          const OptStageCheckpoint& ckpt) {
-  atomic_write_file(path, util::JsonObject{}
-                              .add_raw("if", to_json(ckpt.ifc))
-                              .add("sims", ckpt.sims)
-                              .add_raw("stats", to_json(ckpt.stats))
-                              .add("wall_ms", ckpt.wall_ms)
-                              .add("evidence", ckpt.evidence)
-                              .str() +
-                              "\n");
-}
-
-OptStageCheckpoint read_opt_checkpoint(const std::filesystem::path& path) {
-  const util::JsonValue doc = read_json_file(path);
-  OptStageCheckpoint ckpt;
-  ckpt.ifc = checkpoint_from_json(doc.at("if"));
-  ckpt.sims = doc.at("sims").as_size();
-  ckpt.stats = sim_stats_from_json(doc.at("stats"));
-  ckpt.wall_ms = doc.at("wall_ms").as_double();
-  ckpt.evidence = doc.at("evidence").as_double();
-  return ckpt;
-}
-
 void remove_if_exists(const std::filesystem::path& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
 }
+
+/// An optimizer stage's checkpoint journal in the session
+/// (`<stage>.ckpt.jsonl`, one OptStageCheckpoint record per completed
+/// iteration). The writer opens on the first append, after the resume
+/// state has been read.
+class StageJournal {
+ public:
+  /// Reads the journal left by an interrupted earlier attempt at
+  /// `stage`. A checkpoint from before the journal (`<stage>.ckpt.json`)
+  /// is deleted instead of read, so its stage restarts from iteration
+  /// 0; that is deterministic, so the result is the same.
+  StageJournal(const Session& session, std::string_view stage)
+      : path_(session.artifact_path(checkpoint_journal_name(stage))) {
+    const std::filesystem::path old =
+        session.artifact_path(std::string(stage) + ".ckpt.json");
+    if (std::filesystem::exists(old)) {
+      util::log_info(stage, ": deleting pre-journal checkpoint '",
+                     old.string(), "'; the stage restarts from iteration 0");
+      remove_if_exists(old);
+    }
+    const util::Journal journal = util::read_journal(path_);
+    keep_bytes_ = journal.bytes;
+    std::vector<opt::IterationRecord> trace;
+    for (std::size_t i = 0; i < journal.records.size(); ++i) {
+      try {
+        resume_ = opt_stage_checkpoint_from_json(journal.records[i]);
+        if (resume_->ifc.trace.size() != 1) {
+          throw util::Error("record holds " +
+                            std::to_string(resume_->ifc.trace.size()) +
+                            " iterations, want 1");
+        }
+      } catch (const util::Error& e) {
+        throw util::ParseError(
+            "journal '" + path_.string() + "': " + e.what(), i + 1);
+      }
+      trace.push_back(resume_->ifc.trace.front());
+    }
+    if (resume_.has_value()) resume_->ifc.trace = std::move(trace);
+  }
+
+  /// The last record's state with the whole trace, when the journal
+  /// held any record.
+  [[nodiscard]] const std::optional<OptStageCheckpoint>& resume() const {
+    return resume_;
+  }
+
+  /// Appends `ckpt` with its trace cut to the iteration just completed.
+  void append(OptStageCheckpoint ckpt) {
+    auto& trace = ckpt.ifc.trace;
+    if (trace.size() > 1) trace.erase(trace.begin(), trace.end() - 1);
+    if (!writer_.has_value()) writer_.emplace(path_, keep_bytes_);
+    writer_->append(to_json(ckpt));
+  }
+
+  /// Waits until every appended record is durable; call before the
+  /// stage's save(), so its artifact never gets ahead of the journal.
+  void close() {
+    if (writer_.has_value()) writer_->close();
+  }
+
+ private:
+  std::filesystem::path path_;
+  std::uintmax_t keep_bytes_ = 0;
+  std::optional<OptStageCheckpoint> resume_;
+  std::optional<JournalWriter> writer_;
+};
 
 }  // namespace
 
@@ -269,13 +300,11 @@ void OptimizeStage::run(StageContext& ctx) {
   // Cost prefix from an interrupted earlier attempt at this stage (zero
   // on a fresh run): the resumed totals must look uninterrupted.
   OptStageCheckpoint prefix;
-  const std::filesystem::path ckpt_path =
-      ctx.session != nullptr
-          ? ctx.session->artifact_path("optimization.ckpt.json")
-          : std::filesystem::path{};
+  std::optional<StageJournal> journal;
   if (ctx.session != nullptr) {
-    if (std::filesystem::exists(ckpt_path)) {
-      prefix = read_opt_checkpoint(ckpt_path);
+    journal.emplace(*ctx.session, name());
+    if (journal->resume().has_value()) {
+      prefix = *journal->resume();
       if_options.resume = &prefix.ifc;
       ctx.opt_wall_base = prefix.wall_ms;
       util::log_info("optimization: resuming from checkpoint at iteration ",
@@ -288,12 +317,13 @@ void OptimizeStage::run(StageContext& ctx) {
       ckpt.sims = prefix.sims + objective.simulations();
       ckpt.stats = merged(prefix.stats, objective.combined());
       ckpt.wall_ms = ctx.opt_wall_base + ms_since(*ctx.opt_start);
-      write_opt_checkpoint(ckpt_path, ckpt);
+      journal->append(std::move(ckpt));
     };
   }
 
   result.optimization = opt::implicit_filtering(
       objective, result.sampling.best().point, if_options);
+  if (journal.has_value()) journal->close();
   result.optimization_phase = {"Optimization phase",
                                prefix.sims + objective.simulations(),
                                merged(prefix.stats, objective.combined())};
@@ -316,7 +346,8 @@ void OptimizeStage::save(StageContext& ctx) const {
           .add_raw("phase", to_json(result.optimization_phase))
           .str() +
           "\n");
-  remove_if_exists(ctx.session->artifact_path("optimization.ckpt.json"));
+  remove_if_exists(
+      ctx.session->artifact_path(checkpoint_journal_name(name())));
 }
 
 void OptimizeStage::load(StageContext& ctx) const {
@@ -348,17 +379,15 @@ void RefineStage::run(StageContext& ctx) {
 
   if (config.refine_with_real_target && !ctx.target->targets().empty()) {
     const neighbors::ApproximatedTarget& target = *ctx.target;
-    const std::filesystem::path ckpt_path =
-        ctx.session != nullptr
-            ? ctx.session->artifact_path("refinement.ckpt.json")
-            : std::filesystem::path{};
     OptStageCheckpoint prefix;
-    bool mid_refine_resume = false;
-    if (ctx.session != nullptr && std::filesystem::exists(ckpt_path)) {
+    std::optional<StageJournal> journal;
+    if (ctx.session != nullptr) journal.emplace(*ctx.session, name());
+    const bool mid_refine_resume =
+        journal.has_value() && journal->resume().has_value();
+    if (mid_refine_resume) {
       // The crash happened inside the refinement optimizer: the probe
       // already ran and found evidence, so skip straight to resuming it.
-      prefix = read_opt_checkpoint(ckpt_path);
-      mid_refine_resume = true;
+      prefix = *journal->resume();
       result.optimization_phase.sims = prefix.sims;
       result.optimization_phase.stats = prefix.stats;
       ctx.opt_wall_base = prefix.wall_ms;
@@ -405,11 +434,12 @@ void RefineStage::run(StageContext& ctx) {
           ckpt.stats = merged(base_stats, refine_objective.combined());
           ckpt.wall_ms = ctx.opt_wall_base + ms_since(refine_start);
           ckpt.evidence = evidence;
-          write_opt_checkpoint(ckpt_path, ckpt);
+          journal->append(std::move(ckpt));
         };
       }
       result.refinement = opt::implicit_filtering(refine_objective,
                                                   ctx.best_point, if_options);
+      if (journal.has_value()) journal->close();
       result.optimization_phase.sims =
           base_sims + refine_objective.simulations();
       result.optimization_phase.stats =
@@ -456,7 +486,8 @@ void RefineStage::save(StageContext& ctx) const {
       .add_raw("best_point", json_double_array(ctx.best_point));
   atomic_write_file(ctx.session->artifact_path("refinement.json"),
                     doc.str() + "\n");
-  remove_if_exists(ctx.session->artifact_path("refinement.ckpt.json"));
+  remove_if_exists(
+      ctx.session->artifact_path(checkpoint_journal_name(name())));
 }
 
 void RefineStage::load(StageContext& ctx) const {

@@ -55,10 +55,10 @@ class SampleStage final : public Stage {
 };
 
 /// §IV-E: implicit filtering over the skeleton's weight space. With a
-/// session attached the optimizer checkpoint (full IfCheckpoint + the
-/// stage's partial sims/stats) is written atomically after every
-/// iteration, and an interrupted stage resumes mid-optimization with a
-/// bit-identical trajectory.
+/// session attached every iteration appends one record (its
+/// IfCheckpoint + the stage's partial sims/stats) to the durable
+/// journal `optimization.ckpt.jsonl`, and an interrupted stage resumes
+/// mid-optimization with a bit-identical trajectory.
 class OptimizeStage final : public Stage {
  public:
   explicit OptimizeStage(std::uint64_t seed_mix = 0x0B71417EULL)

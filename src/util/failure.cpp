@@ -41,6 +41,7 @@ constexpr std::array<const char*, FailurePoint::kIdCount> kNames = {
     "manifest.read",       "artifact.read",
     "http.accept",         "http.recv",          "http.send",
     "exec.pipe_read",      "exec.pipe_write",
+    "journal.write",       "journal.sync",
 };
 
 /// Symbolic errno values accepted in ASCDG_FAIL_POINTS; anything else

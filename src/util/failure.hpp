@@ -49,8 +49,10 @@ class FailurePoint {
     kHttpSend,             ///< HttpServer send(2)
     kExecPipeRead,         ///< exec::ProcessFarm read(2) of a worker frame
     kExecPipeWrite,        ///< exec::ProcessFarm write(2) of a worker frame
+    kJournalWrite,         ///< JournalWriter write(2) of a record (short write)
+    kJournalSync,          ///< JournalWriter fdatasync(2) of a record
   };
-  static constexpr int kIdCount = 12;
+  static constexpr int kIdCount = 14;
 
   /// The production-side hook: returns 0 when the point does not fire,
   /// else the errno to inject. One relaxed atomic load when nothing is

@@ -1,11 +1,14 @@
 #include "util/fs.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "util/error.hpp"
@@ -45,10 +48,11 @@ int open_retry(const char* path, int flags, mode_t mode) noexcept {
 /// Full write with EINTR retry and short-write continuation. The
 /// injection site models a short write against a full disk: half the
 /// remaining bytes land, then the injected errno surfaces.
-bool write_all(int fd, const char* data, std::size_t size) noexcept {
+bool write_all(int fd, const char* data, std::size_t size,
+               Fp::Id point) noexcept {
   std::size_t done = 0;
   while (done < size) {
-    if (const int e = Fp::check(Fp::Id::kAtomicWriteWrite); e != 0) {
+    if (const int e = Fp::check(point); e != 0) {
       (void)!::write(fd, data + done, (size - done) / 2);
       errno = e;
       return false;
@@ -74,19 +78,38 @@ bool fsync_retry(int fd, Fp::Id point) noexcept {
   return true;
 }
 
+/// fsync of `dir`, so a name just created or renamed in it survives
+/// power loss. A filesystem that cannot fsync a directory (EINVAL)
+/// keeps whatever guarantee it natively has.
+void fsync_directory(const std::filesystem::path& dir) {
+  const int dir_fd =
+      open_retry(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC, 0);
+  if (dir_fd < 0) fail("cannot open directory for fsync", dir.string(), errno);
+  if (!fsync_retry(dir_fd, Fp::Id::kAtomicWriteDirFsync)) {
+    const int err = errno;
+    close_keep_errno(dir_fd);
+    if (err != EINVAL) fail("cannot fsync directory", dir.string(), err);
+  } else {
+    ::close(dir_fd);
+  }
+}
+
+std::filesystem::path parent_or_cwd(const std::filesystem::path& path) {
+  return path.has_parent_path() ? path.parent_path()
+                                : std::filesystem::path(".");
+}
+
 }  // namespace
 
 void atomic_write_file(const std::filesystem::path& path,
-                       std::string_view content, Durability durability) {
-  atomic_write_stream(
-      path, [content](const ContentSink& sink) { sink(content); },
-      durability);
+                       std::string_view content) {
+  atomic_write_stream(path,
+                      [content](const ContentSink& sink) { sink(content); });
 }
 
 void atomic_write_stream(
     const std::filesystem::path& path,
-    const std::function<void(const ContentSink&)>& produce,
-    Durability durability) {
+    const std::function<void(const ContentSink&)>& produce) {
   if (path.has_parent_path()) {
     std::error_code ec;
     std::filesystem::create_directories(path.parent_path(), ec);
@@ -113,7 +136,7 @@ void atomic_write_stream(
   constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
   std::string buffer;
   const auto write_or_fail = [&](std::string_view bytes) {
-    if (!write_all(fd, bytes.data(), bytes.size())) {
+    if (!write_all(fd, bytes.data(), bytes.size(), Fp::Id::kAtomicWriteWrite)) {
       fail("failed writing", tmp, errno);
     }
   };
@@ -139,8 +162,7 @@ void atomic_write_stream(
 
   // Data must be on stable storage *before* the rename publishes the
   // name, or a power loss can commit the name to an empty file.
-  if (durability == Durability::kFull &&
-      !fsync_retry(fd, Fp::Id::kAtomicWriteFsync)) {
+  if (!fsync_retry(fd, Fp::Id::kAtomicWriteFsync)) {
     close_keep_errno(fd);
     unlink_keep_errno(tmp);
     fail("cannot fsync temp file", tmp, errno);
@@ -163,26 +185,130 @@ void atomic_write_stream(
   }
 
   // The rename itself is directory metadata; fsync the directory so the
-  // new name survives power loss too. A filesystem that cannot fsync a
-  // directory (EINVAL) keeps whatever guarantee it natively has.
-  if (durability == Durability::kFull) {
-    const std::filesystem::path parent =
-        path.has_parent_path() ? path.parent_path() : ".";
-    const int dir_fd =
-        open_retry(parent.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC, 0);
-    if (dir_fd < 0) {
-      fail("cannot open directory for fsync", parent.string(), errno);
+  // new name survives power loss too.
+  fsync_directory(parent_or_cwd(path));
+}
+
+JournalWriter::JournalWriter(const std::filesystem::path& path,
+                             std::uintmax_t keep_bytes,
+                             std::function<void()> on_durable)
+    : path_(path.string()), on_durable_(std::move(on_durable)) {
+  fd_ = open_retry(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC, 0);
+  if (fd_ < 0 && errno == ENOENT) {
+    fd_ = open_retry(path_.c_str(),
+                     O_WRONLY | O_APPEND | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (fd_ < 0) fail("cannot create journal", path_, errno);
+    try {
+      fsync_directory(parent_or_cwd(path));
+    } catch (...) {
+      close_fd();
+      throw;
     }
-    if (!fsync_retry(dir_fd, Fp::Id::kAtomicWriteDirFsync)) {
+  } else if (fd_ < 0) {
+    fail("cannot open journal", path_, errno);
+  }
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    const int err = errno;
+    close_fd();
+    fail("cannot stat journal", path_, err);
+  }
+  const auto size = static_cast<std::uintmax_t>(st.st_size);
+  if (size < keep_bytes) {
+    close_fd();
+    throw Error("journal '" + path_ + "' is " + std::to_string(size) +
+                " bytes, shorter than the " + std::to_string(keep_bytes) +
+                " it was read with");
+  }
+  if (size > keep_bytes) {
+    // Drop the torn tail before appending after it, and make the cut
+    // durable so the tail cannot reappear in front of new records.
+    if (::ftruncate(fd_, static_cast<off_t>(keep_bytes)) != 0 ||
+        ::fdatasync(fd_) != 0) {
       const int err = errno;
-      close_keep_errno(dir_fd);
-      if (err != EINVAL) {
-        fail("cannot fsync directory", parent.string(), err);
-      }
-    } else {
-      ::close(dir_fd);
+      close_fd();
+      fail("cannot truncate journal", path_, err);
     }
   }
+}
+
+JournalWriter::~JournalWriter() {
+  if (sync_.valid()) sync_.wait();
+  close_fd();
+}
+
+void JournalWriter::close_fd() noexcept {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+void JournalWriter::join() {
+  if (!sync_.valid()) return;
+  const int err = sync_.get();
+  if (err != 0) {
+    close_fd();
+    fail("cannot fdatasync journal", path_, err);
+  }
+  if (on_durable_) on_durable_();
+}
+
+void JournalWriter::append(std::string_view record) {
+  ASCDG_ASSERT(record.find('\n') == std::string_view::npos,
+               "journal record spans lines");
+  join();
+  if (fd_ < 0) throw Error("journal '" + path_ + "' is closed");
+  line_.assign(record);
+  line_ += '\n';
+  if (!write_all(fd_, line_.data(), line_.size(), Fp::Id::kJournalWrite)) {
+    const int err = errno;
+    close_fd();
+    fail("failed appending to journal", path_, err);
+  }
+  sync_ = std::async(std::launch::async, [fd = fd_]() noexcept {
+    if (const int e = Fp::check(Fp::Id::kJournalSync); e != 0) return e;
+    while (::fdatasync(fd) != 0) {
+      if (errno != EINTR) return errno;
+    }
+    return 0;
+  });
+}
+
+void JournalWriter::close() {
+  join();
+  if (fd_ >= 0 && ::close(fd_) != 0) {
+    fd_ = -1;
+    fail("cannot close journal", path_, errno);
+  }
+  fd_ = -1;
+}
+
+Journal read_journal(const std::filesystem::path& path) {
+  Journal journal;
+  if (!std::filesystem::exists(path)) return journal;
+  if (const int e = Fp::check(Fp::Id::kArtifactRead); e != 0) {
+    fail("cannot read journal", path.string(), e);
+  }
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw Error("cannot open journal '" + path.string() + "'");
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  const std::string text = buffer.str();
+
+  std::size_t begin = 0;
+  std::size_t line = 0;
+  for (std::size_t end = text.find('\n'); end != std::string::npos;
+       begin = end + 1, end = text.find('\n', begin)) {
+    ++line;
+    try {
+      journal.records.push_back(
+          json_parse(std::string_view(text).substr(begin, end - begin)));
+    } catch (const ParseError& e) {
+      if (text.find('\n', end + 1) == std::string::npos) break;
+      throw ParseError("journal '" + path.string() + "': " + e.what(), line);
+    }
+    journal.bytes = end + 1;
+  }
+  return journal;
 }
 
 void remove_stale_tmp_files(const std::filesystem::path& dir) {

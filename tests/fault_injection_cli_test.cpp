@@ -2,9 +2,10 @@
 //
 // The sweep injects a failure (ENOSPC on fsync, short write, rename
 // failure — via ASCDG_FAIL_POINTS) at every Nth atomic-write point of a
-// sessioned `ascdg run`, for a swept set of N, then resumes without
-// injection and asserts the final artifacts are bit-identical to an
-// uninterrupted baseline run. A second sweep SIGKILLs the process at
+// sessioned `ascdg run`, and a short write or a failed sync at every
+// Nth record of the optimizer's checkpoint journal, for a swept set of
+// N, then resumes without injection and asserts the final artifacts
+// are bit-identical to an uninterrupted baseline run. A second sweep SIGKILLs the process at
 // the Nth completed write (ASCDG_CRASH_AFTER_WRITES) and asserts the
 // same. Either way, an interrupted durable session must converge to
 // exactly the result a crash-free run produces.
@@ -148,14 +149,27 @@ FinalArtifacts run_interrupt_and_converge(const fs::path& session,
 }
 
 TEST(FaultFuzz, InjectedWriteFailuresResumeBitIdentical) {
-  // Kind rotates with N so the sweep covers every failure flavor at
+  // Kind rotates with N so each sweep covers every failure flavor at
   // several depths without a full (and slow) cross product.
-  const std::vector<std::string> kinds = {
-      "atomic_write.write=nth:%N%,errno=ENOSPC",   // short write + ENOSPC
-      "atomic_write.fsync=nth:%N%,errno=ENOSPC",   // data never durable
-      "atomic_write.rename=nth:%N%,errno=EIO",     // commit step fails
+  struct Sweep {
+    std::vector<std::string> kinds;
+    std::vector<int> depths;
   };
-  const std::vector<int> sweep = {1, 2, 3, 5, 8, 12, 17, 23};
+  const std::vector<Sweep> sweeps = {
+      {{
+           "atomic_write.write=nth:%N%,errno=ENOSPC",  // short write + ENOSPC
+           "atomic_write.fsync=nth:%N%,errno=ENOSPC",  // data never durable
+           "atomic_write.rename=nth:%N%,errno=EIO",    // commit step fails
+       },
+       {1, 2, 3, 5, 8, 12, 17, 23}},
+      // The optimizer journal sees one check per iteration, three in
+      // this run, so its points sweep the depths that fire.
+      {{
+           "journal.write=nth:%N%,errno=ENOSPC",  // torn record + ENOSPC
+           "journal.sync=nth:%N%,errno=EIO",      // record never durable
+       },
+       {1, 2, 3, 1, 2, 3}},
+  };
 
   for (const std::uint64_t seed : seed_matrix()) {
     const fs::path baseline_dir =
@@ -165,16 +179,20 @@ TEST(FaultFuzz, InjectedWriteFailuresResumeBitIdentical) {
     ASSERT_EQ(baseline.exit_code, 0) << baseline.output;
     const FinalArtifacts want = read_final_artifacts(baseline_dir);
 
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      std::string spec = kinds[i % kinds.size()];
-      spec.replace(spec.find("%N%"), 3, std::to_string(sweep[i]));
-      const std::string label =
-          "seed=" + std::to_string(seed) + " spec=" + spec;
-      const fs::path session = scratch_dir(
-          "inject_s" + std::to_string(seed) + "_n" + std::to_string(sweep[i]));
-      const FinalArtifacts got = run_interrupt_and_converge(
-          session, seed, "ASCDG_FAIL_POINTS='" + spec + "'", label);
-      expect_identical(got, want, label);
+    for (const Sweep& sweep : sweeps) {
+      for (std::size_t i = 0; i < sweep.depths.size(); ++i) {
+        std::string spec = sweep.kinds[i % sweep.kinds.size()];
+        spec.replace(spec.find("%N%"), 3, std::to_string(sweep.depths[i]));
+        const std::string label =
+            "seed=" + std::to_string(seed) + " spec=" + spec;
+        const fs::path session = scratch_dir(
+            "inject_s" + std::to_string(seed) + "_" +
+            spec.substr(0, spec.find('=')) + "_n" +
+            std::to_string(sweep.depths[i]));
+        const FinalArtifacts got = run_interrupt_and_converge(
+            session, seed, "ASCDG_FAIL_POINTS='" + spec + "'", label);
+        expect_identical(got, want, label);
+      }
     }
   }
 }

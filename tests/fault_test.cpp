@@ -1,5 +1,7 @@
 // Fault-injection layer: FailurePoint trigger semantics, the durable
-// atomic writer under injected ENOSPC/short-write/rename failures,
+// atomic writer under injected ENOSPC/short-write/rename failures, the
+// checkpoint journal (torn tails, bad lines, exact round trips, and
+// sync and write failures from its background fdatasync),
 // stale-temp reaping on session open, and the HTTP server's EINTR
 // handling (both injected deterministically and via a real interval-
 // timer signal storm).
@@ -12,6 +14,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <csignal>
 #include <filesystem>
@@ -31,7 +34,6 @@
 namespace {
 
 namespace fs = std::filesystem;
-using ascdg::util::Durability;
 using ascdg::util::FailurePoint;
 using Id = ascdg::util::FailurePoint::Id;
 
@@ -256,17 +258,6 @@ TEST_F(FaultTest, DirFsyncEinvalIsTolerated) {
   EXPECT_EQ(read_file(dir / "a.json"), "data");
 }
 
-TEST_F(FaultTest, NoFsyncDurabilityNeverReachesTheFsyncSites) {
-  const fs::path dir = scratch_dir("no_fsync");
-  FailurePoint::prime_one_shot(Id::kAtomicWriteFsync, EIO);
-  FailurePoint::prime_one_shot(Id::kAtomicWriteDirFsync, EIO);
-  EXPECT_NO_THROW(ascdg::util::atomic_write_file(dir / "a.json", "data",
-                                                 Durability::kNoFsync));
-  EXPECT_EQ(read_file(dir / "a.json"), "data");
-  EXPECT_EQ(FailurePoint::fires(Id::kAtomicWriteFsync), 0u);
-  EXPECT_EQ(FailurePoint::fires(Id::kAtomicWriteDirFsync), 0u);
-}
-
 TEST_F(FaultTest, AtomicWriteStreamJoinsPiecesOfEverySize) {
   const fs::path dir = scratch_dir("stream_join");
   // Small pieces share the buffer; the large one bypasses it, so the
@@ -317,6 +308,159 @@ TEST_F(FaultTest, AtomicWriteStreamShortWriteKeepsPreviousFile) {
                ascdg::util::Error);
   EXPECT_EQ(read_file(file), "previous checkpoint");
   EXPECT_FALSE(has_tmp_files(dir));
+}
+
+// ------------------------------------------------ checkpoint journal
+
+using ascdg::util::JournalWriter;
+using ascdg::util::read_journal;
+
+TEST_F(FaultTest, JournalTornTailIsDroppedTruncatedAndAppendedAfter) {
+  const fs::path dir = scratch_dir("journal_torn");
+  const fs::path file = dir / "opt.ckpt.jsonl";
+  {
+    JournalWriter writer(file, 0);
+    writer.append(R"({"i":1})");
+    writer.append(R"({"i":2})");
+    writer.close();
+  }
+  const std::uintmax_t durable = fs::file_size(file);
+  std::ofstream(file, std::ios::app) << R"({"i":3,"torn)";
+
+  const auto torn = read_journal(file);
+  ASSERT_EQ(torn.records.size(), 2u);
+  EXPECT_EQ(torn.records[1].at("i").as_size(), 2u);
+  EXPECT_EQ(torn.bytes, durable);
+  EXPECT_GT(fs::file_size(file), durable);  // reading changes nothing
+
+  JournalWriter writer(file, torn.bytes);
+  EXPECT_EQ(fs::file_size(file), durable);
+  writer.append(R"({"i":3})");
+  writer.close();
+  const auto healed = read_journal(file);
+  ASSERT_EQ(healed.records.size(), 3u);
+  EXPECT_EQ(healed.records[2].at("i").as_size(), 3u);
+  EXPECT_EQ(healed.bytes, fs::file_size(file));
+}
+
+TEST_F(FaultTest, JournalBadLastCompleteLineIsDroppedAsTheInFlightRecord) {
+  const fs::path dir = scratch_dir("journal_bad_last");
+  const fs::path file = dir / "opt.ckpt.jsonl";
+  std::ofstream(file) << "{\"i\":1}\n{\"i\":\n";
+  const auto journal = read_journal(file);
+  ASSERT_EQ(journal.records.size(), 1u);
+  EXPECT_EQ(journal.bytes, 8u);
+}
+
+TEST_F(FaultTest, JournalBadLineBeforeGoodOnesIsAParseErrorNamingIt) {
+  const fs::path dir = scratch_dir("journal_bad_middle");
+  const fs::path file = dir / "opt.ckpt.jsonl";
+  std::ofstream(file) << "{\"i\":1}\n{\"i\":\n{\"i\":3}\n";
+  try {
+    (void)read_journal(file);
+    FAIL() << "a bad record before good ones must not be skipped";
+  } catch (const ascdg::util::ParseError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_NE(std::string(e.what()).find(file.string()), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(FaultTest, JournalRecordsRoundTripDoublesAndHexSeedsExactly) {
+  ascdg::flow::OptStageCheckpoint ckpt;
+  ckpt.ifc.next_iteration = 7;
+  ckpt.ifc.center = {0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308,
+                     0.30000000000000004};
+  ckpt.ifc.center_value = 2.0 / 3.0;
+  ckpt.ifc.step = 0.0125;
+  ckpt.ifc.best_point = {1.0 - 1e-16, 1e-300};
+  ckpt.ifc.best_value = 0.123456789012345678;
+  ckpt.ifc.rng_state = {0xFFFFFFFFFFFFFFFFULL, 0x8000000000000001ULL,
+                        0xDEADBEEFCAFEBABEULL, 1ULL};
+  ckpt.ifc.eval_seed_counter = 0x123456789ABCDEF0ULL;
+  ascdg::opt::IterationRecord record;
+  record.iteration = 6;
+  record.center_value = 1.0 / 7.0;
+  ckpt.ifc.trace.push_back(record);
+  ckpt.sims = 12345;
+  ckpt.wall_ms = 0.1 + 0.2;
+  ckpt.evidence = 1e-17;
+
+  const fs::path dir = scratch_dir("journal_round_trip");
+  const fs::path file = dir / "opt.ckpt.jsonl";
+  {
+    JournalWriter writer(file, 0);
+    writer.append(ascdg::flow::to_json(ckpt));
+    writer.close();
+  }
+  const auto journal = read_journal(file);
+  ASSERT_EQ(journal.records.size(), 1u);
+  const auto back =
+      ascdg::flow::opt_stage_checkpoint_from_json(journal.records[0]);
+  const auto bits = [](const std::vector<double>& values) {
+    std::vector<std::uint64_t> out;
+    for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+  };
+  EXPECT_EQ(bits(back.ifc.center), bits(ckpt.ifc.center));
+  EXPECT_EQ(bits(back.ifc.best_point), bits(ckpt.ifc.best_point));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.ifc.center_value),
+            std::bit_cast<std::uint64_t>(ckpt.ifc.center_value));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.ifc.best_value),
+            std::bit_cast<std::uint64_t>(ckpt.ifc.best_value));
+  EXPECT_EQ(back.ifc.step, ckpt.ifc.step);
+  EXPECT_EQ(back.ifc.rng_state, ckpt.ifc.rng_state);
+  EXPECT_EQ(back.ifc.eval_seed_counter, ckpt.ifc.eval_seed_counter);
+  EXPECT_EQ(back.ifc.next_iteration, ckpt.ifc.next_iteration);
+  ASSERT_EQ(back.ifc.trace.size(), 1u);
+  EXPECT_EQ(back.ifc.trace[0].center_value, record.center_value);
+  EXPECT_EQ(back.sims, ckpt.sims);
+  EXPECT_EQ(back.wall_ms, ckpt.wall_ms);
+  EXPECT_EQ(back.evidence, ckpt.evidence);
+}
+
+TEST_F(FaultTest, JournalSyncFailureSurfacesAtNextAppendOrClose) {
+  const fs::path dir = scratch_dir("journal_sync_fail");
+  // The first record's sync fails: the next append raises it and
+  // writes nothing, and the journal stays closed.
+  const fs::path first = dir / "first.ckpt.jsonl";
+  {
+    FailurePoint::prime_every_nth(Id::kJournalSync, 1, EIO);
+    JournalWriter writer(first, 0);
+    writer.append(R"({"i":1})");
+    EXPECT_THROW(writer.append(R"({"i":2})"), ascdg::util::Error);
+    EXPECT_THROW(writer.append(R"({"i":3})"), ascdg::util::Error);
+    FailurePoint::disarm_all();
+  }
+  EXPECT_EQ(read_journal(first).records.size(), 1u);
+
+  // The second record's sync fails: close() raises it.
+  const fs::path second = dir / "second.ckpt.jsonl";
+  {
+    FailurePoint::prime_every_nth(Id::kJournalSync, 2, EIO);
+    JournalWriter writer(second, 0);
+    writer.append(R"({"i":1})");
+    writer.append(R"({"i":2})");
+    EXPECT_THROW(writer.close(), ascdg::util::Error);
+    EXPECT_EQ(FailurePoint::fires(Id::kJournalSync), 1u);
+  }
+  const auto journal = read_journal(second);
+  ASSERT_EQ(journal.records.size(), 2u);
+  EXPECT_EQ(journal.records[1].at("i").as_size(), 2u);
+}
+
+TEST_F(FaultTest, JournalShortWriteLeavesOnlyATornTail) {
+  const fs::path dir = scratch_dir("journal_short_write");
+  const fs::path file = dir / "opt.ckpt.jsonl";
+  JournalWriter writer(file, 0);
+  writer.append(R"({"i":1})");
+  FailurePoint::prime_one_shot(Id::kJournalWrite, ENOSPC);
+  EXPECT_THROW(writer.append(R"({"i":2,"pad":")" + std::string(64, 'x') +
+                             R"("})"),
+               ascdg::util::Error);
+  const auto journal = read_journal(file);
+  ASSERT_EQ(journal.records.size(), 1u);
+  EXPECT_LT(journal.bytes, fs::file_size(file));  // half a record landed
 }
 
 // ------------------------------------------------ session integration

@@ -2,7 +2,8 @@
 // round-trips, manifest lifecycle and rejection paths, config
 // fingerprinting, resume-without-resimulation for single runs and
 // campaigns, bit-identical optimizer restart from a serialized
-// checkpoint (including one in the pre-removal cache layout), and the run / run_from_template shared-tail regression.
+// checkpoint, the restart of a stage whose checkpoint predates the
+// journal, and the run / run_from_template shared-tail regression.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +26,7 @@
 #include "opt/synthetic.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
+#include "util/fs.hpp"
 #include "util/json.hpp"
 #include "util/jsonl.hpp"
 
@@ -524,11 +526,12 @@ TEST(SessionedRun, ResumeRejectsChangedConfig) {
                ConfigError);
 }
 
-// Sessions written before the evaluation cache was removed carry
-// cache_hits / cache_misses in every optimizer checkpoint. Such a
-// checkpoint must still load, and the resumed flow must match an
-// uninterrupted one bit for bit.
-TEST(SessionedRun, ResumesFromCheckpointCarryingRetiredCacheKeys) {
+// Sessions written before optimizer checkpoints became a journal hold
+// one optimization.ckpt.json, rewritten after every iteration. Resuming
+// such a session deletes it and restarts the stage from iteration 0:
+// the flow still matches an uninterrupted one bit for bit, and sampling
+// still replays from its artifact.
+TEST(SessionedRun, PreJournalCheckpointRestartsTheStageBitIdentically) {
   using Fp = util::FailurePoint;
   const duv::IoUnit io;
   const auto target = neighbors::family_target(
@@ -541,41 +544,40 @@ TEST(SessionedRun, ResumesFromCheckpointCarryingRetiredCacheKeys) {
   const auto reference = CdgRunner(io, reference_farm, config)
                              .run_from_template(target, seed_template);
 
-  // Fail the Nth durable write, for the smallest N that leaves the run
-  // interrupted inside the optimizer with a checkpoint on disk.
-  const fs::path dir = scratch_dir("legacy_ckpt");
-  const fs::path ckpt = dir / "optimization.ckpt.json";
+  // Fail the second record's sync: the run dies inside the optimizer,
+  // at the third append, with two iterations journaled.
+  const fs::path dir = scratch_dir("pre_journal_ckpt");
+  const fs::path journal = dir / "optimization.ckpt.jsonl";
   config.session_dir = dir.string();
-  bool interrupted = false;
-  for (std::uint64_t n = 1; n < 200 && !interrupted; ++n) {
-    fs::remove_all(dir);
+  {
     exec::ThreadFarm farm(2);
-    Fp::prime_every_nth(Fp::Id::kAtomicWriteRename, n);
-    try {
-      (void)CdgRunner(io, farm, config).run_from_template(target,
-                                                          seed_template);
-    } catch (const Error&) {
-      interrupted = fs::exists(ckpt);
-    }
+    Fp::prime_every_nth(Fp::Id::kJournalSync, 2);
+    EXPECT_THROW((void)CdgRunner(io, farm, config)
+                     .run_from_template(target, seed_template),
+                 Error);
     Fp::disarm_all();
   }
-  ASSERT_TRUE(interrupted);
+  const util::Journal records = util::read_journal(journal);
+  ASSERT_EQ(records.records.size(), 2u);
 
-  // Rewrite the checkpoint in the old layout: the two extra keys first.
-  std::string text;
-  {
-    std::ifstream in(ckpt);
-    std::getline(in, text);
-  }
-  ASSERT_EQ(text.find("cache_hits"), std::string::npos);
-  ASSERT_EQ(text.front(), '{');
-  text.insert(1, "\"cache_hits\":3,\"cache_misses\":17,");
-  std::ofstream(ckpt) << text << '\n';
+  // Rewrite it in the pre-journal layout: one document holding the last
+  // state and the whole trace.
+  OptStageCheckpoint legacy =
+      opt_stage_checkpoint_from_json(records.records.back());
+  legacy.ifc.trace.insert(
+      legacy.ifc.trace.begin(),
+      opt_stage_checkpoint_from_json(records.records.front()).ifc.trace.front());
+  ASSERT_EQ(legacy.ifc.trace.size(), 2u);
+  const fs::path legacy_path = dir / "optimization.ckpt.json";
+  std::ofstream(legacy_path) << to_json(legacy) << '\n';
+  fs::remove(journal);
 
   config.resume = true;
   exec::ThreadFarm farm(2);
   const auto resumed =
       CdgRunner(io, farm, config).run_from_template(target, seed_template);
+  EXPECT_FALSE(fs::exists(legacy_path));
+  EXPECT_FALSE(fs::exists(journal));
   EXPECT_LT(farm.total_simulations(), reference.flow_sims());
   EXPECT_EQ(resumed.optimization.best_value, reference.optimization.best_value);
   EXPECT_EQ(resumed.optimization.best_point, reference.optimization.best_point);
@@ -584,6 +586,44 @@ TEST(SessionedRun, ResumesFromCheckpointCarryingRetiredCacheKeys) {
             reference.optimization_phase.stats);
   EXPECT_EQ(resumed.harvest_phase.stats, reference.harvest_phase.stats);
   EXPECT_EQ(resumed.flow_sims(), reference.flow_sims());
+}
+
+// A non-resume run in a session directory starts over: the journal an
+// interrupted run left behind belongs to another question (here another
+// seed) and must not seed the new run's optimizer.
+TEST(SessionedRun, FreshRunIgnoresTheJournalOfTheRunItReplaces) {
+  using Fp = util::FailurePoint;
+  const duv::IoUnit io;
+  const auto target = neighbors::family_target(
+      io.space(), "crc", coverage::SimStats(io.space().size()));
+  const auto seed_template = io.suite().front();
+  FlowConfig config = small_config();
+  config.opt_max_iterations = 3;
+  const fs::path dir = scratch_dir("fresh_over_journal");
+  config.session_dir = dir.string();
+  {
+    exec::ThreadFarm farm(2);
+    Fp::prime_every_nth(Fp::Id::kJournalSync, 2);
+    EXPECT_THROW((void)CdgRunner(io, farm, config)
+                     .run_from_template(target, seed_template),
+                 Error);
+    Fp::disarm_all();
+  }
+  ASSERT_TRUE(fs::exists(dir / "optimization.ckpt.jsonl"));
+
+  config.seed += 1;
+  FlowConfig unsessioned = config;
+  unsessioned.session_dir.clear();
+  exec::ThreadFarm reference_farm(2);
+  const auto reference = CdgRunner(io, reference_farm, unsessioned)
+                             .run_from_template(target, seed_template);
+  exec::ThreadFarm farm(2);
+  const auto fresh =
+      CdgRunner(io, farm, config).run_from_template(target, seed_template);
+  EXPECT_EQ(fresh.optimization.best_value, reference.optimization.best_value);
+  EXPECT_EQ(fresh.optimization.best_point, reference.optimization.best_point);
+  EXPECT_EQ(fresh.optimization_phase.sims, reference.optimization_phase.sims);
+  EXPECT_EQ(fresh.harvest_phase.stats, reference.harvest_phase.stats);
 }
 
 // The dedupe regression for the monolith split: run() is coarse search

@@ -100,7 +100,7 @@ TEST(SessionCli, KillMidOptimizationThenResume) {
   EXPECT_EQ(killed.exit_code, 137) << killed.output;  // 128 + SIGKILL
 
   // The manifest survived atomically: sampling done, optimization
-  // caught in flight with its iteration checkpoint on disk.
+  // caught in flight with its iteration journal on disk.
   const auto crashed = read_manifest(session);
   EXPECT_EQ(crashed.at("schema").as_string(), "ascdg-session-v1");
   bool opt_running = false;
@@ -114,7 +114,25 @@ TEST(SessionCli, KillMidOptimizationThenResume) {
   }
   EXPECT_TRUE(opt_running);
   EXPECT_FALSE(all_done);
-  EXPECT_TRUE(fs::exists(session / "optimization.ckpt.json"));
+  const fs::path journal = session / "optimization.ckpt.jsonl";
+  ASSERT_TRUE(fs::exists(journal));
+
+  // inspect counts the running stage's journaled iterations: one
+  // record per line.
+  std::size_t journaled = 0;
+  {
+    std::ifstream in(journal);
+    for (std::string line; std::getline(in, line);) ++journaled;
+  }
+  EXPECT_GE(journaled, 1u);
+  const CliResult inspected =
+      run_cli(std::string(ASCDG_CLI_PATH) + " inspect " + session.string());
+  EXPECT_EQ(inspected.exit_code, 0) << inspected.output;
+  EXPECT_NE(inspected.output.find("optimization: running, " +
+                                  std::to_string(journaled) +
+                                  " iterations journaled"),
+            std::string::npos)
+      << inspected.output;
 
   // 2. Resume finishes the run from the last checkpoint.
   const CliResult resumed = run_cli(run_command(session, "--resume"));
@@ -130,8 +148,8 @@ TEST(SessionCli, KillMidOptimizationThenResume) {
         << stage.at("name").as_string();
   }
   EXPECT_TRUE(fs::exists(session / "best_template.tmpl"));
-  // The mid-flight checkpoint was retired with its stage.
-  EXPECT_FALSE(fs::exists(session / "optimization.ckpt.json"));
+  // The mid-flight journal was retired with its stage.
+  EXPECT_FALSE(fs::exists(journal));
 
   // 3. Resuming the completed session replays every stage from its
   // artifact: only the (unsessioned) before-CDG suite is simulated, so

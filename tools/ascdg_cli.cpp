@@ -58,6 +58,7 @@
 #include "tgen/file_io.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
+#include "util/fs.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -859,6 +860,8 @@ struct InspectData {
     std::string status;
     std::size_t sims = 0;
     double wall_ms = 0.0;
+    /// Iterations in the checkpoint journal of a stage caught running.
+    std::optional<std::size_t> journaled;
   };
   std::vector<StageRow> stages;
 
@@ -943,6 +946,11 @@ void gather_session(const std::filesystem::path& dir,
     row.status = entry.at("status").as_string();
     row.sims = entry.at("sims").as_size();
     row.wall_ms = entry.at("wall_ms").as_double();
+    const std::filesystem::path journal =
+        dir / flow::checkpoint_journal_name(row.name);
+    if (row.status == "running" && std::filesystem::exists(journal)) {
+      row.journaled = util::read_journal(journal).records.size();
+    }
     data.wall_ms += row.wall_ms;
     data.stages.push_back(std::move(row));
   }
@@ -1072,6 +1080,12 @@ void render_inspection(std::ostream& os, const InspectData& data) {
   }
   os << '\n';
   stage_table.render(os, false);
+  for (const auto& row : data.stages) {
+    if (!row.journaled.has_value()) continue;
+    if (!row.session.empty()) os << row.session << ": ";
+    os << row.name << ": " << row.status << ", " << *row.journaled
+       << " iterations journaled\n";
+  }
 
   if (data.optimization.has_value() && !data.optimization->trace.empty()) {
     os << "\noptimization convergence (best value per iteration):\n";
