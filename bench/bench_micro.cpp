@@ -6,8 +6,8 @@
 #include <filesystem>
 #include <sstream>
 
-#include "batch/sim_farm.hpp"
 #include "exec/process_farm.hpp"
+#include "exec/thread_farm.hpp"
 #include "cdg/skeletonizer.hpp"
 #include "coverage/repository.hpp"
 #include "flow/artifacts.hpp"
@@ -178,7 +178,7 @@ BENCHMARK_CAPTURE(BM_DuvStep, lsu, "lsu")->UseRealTime();
 
 void BM_TacBestTemplates(benchmark::State& state) {
   const duv::IoUnit io;
-  batch::SimFarm farm(2);
+  exec::ThreadFarm farm(2);
   coverage::CoverageRepository repo(io.space().size());
   for (const auto& tmpl : io.suite()) {
     repo.record(tmpl.name(), farm.run(io, tmpl, 50, 1));
@@ -193,96 +193,13 @@ void BM_TacBestTemplates(benchmark::State& state) {
 }
 BENCHMARK(BM_TacBestTemplates);
 
-void BM_FarmRun(benchmark::State& state) {
-  const duv::IoUnit io;
-  batch::SimFarm farm(static_cast<std::size_t>(state.range(0)));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(farm.run(io, io.defaults(), 256, seed++));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * 256));
-  const auto farm_stats = farm.telemetry();
-  state.counters["steals"] =
-      benchmark::Counter(static_cast<double>(farm_stats.steals));
-}
-BENCHMARK(BM_FarmRun)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 // The flow's hot shape: many independent jobs (one per sampled
-// template) fanned across few workers in one run_all call.
-void BM_FarmRunAll(benchmark::State& state) {
+// template) fanned across the backend's workers in one run_all call.
+// Real time, so items/sec is the backend's wall-clock sims/sec rather
+// than the CPU time of a caller blocked in run_all.
+void run_all_loop(benchmark::State& state, exec::Backend& farm) {
   const duv::IoUnit io;
   const auto& tmpl = io.defaults();
-  batch::SimFarm farm(static_cast<std::size_t>(state.range(0)));
-  constexpr std::size_t kJobs = 32;
-  constexpr std::size_t kSimsPerJob = 64;
-  std::vector<batch::SimFarm::Job> jobs(kJobs,
-                                        batch::SimFarm::Job{&tmpl, kSimsPerJob, 0});
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    for (auto& job : jobs) job.seed_root = seed++;
-    benchmark::DoNotOptimize(farm.run_all(io, jobs));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kJobs * kSimsPerJob));
-}
-BENCHMARK(BM_FarmRunAll)->Arg(2)->Arg(8);
-
-// BM_FarmRunAll with the metrics registry mutators short-circuited, for
-// the instrumentation-overhead comparison (acceptance: enabled regresses
-// < 5% vs this).
-void BM_FarmRunAllMetricsOff(benchmark::State& state) {
-  obs::set_metrics_enabled(false);
-  const duv::IoUnit io;
-  const auto& tmpl = io.defaults();
-  batch::SimFarm farm(static_cast<std::size_t>(state.range(0)));
-  constexpr std::size_t kJobs = 32;
-  constexpr std::size_t kSimsPerJob = 64;
-  std::vector<batch::SimFarm::Job> jobs(kJobs,
-                                        batch::SimFarm::Job{&tmpl, kSimsPerJob, 0});
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    for (auto& job : jobs) job.seed_root = seed++;
-    benchmark::DoNotOptimize(farm.run_all(io, jobs));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kJobs * kSimsPerJob));
-  obs::set_metrics_enabled(true);
-}
-BENCHMARK(BM_FarmRunAllMetricsOff)->Arg(2)->Arg(8);
-
-// The refactor's throughput headline, measured in wall-clock time: the
-// run_all hot shape with chunks dispatched as batch-of-seeds kernel
-// calls over compiled tables. UseRealTime makes items/sec the farm's
-// true sims/sec at the given worker count (the cpu-time variants above
-// divide by a mostly-blocked main thread instead).
-void BM_FarmRunAllBatched(benchmark::State& state) {
-  const duv::IoUnit io;
-  const auto& tmpl = io.defaults();
-  batch::SimFarm farm(static_cast<std::size_t>(state.range(0)));
-  constexpr std::size_t kJobs = 32;
-  constexpr std::size_t kSimsPerJob = 64;
-  std::vector<batch::SimFarm::Job> jobs(
-      kJobs, batch::SimFarm::Job{&tmpl, kSimsPerJob, 0});
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    for (auto& job : jobs) job.seed_root = seed++;
-    benchmark::DoNotOptimize(farm.run_all(io, jobs));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kJobs * kSimsPerJob));
-}
-BENCHMARK(BM_FarmRunAllBatched)->Arg(1)->Arg(8)->UseRealTime();
-
-// The fork-based process backend on the identical workload: what the
-// pipe protocol + per-worker recompilation cost relative to the thread
-// farm above. Reported by tools/bench_summary.py as process sims/sec
-// (informational — no regression gate; the IPC overhead is the price
-// of crash isolation, see docs/backends.md).
-void BM_ProcessFarmRunAll(benchmark::State& state) {
-  const duv::IoUnit io;
-  const auto& tmpl = io.defaults();
-  exec::ProcessFarm farm(static_cast<std::size_t>(state.range(0)));
   constexpr std::size_t kJobs = 32;
   constexpr std::size_t kSimsPerJob = 64;
   std::vector<exec::Job> jobs(kJobs, exec::Job{&tmpl, kSimsPerJob, 0});
@@ -294,54 +211,36 @@ void BM_ProcessFarmRunAll(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kJobs * kSimsPerJob));
 }
-BENCHMARK(BM_ProcessFarmRunAll)->Arg(1)->Arg(8)->UseRealTime();
 
-/// IoUnit with compile()/simulate_batch() hidden behind the scalar
-/// fallback — exactly how an external RTL wrapper presents itself, and
-/// the per-simulation baseline the batched path is compared against.
-class ScalarIoUnit final : public duv::Duv {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "io_unit_scalar";
-  }
-  [[nodiscard]] const coverage::CoverageSpace& space() const noexcept override {
-    return io_.space();
-  }
-  [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
-    return io_.defaults();
-  }
-  [[nodiscard]] coverage::CoverageVector simulate(
-      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override {
-    return io_.simulate(tmpl, seed);
-  }
-  [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override {
-    return io_.suite();
-  }
-
- private:
-  duv::IoUnit io_;
-};
-
-// Scalar-dispatch baseline for BM_FarmRunAllBatched: same workload, no
-// shared compiled tables, one simulate() per instance. The bench summary
-// fails the CI job if batched sims/sec regresses below this.
-void BM_FarmRunAllScalar(benchmark::State& state) {
-  const ScalarIoUnit io;
-  const auto& tmpl = io.defaults();
-  batch::SimFarm farm(static_cast<std::size_t>(state.range(0)));
-  constexpr std::size_t kJobs = 32;
-  constexpr std::size_t kSimsPerJob = 64;
-  std::vector<batch::SimFarm::Job> jobs(
-      kJobs, batch::SimFarm::Job{&tmpl, kSimsPerJob, 0});
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    for (auto& job : jobs) job.seed_root = seed++;
-    benchmark::DoNotOptimize(farm.run_all(io, jobs));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kJobs * kSimsPerJob));
+// The in-process thread farm: the repo's throughput headline
+// (tools/bench_summary.py).
+void BM_ThreadFarmRunAll(benchmark::State& state) {
+  exec::ThreadFarm farm(static_cast<std::size_t>(state.range(0)));
+  run_all_loop(state, farm);
 }
-BENCHMARK(BM_FarmRunAllScalar)->Arg(1)->Arg(8)->UseRealTime();
+BENCHMARK(BM_ThreadFarmRunAll)->Arg(1)->Arg(8)->UseRealTime();
+
+// BM_ThreadFarmRunAll with the metrics registry mutators short-circuited,
+// for the instrumentation-overhead comparison (acceptance: enabled
+// regresses < 5% vs this).
+void BM_FarmRunAllMetricsOff(benchmark::State& state) {
+  obs::set_metrics_enabled(false);
+  exec::ThreadFarm farm(static_cast<std::size_t>(state.range(0)));
+  run_all_loop(state, farm);
+  obs::set_metrics_enabled(true);
+}
+BENCHMARK(BM_FarmRunAllMetricsOff)->Arg(1)->Arg(8)->UseRealTime();
+
+// The fork-based process backend on the identical workload: what the
+// pipe protocol + per-worker recompilation cost relative to the thread
+// farm above. Reported by tools/bench_summary.py as process sims/sec
+// (informational — no regression gate; the IPC overhead is the price
+// of crash isolation, see docs/backends.md).
+void BM_ProcessFarmRunAll(benchmark::State& state) {
+  exec::ProcessFarm farm(static_cast<std::size_t>(state.range(0)));
+  run_all_loop(state, farm);
+}
+BENCHMARK(BM_ProcessFarmRunAll)->Arg(1)->Arg(8)->UseRealTime();
 
 void BM_MetricsCounterAdd(benchmark::State& state) {
   obs::Counter& counter =
@@ -401,28 +300,16 @@ void BM_HttpMetricsScrape(benchmark::State& state) {
 }
 BENCHMARK(BM_HttpMetricsScrape);
 
-// BM_FarmRunAll with the introspection service live: HTTP server
+// BM_ThreadFarmRunAll with the introspection service live: HTTP server
 // accepting scrapes on its own thread while the farm saturates the
-// workers. The delta vs BM_FarmRunAll is the serve-mode overhead.
+// workers. The delta vs BM_ThreadFarmRunAll is the serve-mode overhead.
 void BM_FarmRunAllServeOn(benchmark::State& state) {
   obs::HttpServerConfig http_config;
   obs::HttpServer server(http_config);
-  const duv::IoUnit io;
-  const auto& tmpl = io.defaults();
-  batch::SimFarm farm(static_cast<std::size_t>(state.range(0)));
-  constexpr std::size_t kJobs = 32;
-  constexpr std::size_t kSimsPerJob = 64;
-  std::vector<batch::SimFarm::Job> jobs(kJobs,
-                                        batch::SimFarm::Job{&tmpl, kSimsPerJob, 0});
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    for (auto& job : jobs) job.seed_root = seed++;
-    benchmark::DoNotOptimize(farm.run_all(io, jobs));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kJobs * kSimsPerJob));
+  exec::ThreadFarm farm(static_cast<std::size_t>(state.range(0)));
+  run_all_loop(state, farm);
 }
-BENCHMARK(BM_FarmRunAllServeOn)->Arg(2)->Arg(8);
+BENCHMARK(BM_FarmRunAllServeOn)->Arg(1)->Arg(8)->UseRealTime();
 
 // One durable optimizer-iteration checkpoint: serialize one journal
 // record (a dim-wide center and best point, one trace entry and

@@ -47,6 +47,12 @@ BackendConfig parse_backend_spec(std::string_view spec) {
                               "' in backend spec '" + std::string(spec) +
                               "'" + std::string(kHint));
     }
+    if (workers > kMaxWorkers) {
+      throw util::ConfigError("worker count " + std::string(count) +
+                              " in backend spec '" + std::string(spec) +
+                              "' exceeds the limit of " +
+                              std::to_string(kMaxWorkers));
+    }
     config.workers = workers;
   }
   return config;

@@ -1,4 +1,4 @@
-// The execution-backend seam (ROADMAP item 1 groundwork).
+// The execution-backend seam.
 //
 // Every consumer of the batch environment — the batched objective, the
 // flow stages, the CLI — submits work as "simulate these jobs, give me
@@ -15,13 +15,12 @@
 //     first error is raised to the caller after the batch has drained,
 //     and the backend stays usable for subsequent calls. Never a hang.
 //
-// Two implementations ship today: ThreadFarm (the in-process
-// batch::SimFarm behind the interface) and ProcessFarm (fork-based
-// worker processes, docs/backends.md). A socket-based multi-host
-// backend is one more implementation of this interface, not another
-// rewrite.
+// Two implementations ship: ThreadFarm (the in-process worker pool,
+// exec/thread_farm.hpp) and ProcessFarm (fork-based worker processes,
+// docs/backends.md).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -29,18 +28,57 @@
 #include <string_view>
 #include <vector>
 
-#include "batch/sim_farm.hpp"
 #include "coverage/repository.hpp"
 #include "duv/duv.hpp"
+#include "obs/metrics.hpp"
 #include "tgen/test_template.hpp"
 
 namespace ascdg::exec {
 
+/// Upper bound on a backend's worker count. parse_backend_spec rejects
+/// larger counts, so a typo cannot ask for a million threads or
+/// processes.
+inline constexpr std::size_t kMaxWorkers = 1024;
+
 /// A unit of backend work: one template simulated `count` times with
-/// instance seeds derived from `seed_root`. Same type as
-/// batch::SimFarm::Job — the farm's submission granularity is the
-/// backend contract's, too.
-using Job = batch::SimFarm::Job;
+/// instance seeds derived from `seed_root`.
+struct Job {
+  const tgen::TestTemplate* tmpl = nullptr;
+  std::size_t count = 0;
+  std::uint64_t seed_root = 0;
+};
+
+/// Point-in-time copy of one farm's run counters, safe to pass around.
+/// Backed by the process metrics registry: every series below also
+/// exists there as `ascdg_farm_*{backend="<kind>",farm="<id>"}` (see
+/// docs/observability.md), so Prometheus/JSON exports see the same
+/// numbers this struct reports. The process backend fills only
+/// simulations, exceptions and runs.
+struct TelemetrySnapshot {
+  /// Log2-of-microseconds histogram buckets: bucket i counts chunks
+  /// whose wall time t satisfies 2^i us <= t < 2^(i+1) us (bucket 0
+  /// also absorbs sub-microsecond chunks, the last bucket the tail).
+  static constexpr std::size_t kLatencyBuckets = obs::Histogram::kBuckets;
+
+  std::size_t simulations = 0;  ///< simulations completed
+  std::size_t chunks = 0;       ///< work chunks executed
+  std::size_t exceptions = 0;   ///< chunks that ended in a captured exception
+  std::size_t runs = 0;         ///< run_all() calls completed
+  std::uint64_t busy_ns = 0;    ///< summed wall time inside chunks
+  /// Fraction of the pool's wall-clock capacity spent inside chunks
+  /// since construction (0..1): busy_ns / (workers x farm lifetime).
+  /// The report and /timeseries read the same number from the
+  /// `ascdg_farm_worker_busy_fraction` gauge (stored in ppm).
+  double busy_fraction = 0.0;
+  std::array<std::size_t, kLatencyBuckets> chunk_latency{};
+
+  /// Mean chunk wall time in microseconds (0 when no chunk ran).
+  [[nodiscard]] double mean_chunk_us() const noexcept {
+    return chunks == 0 ? 0.0
+                       : static_cast<double>(busy_ns) / 1000.0 /
+                             static_cast<double>(chunks);
+  }
+};
 
 class Backend {
  public:
@@ -71,10 +109,9 @@ class Backend {
   /// metric ("number of simulations").
   [[nodiscard]] virtual std::size_t total_simulations() const noexcept = 0;
 
-  /// Point-in-time copy of the backend's run telemetry. Thread-pool
-  /// scheduling counters (steals, queue depth) are zero for backends
-  /// without an in-process pool.
-  [[nodiscard]] virtual batch::TelemetrySnapshot telemetry() const = 0;
+  /// Point-in-time copy of the backend's run telemetry. Chunk counters
+  /// and busy time are zero for backends without an in-process pool.
+  [[nodiscard]] virtual TelemetrySnapshot telemetry() const = 0;
 
   /// Mean worker utilization since construction (0..1); 0 when the
   /// backend cannot observe its workers' busy time.
@@ -96,7 +133,8 @@ struct BackendConfig {
 
 /// Parses "thread", "process", "thread:N", "process:N". Throws
 /// util::ConfigError (message includes the accepted forms) on an
-/// unknown backend name or a garbage worker count.
+/// unknown backend name, a garbage worker count, or one above
+/// kMaxWorkers.
 [[nodiscard]] BackendConfig parse_backend_spec(std::string_view spec);
 
 /// Canonical spelling of a config: "thread", "process:8", ...
@@ -107,3 +145,7 @@ struct BackendConfig {
     const BackendConfig& config);
 
 }  // namespace ascdg::exec
+
+// closure_bench/src/layers.hpp still spells the snapshot by its old
+// name; delete this alias when that file next changes.
+namespace ascdg::batch { using TelemetrySnapshot = exec::TelemetrySnapshot; }

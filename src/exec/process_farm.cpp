@@ -56,8 +56,6 @@ ProcessFarm::ProcessFarm(std::size_t num_workers) {
                                    {{"backend", "process"}, {"farm", id}});
   metrics_.workers_alive = &reg.gauge("ascdg_farm_workers_alive",
                                       {{"backend", "process"}, {"farm", id}});
-  metrics_.active_runs = &reg.gauge("ascdg_farm_active_runs",
-                                    {{"backend", "process"}, {"farm", id}});
   created_ns_ = util::monotonic_ns();
 
   workers_.resize(worker_n);
@@ -65,9 +63,8 @@ ProcessFarm::ProcessFarm(std::size_t num_workers) {
 }
 
 ProcessFarm::~ProcessFarm() {
-  // Wait out an in-flight run_all (caller bug to still be submitting,
-  // same as SimFarm), then tear the pool down promptly: workers are
-  // stateless, so SIGKILL loses nothing.
+  // Wait out an in-flight run_all, then tear the pool down promptly:
+  // workers are stateless, so SIGKILL loses nothing.
   const std::scoped_lock lock(run_mutex_);
   for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
     retire_worker(slot);
@@ -175,11 +172,6 @@ bool ProcessFarm::read_frame(Worker& worker, std::string& payload) {
 std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
                                                      std::span<const Job> jobs) {
   const std::scoped_lock lock(run_mutex_);
-  metrics_.active_runs->add(1);
-  struct RunGuard {
-    obs::Gauge* active;
-    ~RunGuard() { active->sub(1); }
-  } run_guard{metrics_.active_runs};
 
   const std::size_t event_count = duv.space().size();
   const std::size_t job_n = jobs.size();
@@ -373,16 +365,13 @@ void ProcessFarm::worker_main(int request_fd, int response_fd) {
   }
 }
 
-batch::TelemetrySnapshot ProcessFarm::telemetry() const {
-  batch::TelemetrySnapshot snap;
+TelemetrySnapshot ProcessFarm::telemetry() const {
+  TelemetrySnapshot snap;
   snap.simulations = metrics_.simulations->value();
   snap.runs = metrics_.runs->value();
   snap.exceptions = metrics_.exceptions->value();
-  snap.active_runs = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, metrics_.active_runs->value()));
-  // Thread-pool scheduling counters (chunks, steals, queue depth, chunk
-  // latency, busy time) have no process-backend equivalent yet; they
-  // read zero.
+  // Chunks, chunk latency and busy time are observed inside the worker
+  // processes only; they read zero.
   return snap;
 }
 

@@ -53,8 +53,7 @@ class ProcessFarm final : public Backend {
   explicit ProcessFarm(std::size_t num_workers = 0);
 
   /// Closes every worker's request pipe (workers exit on EOF) and reaps
-  /// them. In-flight run_all calls on other threads are a caller bug,
-  /// as with SimFarm destruction during use.
+  /// them, after waiting out a run_all in flight on another thread.
   ~ProcessFarm() override;
 
   [[nodiscard]] std::string_view kind() const noexcept override {
@@ -70,7 +69,7 @@ class ProcessFarm final : public Backend {
   [[nodiscard]] std::size_t total_simulations() const noexcept override {
     return metrics_.simulations->value();
   }
-  [[nodiscard]] batch::TelemetrySnapshot telemetry() const override;
+  [[nodiscard]] TelemetrySnapshot telemetry() const override;
   [[nodiscard]] double worker_busy_fraction() const noexcept override;
 
   /// Live worker pids, in slot order (dead slots excluded) — for tests
@@ -109,8 +108,7 @@ class ProcessFarm final : public Backend {
 
   std::vector<Worker> workers_;
   /// Serializes run_all callers: the pipe protocol is one outstanding
-  /// batch at a time (the thread farm's callers already serialize at
-  /// the flow level; concurrent callers just queue here).
+  /// batch at a time (concurrent callers queue here, as on ThreadFarm).
   std::mutex run_mutex_;
 
   /// Unit names already validated registry-resolvable.
@@ -123,7 +121,6 @@ class ProcessFarm final : public Backend {
     obs::Counter* respawns = nullptr;
     /// Live worker processes — the liveness gauge an operator alarms on.
     obs::Gauge* workers_alive = nullptr;
-    obs::Gauge* active_runs = nullptr;
   };
   FarmMetrics metrics_;
   std::uint64_t created_ns_ = 0;

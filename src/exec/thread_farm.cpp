@@ -1,0 +1,228 @@
+#include "exec/thread_farm.hpp"
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <exception>
+#include <string>
+
+#include "util/error.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
+
+namespace ascdg::exec {
+
+namespace {
+/// Simulations per work chunk: large enough to amortize the per-chunk
+/// kernel call and bookkeeping, small enough to balance across workers.
+constexpr std::size_t kChunk = 64;
+
+/// Instances [begin, end) of job `job`.
+struct Chunk {
+  std::size_t job = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Per-worker batch arena: seed and coverage-vector storage reused
+/// across chunks, so the steady-state hot path performs no heap
+/// allocation (simulate_batch overwrites the vectors in place).
+struct Workspace {
+  std::vector<std::uint64_t> seeds;
+  std::vector<coverage::CoverageVector> vectors;
+};
+}  // namespace
+
+struct ThreadFarm::Run {
+  const duv::Duv* duv = nullptr;
+  std::span<const Job> jobs;
+  /// Per-job compiled distribution tables (nullptr for units that do
+  /// not override Duv::compile — their simulate_batch falls back to the
+  /// scalar loop).
+  std::vector<std::unique_ptr<duv::Duv::Compiled>> compiled;
+  std::vector<Chunk> chunks;
+  /// Next unclaimed chunk; each worker overshoots the end at most once.
+  std::atomic<std::size_t> cursor{0};
+  /// (worker, job)-sliced partials, worker-major [w * jobs.size() + j].
+  std::vector<coverage::SimStats> partial;
+  std::atomic<bool> failed{false};
+  /// First captured exception; written under the farm's mutex_.
+  std::exception_ptr error;
+};
+
+ThreadFarm::ThreadFarm(std::size_t num_workers)
+    : worker_n_(num_workers != 0
+                    ? num_workers
+                    : std::max<std::size_t>(
+                          1, std::thread::hardware_concurrency())) {
+  // Register this farm's labeled series before any worker can touch
+  // them. Instance ids keep concurrent farms' books separate.
+  static std::atomic<std::uint64_t> next_farm_id{0};
+  const std::string id =
+      std::to_string(next_farm_id.fetch_add(1, std::memory_order_relaxed));
+  const std::initializer_list<obs::Label> labels{{"backend", "thread"},
+                                                 {"farm", id}};
+  obs::Registry& reg = obs::registry();
+  metrics_.simulations = &reg.counter("ascdg_farm_simulations_total", labels);
+  metrics_.chunks = &reg.counter("ascdg_farm_chunks_total", labels);
+  metrics_.exceptions = &reg.counter("ascdg_farm_exceptions_total", labels);
+  metrics_.runs = &reg.counter("ascdg_farm_runs_total", labels);
+  metrics_.busy_ns = &reg.counter("ascdg_farm_busy_ns_total", labels);
+  metrics_.busy_fraction_ppm =
+      &reg.gauge("ascdg_farm_worker_busy_fraction", labels);
+  metrics_.chunk_latency_us =
+      &reg.histogram("ascdg_farm_chunk_latency_us", labels);
+  created_ns_ = util::monotonic_ns();
+
+  workers_.reserve(worker_n_);
+  try {
+    for (std::size_t i = 0; i < worker_n_; ++i) {
+      workers_.emplace_back([this, i] { worker_loop(i); });
+    }
+  } catch (...) {
+    stop_workers();  // the threads already started
+    throw;
+  }
+}
+
+ThreadFarm::~ThreadFarm() {
+  const std::scoped_lock run_lock(run_mutex_);
+  stop_workers();
+}
+
+void ThreadFarm::stop_workers() noexcept {
+  {
+    const std::scoped_lock lock(mutex_);
+    stopping_ = true;
+  }
+  start_cv_.notify_all();
+  for (auto& worker : workers_) worker.join();
+}
+
+void ThreadFarm::worker_loop(std::size_t index) {
+  Workspace ws;
+  std::uint64_t seen = 0;
+  for (;;) {
+    Run* run = nullptr;
+    {
+      std::unique_lock lock(mutex_);
+      start_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+      if (stopping_) return;
+      seen = generation_;
+      run = run_;
+    }
+    const std::size_t job_n = run->jobs.size();
+    // Fail fast: once one chunk failed, the rest of the run is skipped.
+    while (!run->failed.load(std::memory_order_relaxed)) {
+      const std::size_t c = run->cursor.fetch_add(1, std::memory_order_relaxed);
+      if (c >= run->chunks.size()) break;
+      const Chunk& chunk = run->chunks[c];
+      try {
+        const auto start = std::chrono::steady_clock::now();
+        const Job& job = run->jobs[chunk.job];
+        const std::size_t n = chunk.end - chunk.begin;
+        ws.seeds.resize(n);
+        const util::SeedStream stream(job.seed_root);
+        for (std::size_t i = 0; i < n; ++i) {
+          ws.seeds[i] = stream.at(chunk.begin + i);
+        }
+        if (ws.vectors.size() < n) {
+          ws.vectors.resize(n, coverage::CoverageVector(0));
+        }
+        run->duv->simulate_batch(
+            *job.tmpl, run->compiled[chunk.job].get(),
+            std::span<const std::uint64_t>(ws.seeds.data(), n),
+            std::span<coverage::CoverageVector>(ws.vectors.data(), n));
+        coverage::SimStats& acc = run->partial[index * job_n + chunk.job];
+        for (std::size_t i = 0; i < n; ++i) acc.record(ws.vectors[i]);
+        const auto wall_ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+        metrics_.simulations->add(n);
+        metrics_.chunks->inc();
+        metrics_.busy_ns->add(wall_ns);
+        metrics_.chunk_latency_us->observe(wall_ns / 1000);
+      } catch (...) {
+        metrics_.exceptions->inc();
+        const std::scoped_lock lock(mutex_);
+        if (run->error == nullptr) run->error = std::current_exception();
+        run->failed.store(true, std::memory_order_relaxed);
+      }
+    }
+    // Checkout is this worker's last touch of *run: once the count is
+    // complete the caller may return and destroy it.
+    const std::scoped_lock lock(mutex_);
+    if (++checked_out_ == worker_n_) done_cv_.notify_one();
+  }
+}
+
+std::vector<coverage::SimStats> ThreadFarm::run_all(const duv::Duv& duv,
+                                                    std::span<const Job> jobs) {
+  const std::scoped_lock run_lock(run_mutex_);
+  const std::size_t event_count = duv.space().size();
+  const std::size_t job_n = jobs.size();
+
+  Run run;
+  run.duv = &duv;
+  run.jobs = jobs;
+  for (std::size_t j = 0; j < job_n; ++j) {
+    ASCDG_ASSERT(jobs[j].tmpl != nullptr, "job with null template");
+    for (std::size_t begin = 0; begin < jobs[j].count; begin += kChunk) {
+      run.chunks.push_back({j, begin, std::min(begin + kChunk, jobs[j].count)});
+    }
+  }
+  if (!run.chunks.empty()) {
+    // Compile every job's template once, before any worker wakes: all
+    // chunks of a job share the read-only tables. A compile failure
+    // propagates from here with no worker involved.
+    run.compiled.reserve(job_n);
+    for (const Job& job : jobs) run.compiled.push_back(duv.compile(*job.tmpl));
+    run.partial.assign(worker_n_ * job_n, coverage::SimStats(event_count));
+    std::unique_lock lock(mutex_);
+    run_ = &run;
+    checked_out_ = 0;
+    ++generation_;
+    start_cv_.notify_all();
+    done_cv_.wait(lock, [this] { return checked_out_ == worker_n_; });
+    run_ = nullptr;
+  }
+  metrics_.runs->inc();
+  // Refreshed at every run, so a live scrape sees a current number
+  // without a sampler thread.
+  metrics_.busy_fraction_ppm->set(
+      static_cast<std::int64_t>(worker_busy_fraction() * 1e6));
+  if (run.error != nullptr) std::rethrow_exception(run.error);
+
+  // Worker-major partials, so this merges in worker order.
+  std::vector<coverage::SimStats> out(job_n, coverage::SimStats(event_count));
+  for (std::size_t k = 0; k < run.partial.size(); ++k) {
+    if (run.partial[k].sims() != 0) out[k % job_n].merge(run.partial[k]);
+  }
+  return out;
+}
+
+TelemetrySnapshot ThreadFarm::telemetry() const {
+  TelemetrySnapshot snap;
+  snap.simulations = metrics_.simulations->value();
+  snap.chunks = metrics_.chunks->value();
+  snap.exceptions = metrics_.exceptions->value();
+  snap.runs = metrics_.runs->value();
+  snap.busy_ns = metrics_.busy_ns->value();
+  snap.busy_fraction = worker_busy_fraction();
+  for (std::size_t i = 0; i < TelemetrySnapshot::kLatencyBuckets; ++i) {
+    snap.chunk_latency[i] = metrics_.chunk_latency_us->bucket(i);
+  }
+  return snap;
+}
+
+double ThreadFarm::worker_busy_fraction() const noexcept {
+  const std::uint64_t elapsed = util::monotonic_ns() - created_ns_;
+  if (elapsed == 0) return 0.0;
+  const double capacity =
+      static_cast<double>(elapsed) * static_cast<double>(worker_n_);
+  return std::min(1.0, static_cast<double>(metrics_.busy_ns->value()) /
+                           capacity);
+}
+
+}  // namespace ascdg::exec

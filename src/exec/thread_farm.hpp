@@ -1,44 +1,120 @@
-// The in-process thread backend: batch::SimFarm behind the Backend
-// seam. This is the default — everything the farm guarantees (work
-// stealing, batch-of-seeds kernels, compile-once-per-job, drain-on-
-// destroy) carries over verbatim.
+// The in-process thread backend — the batch simulation environment of
+// the paper's Fig. 2 ("Batch env"): a persistent worker pool that
+// simulates N test-instances of each job's template and accumulates the
+// per-event hit counts. It is the default backend.
+//
+// Scheduling: run_all compiles each job's template once (Duv::compile)
+// on the caller, lays the run out as one list of (job, begin, end)
+// chunks of at most kChunk seeds, publishes it under a new generation
+// and wakes the pool. Workers claim chunks through one atomic cursor,
+// hand each chunk to Duv::simulate_batch over per-worker seed and
+// coverage arenas, and accumulate into per-(worker, job) partials, so
+// the simulation loop takes no lock. A worker checks out once the
+// cursor runs past the end; the caller waits until every worker has
+// checked out, then merges the partials in worker order.
+//
+// Determinism: the seed of instance i of a job is a pure function of
+// (seed_root, i) via a SeedStream, simulate_batch's out[i] is
+// bit-identical to scalar simulate(seeds[i]), and hit-count
+// accumulation is commutative, so results are bit-identical for any
+// worker count and any claim order.
+//
+// Failure semantics: if a simulation (or stats accumulation) throws,
+// the first exception is captured, workers stop claiming the run's
+// remaining chunks, and run_all rethrows once every worker has checked
+// out — the farm never hangs and stays usable afterwards.
+//
+// Concurrency: one run at a time. Concurrent run_all callers queue on
+// a run mutex; the destructor takes the same mutex, so a run in flight
+// on another thread finishes before the workers are joined.
 #pragma once
 
-#include "batch/sim_farm.hpp"
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
+#include <thread>
+#include <vector>
+
 #include "exec/backend.hpp"
+#include "obs/metrics.hpp"
 
 namespace ascdg::exec {
 
 class ThreadFarm final : public Backend {
  public:
   /// `num_workers` == 0 selects the hardware concurrency.
-  explicit ThreadFarm(std::size_t num_workers = 0) : farm_(num_workers) {}
+  explicit ThreadFarm(std::size_t num_workers = 0);
+
+  /// Waits out a run in flight on another thread, then joins workers.
+  ~ThreadFarm() override;
 
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "thread";
   }
   [[nodiscard]] std::size_t worker_count() const noexcept override {
-    return farm_.worker_count();
-  }
-  [[nodiscard]] std::vector<coverage::SimStats> run_all(
-      const duv::Duv& duv, std::span<const Job> jobs) override {
-    return farm_.run_all(duv, jobs);
-  }
-  [[nodiscard]] std::size_t total_simulations() const noexcept override {
-    return farm_.total_simulations();
-  }
-  [[nodiscard]] batch::TelemetrySnapshot telemetry() const override {
-    return farm_.telemetry();
-  }
-  [[nodiscard]] double worker_busy_fraction() const noexcept override {
-    return farm_.worker_busy_fraction();
+    return worker_n_;
   }
 
-  /// The wrapped farm, for callers that need thread-pool specifics.
-  [[nodiscard]] batch::SimFarm& farm() noexcept { return farm_; }
+  /// Runs all jobs; results are returned in job order. Thread-safe:
+  /// concurrent callers run one after another. Rethrows the first
+  /// exception any simulation raised, after every worker checked out.
+  [[nodiscard]] std::vector<coverage::SimStats> run_all(
+      const duv::Duv& duv, std::span<const Job> jobs) override;
+
+  /// Chunks aborted by an exception are not counted.
+  [[nodiscard]] std::size_t total_simulations() const noexcept override {
+    return metrics_.simulations->value();
+  }
+
+  /// Read back from the registry series this farm owns.
+  [[nodiscard]] TelemetrySnapshot telemetry() const override;
+
+  /// Summed chunk wall time over the pool's elapsed capacity (0..1).
+  [[nodiscard]] double worker_busy_fraction() const noexcept override;
 
  private:
-  batch::SimFarm farm_;
+  /// Shared state of one run_all() call, on the caller's stack.
+  struct Run;
+
+  void worker_loop(std::size_t index);
+  /// Sets the stop flag, wakes the workers and joins them.
+  void stop_workers() noexcept;
+
+  std::size_t worker_n_;
+
+  /// Held for a whole run_all (and by the destructor): one run at a time.
+  std::mutex run_mutex_;
+
+  // Guarded by mutex_: the published run, its generation (workers wait
+  // on start_cv_ for a new one), the checkout count (the caller waits on
+  // done_cv_ for all of them) and the stop flag.
+  std::mutex mutex_;
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
+  Run* run_ = nullptr;
+  std::uint64_t generation_ = 0;
+  std::size_t checked_out_ = 0;
+  bool stopping_ = false;
+
+  /// This farm's registry series, labeled {backend="thread",farm="<id>"}
+  /// so concurrent farms in one process keep separate books. Mutators
+  /// are wait-free on the worker hot path.
+  struct FarmMetrics {
+    obs::Counter* simulations = nullptr;
+    obs::Counter* chunks = nullptr;
+    obs::Counter* exceptions = nullptr;
+    obs::Counter* runs = nullptr;
+    obs::Counter* busy_ns = nullptr;
+    /// Pool utilization in parts-per-million (gauges are integral);
+    /// refreshed at every run_all() completion.
+    obs::Gauge* busy_fraction_ppm = nullptr;
+    obs::Histogram* chunk_latency_us = nullptr;
+  };
+  FarmMetrics metrics_;
+  /// util::monotonic_ns() at construction — busy-fraction denominator.
+  std::uint64_t created_ns_ = 0;
+
+  std::vector<std::thread> workers_;  ///< last: after all they use
 };
 
 }  // namespace ascdg::exec

@@ -229,7 +229,7 @@ FlowResult CdgRunner::execute(const neighbors::ApproximatedTarget& target,
   flow_span.end();
 
   if (config_.trace != nullptr) {
-    const batch::TelemetrySnapshot farm_stats = farm_->telemetry();
+    const exec::TelemetrySnapshot farm_stats = farm_->telemetry();
     config_.trace->emit(
         util::JsonObject{}
             .add("event", "flow_end")
@@ -239,8 +239,6 @@ FlowResult CdgRunner::execute(const neighbors::ApproximatedTarget& target,
             .add("target_events_hit", events_hit)
             .add("farm_total_sims", farm_stats.simulations)
             .add("farm_chunks", farm_stats.chunks)
-            .add("farm_steals", farm_stats.steals)
-            .add("farm_max_queue_depth", farm_stats.max_queue_depth)
             .add("farm_mean_chunk_us", farm_stats.mean_chunk_us()));
   }
 

@@ -1,6 +1,7 @@
 #include "flow/stages.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -71,16 +72,30 @@ void remove_if_exists(const std::filesystem::path& path) {
   std::filesystem::remove(path, ec);
 }
 
+/// 64-bit FNV-1a of `text`.
+std::uint64_t fnv1a(std::string_view text) noexcept {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 /// An optimizer stage's checkpoint journal in the session
 /// (`<stage>.ckpt.jsonl`, one OptStageCheckpoint record per completed
-/// iteration). The writer opens on the first append, after the resume
-/// state has been read.
+/// iteration). Each record carries a "digest" key, the FNV-1a of the
+/// record's own serialization without it: a record altered on disk that
+/// still parses (one flipped digit) is an error, not a resume into a
+/// different trajectory. The writer opens on the first append, after
+/// the resume state has been read.
 class StageJournal {
  public:
   /// Reads the journal left by an interrupted earlier attempt at
   /// `stage`. A checkpoint from before the journal (`<stage>.ckpt.json`)
-  /// is deleted instead of read, so its stage restarts from iteration
-  /// 0; that is deterministic, so the result is the same.
+  /// or a journal from before record digests is deleted instead of
+  /// read, so its stage restarts from iteration 0; that is
+  /// deterministic, so the result is the same.
   StageJournal(const Session& session, std::string_view stage)
       : path_(session.artifact_path(checkpoint_journal_name(stage))) {
     const std::filesystem::path old =
@@ -91,6 +106,14 @@ class StageJournal {
       remove_if_exists(old);
     }
     const util::Journal journal = util::read_journal(path_);
+    if (!journal.records.empty() &&
+        journal.records.front().find("digest") == nullptr) {
+      util::log_info(stage, ": deleting journal '", path_.string(),
+                     "' written before record digests; the stage restarts "
+                     "from iteration 0");
+      remove_if_exists(path_);
+      return;
+    }
     keep_bytes_ = journal.bytes;
     std::vector<opt::IterationRecord> trace;
     for (std::size_t i = 0; i < journal.records.size(); ++i) {
@@ -100,6 +123,10 @@ class StageJournal {
           throw util::Error("record holds " +
                             std::to_string(resume_->ifc.trace.size()) +
                             " iterations, want 1");
+        }
+        if (parse_hex_u64(journal.records[i].at("digest")) !=
+            fnv1a(to_json(*resume_))) {
+          throw util::Error("record does not match its digest");
         }
       } catch (const util::Error& e) {
         throw util::ParseError(
@@ -120,8 +147,11 @@ class StageJournal {
   void append(OptStageCheckpoint ckpt) {
     auto& trace = ckpt.ifc.trace;
     if (trace.size() > 1) trace.erase(trace.begin(), trace.end() - 1);
+    std::string record = to_json(ckpt);
+    record.insert(record.size() - 1,
+                  ",\"digest\":\"" + hex_u64(fnv1a(record)) + "\"");
     if (!writer_.has_value()) writer_.emplace(path_, keep_bytes_);
-    writer_->append(to_json(ckpt));
+    writer_->append(record);
   }
 
   /// Waits until every appended record is durable; call before the

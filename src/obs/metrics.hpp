@@ -4,7 +4,7 @@
 // simulation noise, so every subsystem (farm, optimizer, TAC, coverage
 // repository) keeps first-class books here: named counters, gauges and
 // log2 histograms, optionally split into labeled families (for example
-// one `ascdg_farm_simulations_total{farm="3"}` series per SimFarm).
+// one `ascdg_farm_simulations_total{farm="3"}` series per farm).
 //
 // Hot-path contract: registration (registry().counter(...)) is cold and
 // takes a mutex once; the returned handle is a stable reference whose
@@ -71,10 +71,9 @@ class Counter {
   std::array<Shard, kShards> shards_{};
 };
 
-/// Signed instantaneous value (queue depths, in-flight work) with a
+/// Signed instantaneous value (live workers, resident memory) with a
 /// high-watermark. One atomic cell: adds/subtracts from many threads
-/// stay consistent, which is the whole point (see the SimFarm
-/// queue-depth gauge regression test).
+/// stay consistent.
 class Gauge {
  public:
   void add(std::int64_t delta) noexcept {

@@ -16,7 +16,7 @@ namespace ascdg::obs {
 namespace {
 
 /// Sum of every series in `snap` named `name` (counters may be split
-/// into labeled families, e.g. one per SimFarm).
+/// into labeled families, e.g. one per farm).
 std::uint64_t sum_counters(const MetricsSnapshot& snap, std::string_view name) {
   std::uint64_t total = 0;
   for (const auto& sample : snap.samples) {

@@ -210,7 +210,7 @@ void write_flow_markdown(const std::filesystem::path& path,
                          const coverage::CoverageSpace& space,
                          std::span<const coverage::EventId> family_events,
                          const flow::FlowResult& flow,
-                         const batch::TelemetrySnapshot* farm,
+                         const exec::TelemetrySnapshot* farm,
                          const flow::SessionSummary* session) {
   if (path.has_parent_path()) {
     std::error_code ec;
@@ -313,13 +313,10 @@ util::Table telemetry_table(const flow::FlowResult& flow) {
 }
 
 void render_farm_telemetry(std::ostream& os,
-                           const batch::TelemetrySnapshot& farm) {
+                           const exec::TelemetrySnapshot& farm) {
   os << "Farm counters: " << util::format_count(farm.simulations)
      << " sims in " << util::format_count(farm.chunks) << " chunks ("
-     << util::format_count(farm.enqueued) << " enqueued, "
-     << util::format_count(farm.steals) << " stolen, peak queue depth "
-     << farm.max_queue_depth << ", " << farm.exceptions << " exceptions, "
-     << farm.runs << " runs).\n\n";
+     << farm.exceptions << " exceptions, " << farm.runs << " runs).\n\n";
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.1f", farm.mean_chunk_us());
   os << "Mean chunk wall time: " << buf << " us.\n";
@@ -391,7 +388,8 @@ namespace {
 
 /// Sums the batched-kernel farm counters across every `farm="<id>"`
 /// series: simulations retired, and the busy-worker nanoseconds that
-/// retired them. Both stay zero when no SimFarm ran under this registry.
+/// retired them. Both stay zero when no thread farm ran under this
+/// registry.
 struct FarmTotals {
   std::uint64_t sims = 0;
   std::uint64_t busy_ns = 0;

@@ -69,7 +69,7 @@ void render_trace(std::ostream& os, const opt::OptResult& result,
 /// Renders a farm telemetry snapshot (counters + chunk-latency
 /// histogram) as a markdown fragment.
 void render_farm_telemetry(std::ostream& os,
-                           const batch::TelemetrySnapshot& farm);
+                           const exec::TelemetrySnapshot& farm);
 
 /// Renders the "Run health" fragment from a metrics-registry snapshot:
 /// process RSS / peak RSS / CPU split (the ascdg_proc_* gauges), per-farm
@@ -106,7 +106,7 @@ void write_flow_markdown(const std::filesystem::path& path,
                          const coverage::CoverageSpace& space,
                          std::span<const coverage::EventId> family_events,
                          const flow::FlowResult& flow,
-                         const batch::TelemetrySnapshot* farm = nullptr,
+                         const exec::TelemetrySnapshot* farm = nullptr,
                          const flow::SessionSummary* session = nullptr);
 
 /// Writes the machine-readable metrics snapshot of a flow run: one JSON

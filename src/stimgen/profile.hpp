@@ -9,7 +9,7 @@
 // thread, run simulate(), and read the per-parameter draw counts.
 //
 // The hook is thread-local, so profiling must run simulations on the
-// calling thread (not through the SimFarm); when no profiler is active
+// calling thread (not through a farm); when no profiler is active
 // every draw pays a single inline thread-local test.
 #pragma once
 

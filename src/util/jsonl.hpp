@@ -1,7 +1,7 @@
 // Minimal JSON-line building for run telemetry.
 //
-// The batch trace sink (batch::TraceSink) writes one JSON object per
-// line (JSONL). This header provides the only two pieces that needs:
+// The run trace (obs::Tracer) writes one JSON object per line
+// (JSONL). This header provides the only two pieces that needs:
 // RFC 8259 string escaping and a small append-only object builder.
 // It is deliberately not a JSON library — no parsing, no nesting
 // beyond raw sub-objects — so it stays dependency-free and allocation

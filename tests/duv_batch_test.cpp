@@ -1,7 +1,7 @@
 // Batch-of-seeds regression suite: Duv::simulate_batch must be
 // bit-identical to the scalar simulate() path — for every unit, at every
 // batch width, with and without precompiled tables, and through the
-// SimFarm at any worker count. This is the non-negotiable determinism
+// thread farm at any worker count. This is the non-negotiable determinism
 // contract of the batch path: instance i's coverage is a pure
 // function of (seed_root, i), and batching is an execution detail, never
 // an observable one.
@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "batch/sim_farm.hpp"
 #include "coverage/repository.hpp"
 #include "duv/duv.hpp"
 #include "duv/registry.hpp"
+#include "exec/thread_farm.hpp"
 #include "tgen/parser.hpp"
 #include "util/rng.hpp"
 
@@ -141,8 +141,8 @@ TEST_P(BatchEquivalence, FarmIsWorkerCountAndBatchInvariant) {
     reference.record(duv->simulate(tmpl, stream.at(i)));
   }
 
-  batch::SimFarm one(1);
-  batch::SimFarm eight(8);
+  exec::ThreadFarm one(1);
+  exec::ThreadFarm eight(8);
   const coverage::SimStats serial = one.run(*duv, tmpl, kCount, kSeedRoot);
   const coverage::SimStats pooled = eight.run(*duv, tmpl, kCount, kSeedRoot);
   EXPECT_EQ(serial, reference);
@@ -155,13 +155,13 @@ TEST_P(BatchEquivalence, FarmRunAllMatchesScalarReferencePerJob) {
   const std::vector<tgen::TestTemplate> suite = duv->suite();
   ASSERT_FALSE(suite.empty());
 
-  std::vector<batch::SimFarm::Job> jobs;
+  std::vector<exec::Job> jobs;
   for (std::size_t j = 0; j < suite.size(); ++j) {
     // Deliberately not a multiple of the chunk width.
     jobs.push_back({&suite[j], 70, kSeedRoot + j});
   }
 
-  batch::SimFarm farm(8);
+  exec::ThreadFarm farm(8);
   const auto results = farm.run_all(*duv, jobs);
   ASSERT_EQ(results.size(), jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -235,7 +235,7 @@ TEST(ScalarFallback, FarmRunsAScalarOnlyUnit) {
   for (std::size_t i = 0; i < 150; ++i) {
     reference.record(duv.simulate(duv.defaults(), stream.at(i)));
   }
-  batch::SimFarm farm(8);
+  exec::ThreadFarm farm(8);
   EXPECT_EQ(farm.run(duv, duv.defaults(), 150, kSeedRoot), reference);
 }
 

@@ -52,8 +52,21 @@ TEST(BackendSpec, ToStringIsCanonical) {
 
 TEST(BackendSpec, RejectsGarbage) {
   for (const char* spec : {"", "bogus", "Process", "process:", "process:0",
-                           "process:abc", "process:8x", "process:-1", ":4"}) {
+                           "process:abc", "process:8x", "process:-1", ":4",
+                           "thread:100000", "process:100000"}) {
     EXPECT_THROW((void)parse_backend_spec(spec), util::ConfigError) << spec;
+  }
+  // Parsing alone starts no workers; the limit itself is accepted and
+  // the message for one past it names the limit.
+  EXPECT_EQ(parse_backend_spec("thread:" + std::to_string(kMaxWorkers)).workers,
+            kMaxWorkers);
+  try {
+    (void)parse_backend_spec("process:" + std::to_string(kMaxWorkers + 1));
+    FAIL() << "expected ConfigError";
+  } catch (const util::ConfigError& err) {
+    EXPECT_NE(std::string(err.what()).find(std::to_string(kMaxWorkers)),
+              std::string::npos)
+        << err.what();
   }
   // The message carries the accepted forms — it doubles as the CLI hint.
   try {

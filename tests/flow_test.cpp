@@ -10,7 +10,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_farm.hpp"
@@ -624,6 +628,251 @@ TEST(SessionedRun, FreshRunIgnoresTheJournalOfTheRunItReplaces) {
   EXPECT_EQ(fresh.optimization.best_point, reference.optimization.best_point);
   EXPECT_EQ(fresh.optimization_phase.sims, reference.optimization_phase.sims);
   EXPECT_EQ(fresh.harvest_phase.stats, reference.harvest_phase.stats);
+}
+
+/// Byte ranges [begin, end) of the JSON values inside `record` that
+/// `want` selects, given each value's first byte: numbers ('n'), arrays
+/// ('[') or objects ('{'). The record itself (offset 0) is not a value
+/// of its own; string contents are skipped.
+std::vector<std::pair<std::size_t, std::size_t>> json_values(
+    const std::string& record, char want) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  bool in_string = false;
+  for (std::size_t i = 1; i < record.size(); ++i) {
+    const char c = record[i];
+    if (in_string) {
+      if (c == '\\') ++i;
+      else if (c == '"') in_string = false;
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+    } else if (want == 'n' && (c == '-' || (c >= '0' && c <= '9'))) {
+      std::size_t end = i;
+      while (end < record.size() &&
+             std::string_view("+-.eE0123456789").find(record[end]) !=
+                 std::string_view::npos) {
+        ++end;
+      }
+      out.emplace_back(i, end);
+      i = end - 1;
+    } else if (c == want) {
+      std::size_t depth = 0;
+      std::size_t end = i;
+      bool quoted = false;
+      for (; end < record.size(); ++end) {
+        const char d = record[end];
+        if (quoted) {
+          if (d == '\\') ++end;
+          else if (d == '"') quoted = false;
+        } else if (d == '"') {
+          quoted = true;
+        } else if (d == '[' || d == '{') {
+          ++depth;
+        } else if ((d == ']' || d == '}') && --depth == 0) {
+          break;
+        }
+      }
+      out.emplace_back(i, end + 1);
+    }
+  }
+  return out;
+}
+
+/// An io_unit flow with four optimizer iterations: its uninterrupted
+/// result, and a session of it in `pristine` that died in the optimizer
+/// (the third record's sync failed) with three records journaled.
+struct JournaledSession {
+  static constexpr const char* kJournal = "optimization.ckpt.jsonl";
+
+  duv::IoUnit io;
+  neighbors::ApproximatedTarget target = neighbors::family_target(
+      io.space(), "crc", coverage::SimStats(io.space().size()));
+  tgen::TestTemplate seed_template = io.suite().front();
+  FlowConfig config = [] {
+    FlowConfig c = small_config();
+    c.opt_max_iterations = 4;
+    return c;
+  }();
+  exec::ThreadFarm farm{2};
+  FlowResult reference = run(config);
+  fs::path pristine;
+  std::string journal;
+
+  explicit JournaledSession(const std::string& name)
+      : pristine(scratch_dir(name + "_pristine")) {
+    using Fp = util::FailurePoint;
+    FlowConfig sessioned = config;
+    sessioned.session_dir = pristine.string();
+    Fp::prime_every_nth(Fp::Id::kJournalSync, 3);
+    EXPECT_THROW((void)run(sessioned), Error);
+    Fp::disarm_all();
+    std::ifstream in(pristine / kJournal, std::ios::binary);
+    journal.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  FlowResult run(const FlowConfig& c) {
+    return CdgRunner(io, farm, c).run_from_template(target, seed_template);
+  }
+
+  /// Resumes a copy of the pristine session in `dir` whose journal holds
+  /// `bytes`.
+  FlowResult resume_with(const fs::path& dir, const std::string& bytes) {
+    fs::remove_all(dir);
+    fs::copy(pristine, dir, fs::copy_options::recursive);
+    std::ofstream(dir / kJournal, std::ios::binary | std::ios::trunc) << bytes;
+    FlowConfig resumed = config;
+    resumed.session_dir = dir.string();
+    resumed.resume = true;
+    return run(resumed);
+  }
+
+  /// Every result the resume must reproduce bit for bit.
+  void expect_reference(const FlowResult& got, const std::string& what) const {
+    EXPECT_EQ(got.optimization.best_value, reference.optimization.best_value)
+        << what;
+    EXPECT_EQ(got.optimization.best_point, reference.optimization.best_point)
+        << what;
+    EXPECT_EQ(got.optimization_phase.sims, reference.optimization_phase.sims)
+        << what;
+    EXPECT_EQ(got.optimization_phase.stats, reference.optimization_phase.stats)
+        << what;
+    EXPECT_EQ(got.harvest_phase.stats, reference.harvest_phase.stats) << what;
+    EXPECT_EQ(got.flow_sims(), reference.flow_sims()) << what;
+  }
+};
+
+// The input the journal fuzz below first failed on: a flipped digit in
+// the middle record's center parses as another valid point, and the
+// resume followed a different trajectory (best value 1.8 instead of
+// 2.4). The record's digest now rejects it.
+TEST(SessionedRun, JournalRecordWithAnAlteredDigitIsRejected) {
+  JournaledSession s("journal_digit");
+  const std::size_t center =
+      s.journal.find("\"center\":[0.", s.journal.find('\n'));
+  ASSERT_NE(center, std::string::npos);
+  const std::size_t digit = center + 13;
+  std::string bytes = s.journal;
+  bytes[digit] = bytes[digit] == '9' ? '1' : '9';
+  const fs::path dir = scratch_dir("journal_digit");
+  EXPECT_THROW((void)s.resume_with(dir, bytes), ParseError);
+}
+
+// A journal written before records carried digests is deleted on
+// resume, and its stage restarts from iteration 0: still bit-identical.
+TEST(SessionedRun, JournalWithoutDigestsRestartsTheStageBitIdentically) {
+  JournaledSession s("journal_no_digest");
+  std::string bytes;
+  for (const util::JsonValue& record :
+       util::read_journal(s.pristine / JournaledSession::kJournal).records) {
+    bytes += to_json(opt_stage_checkpoint_from_json(record)) + '\n';
+  }
+  ASSERT_EQ(bytes.find("digest"), std::string::npos);
+  const fs::path dir = scratch_dir("journal_no_digest");
+  s.expect_reference(s.resume_with(dir, bytes), "journal without digests");
+  EXPECT_FALSE(fs::exists(dir / JournaledSession::kJournal));
+}
+
+// Resume-journal fuzz: a real three-record optimizer journal, corrupted
+// by truncation at every byte offset, by flipping each byte of the middle
+// record, by replacing each of its numbers with 1e999 and -0, and by
+// values of the wrong shape (array <-> object, a `point` one coordinate
+// short or long). After each corruption the resume either reproduces the
+// uninterrupted run bit for bit or fails with a util::Error subtype;
+// anything else (another exception type, a crash, a hang, UB under the
+// sanitizers) fails here. A flipped digit still parses: only the
+// record's digest tells it from the original.
+TEST(SessionedRun, CorruptJournalResumesBitIdenticallyOrFailsTyped) {
+  JournaledSession s("journal_fuzz");
+  const std::string& journal = s.journal;
+  const std::size_t middle_begin = journal.find('\n') + 1;
+  const std::size_t middle_end = journal.find('\n', middle_begin);
+  ASSERT_NE(journal.find('\n', middle_end + 1), std::string::npos);
+  ASSERT_EQ(journal.find('\n', journal.find('\n', middle_end + 1) + 1),
+            std::string::npos);
+  const std::string middle =
+      journal.substr(middle_begin, middle_end - middle_begin);
+
+  const fs::path dir = scratch_dir("journal_fuzz");
+  const fs::path probe = scratch_dir("journal_fuzz_probe") / "probe.jsonl";
+  fs::create_directories(probe.parent_path());
+  // The resume depends only on the journal prefix the reader accepts:
+  // the torn tail after it is dropped and overwritten. Corruptions that
+  // leave an already tried prefix are checked once.
+  std::set<std::string> tried;
+  std::size_t matched = 0;
+  std::size_t rejected = 0;
+  const auto resume_with = [&](const std::string& bytes,
+                               const std::string& what) -> bool {
+    std::ofstream(probe, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+      const util::Journal read = util::read_journal(probe);
+      if (!tried.insert(bytes.substr(0, read.bytes)).second) return true;
+    } catch (const util::Error&) {
+      // Rejected by the reader; the resume below must reject it too.
+    }
+    try {
+      s.expect_reference(s.resume_with(dir, bytes), what);
+      ++matched;
+      return true;
+    } catch (const util::Error&) {
+      ++rejected;
+      return false;
+    }
+  };
+  const auto with_middle = [&](std::size_t begin, std::size_t end,
+                               std::string_view replacement) {
+    std::string bytes = journal;
+    bytes.replace(middle_begin + begin, end - begin, replacement);
+    return bytes;
+  };
+
+  for (std::size_t n = 0; n <= journal.size(); ++n) {
+    EXPECT_TRUE(resume_with(journal.substr(0, n), "cut at " + std::to_string(n)))
+        << "a torn tail is dropped, never an error (cut at " << n << ")";
+  }
+  const std::size_t matched_cuts = matched;
+  // A flip in a 17th significant digit can leave the value unchanged;
+  // such a record resumes, and resume_with checks the result.
+  for (std::size_t i = 0; i < middle.size(); ++i) {
+    const std::string flipped(1, static_cast<char>(middle[i] ^ 0x01));
+    (void)resume_with(with_middle(i, i + 1, flipped),
+                      "byte " + std::to_string(i) + " flipped");
+  }
+  const std::size_t rejected_flips = rejected;
+  for (const auto& [begin, end] : json_values(middle, 'n')) {
+    EXPECT_FALSE(resume_with(with_middle(begin, end, "1e999"),
+                             "number at " + std::to_string(begin) + " 1e999"))
+        << "number at " << begin << " replaced with 1e999";
+    // -0 for a 0 is the same value and may resume; resume_with then
+    // checks the result is the uninterrupted one.
+    (void)resume_with(with_middle(begin, end, "-0"),
+                      "number at " + std::to_string(begin) + " -0");
+  }
+  for (const char shape : {'[', '{'}) {
+    for (const auto& [begin, end] : json_values(middle, shape)) {
+      EXPECT_FALSE(resume_with(
+          with_middle(begin, end, shape == '[' ? "{}" : "[]"),
+          "value at " + std::to_string(begin) + " reshaped"))
+          << "value at " << begin << " reshaped";
+    }
+  }
+  for (const std::string_view key : {"\"center\":[", "\"best_point\":["}) {
+    const std::size_t open = middle.find(key) + key.size() - 1;
+    const std::size_t close = middle.find(']', open);
+    const std::size_t last_comma = middle.rfind(',', close);
+    ASSERT_GT(last_comma, open) << key;
+    EXPECT_FALSE(resume_with(with_middle(last_comma, close, ""),
+                             std::string(key) + " short"))
+        << key << " one coordinate short";
+    EXPECT_FALSE(resume_with(with_middle(close, close, ",0.5"),
+                             std::string(key) + " long"))
+        << key << " one coordinate long";
+  }
+  // The cuts resume from each of 0 to 3 records; nearly every flip
+  // changes a value or breaks the syntax.
+  EXPECT_GE(matched_cuts, 4u);
+  EXPECT_GT(rejected_flips, middle.size() * 9 / 10);
 }
 
 // The dedupe regression for the monolith split: run() is coarse search

@@ -231,12 +231,10 @@ TEST(Telemetry, MarkdownReportIncludesFarmCounters) {
   const auto flow = fake_flow();
   const auto space = three_event_space();
   const std::vector<EventId> events{EventId{0}, EventId{1}, EventId{2}};
-  batch::TelemetrySnapshot farm;
+  exec::TelemetrySnapshot farm;
   farm.simulations = 6000;
   farm.chunks = 94;
-  farm.steals = 3;
-  farm.enqueued = 94;
-  farm.max_queue_depth = 10;
+  farm.exceptions = 2;
   farm.runs = 3;
   farm.busy_ns = 94'000'000;  // 1,000 us mean chunk
   farm.chunk_latency[9] = 94;
@@ -251,7 +249,7 @@ TEST(Telemetry, MarkdownReportIncludesFarmCounters) {
   EXPECT_NE(text.find("## Run telemetry"), std::string::npos);
   EXPECT_NE(text.find("Farm counters: 6,000 sims in 94 chunks"),
             std::string::npos);
-  EXPECT_NE(text.find("3 stolen"), std::string::npos);
+  EXPECT_NE(text.find("(2 exceptions, 3 runs)"), std::string::npos);
   EXPECT_NE(text.find("Mean chunk wall time: 1000.0 us"), std::string::npos);
   EXPECT_NE(text.find("| [512, 1024) us | 94 |"), std::string::npos);
   std::error_code ec;

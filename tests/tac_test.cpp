@@ -5,9 +5,9 @@
 
 #include <vector>
 
-#include "batch/sim_farm.hpp"
 #include "coverage/repository.hpp"
 #include "duv/io_unit.hpp"
+#include "exec/thread_farm.hpp"
 #include "tac/tac.hpp"
 #include "util/error.hpp"
 
@@ -111,7 +111,7 @@ TEST(Tac, TemplatesHittingRanked) {
 // point of phase 1 (paper §IV-B).
 TEST(Tac, FindsCrcTemplateOnIoUnit) {
   const duv::IoUnit io;
-  batch::SimFarm farm(2);
+  exec::ThreadFarm farm(2);
   CoverageRepository repo(io.space().size());
   const auto suite = io.suite();
   for (std::size_t j = 0; j < suite.size(); ++j) {

@@ -1,7 +1,8 @@
-// Tests for the batch simulation farm: determinism across worker
-// counts, job batching, accounting, edge cases (zero counts), and the
-// v2 guarantees — exception propagation, drain-on-destruct, work
-// stealing telemetry.
+// Tests for the in-process thread farm: determinism across worker
+// counts, job batching, accounting, edge cases (zero counts), exception
+// propagation, concurrent callers and drain-on-destruct. The suite names
+// SimFarm and SimFarmV2 predate the farm's current class name and are
+// kept so the test ids stay stable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +11,9 @@
 #include <thread>
 #include <vector>
 
-#include "batch/sim_farm.hpp"
-#include "cdg/cdg_objective.hpp"
 #include "exec/thread_farm.hpp"
+
+#include "cdg/cdg_objective.hpp"
 #include "cdg/skeletonizer.hpp"
 #include "duv/io_unit.hpp"
 #include "duv/l3_cache.hpp"
@@ -20,7 +21,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
-namespace ascdg::batch {
+namespace ascdg::exec {
 namespace {
 
 /// Forwards to an inner unit but throws after `fail_after` simulations —
@@ -57,7 +58,7 @@ class ThrowingDuv final : public duv::Duv {
 };
 
 /// Forwards to an inner unit with an artificial per-simulation delay,
-/// so tests can observe the farm with work still queued.
+/// so tests can observe the farm with a run still in flight.
 class SlowDuv final : public duv::Duv {
  public:
   explicit SlowDuv(const duv::Duv& inner) : inner_(&inner) {}
@@ -73,6 +74,7 @@ class SlowDuv final : public duv::Duv {
   }
   [[nodiscard]] coverage::CoverageVector simulate(
       const tgen::TestTemplate& tmpl, std::uint64_t seed) const override {
+    started_.store(true, std::memory_order_release);
     std::this_thread::sleep_for(std::chrono::microseconds(100));
     return inner_->simulate(tmpl, seed);
   }
@@ -80,8 +82,14 @@ class SlowDuv final : public duv::Duv {
     return inner_->suite();
   }
 
+  /// True once any simulation has begun.
+  [[nodiscard]] bool started() const noexcept {
+    return started_.load(std::memory_order_acquire);
+  }
+
  private:
   const duv::Duv* inner_;
+  mutable std::atomic<bool> started_{false};
 };
 
 TEST(SimFarm, ResultIndependentOfWorkerCount) {
@@ -89,7 +97,7 @@ TEST(SimFarm, ResultIndependentOfWorkerCount) {
   const auto& tmpl = io.defaults();
   coverage::SimStats reference;
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    SimFarm farm(workers);
+    ThreadFarm farm(workers);
     const auto stats = farm.run(io, tmpl, 500, 42);
     if (workers == 1) {
       reference = stats;
@@ -103,10 +111,10 @@ TEST(SimFarm, RunAllIndependentOfWorkerCount) {
   const duv::L3Cache l3;
   const auto suite = l3.suite();
   ASSERT_GE(suite.size(), 2u);
-  std::vector<SimFarm::Job> jobs{{&suite[0], 150, 7}, {&suite[1], 90, 8}};
+  std::vector<Job> jobs{{&suite[0], 150, 7}, {&suite[1], 90, 8}};
   std::vector<coverage::SimStats> reference;
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    SimFarm farm(workers);
+    ThreadFarm farm(workers);
     auto batch = farm.run_all(l3, jobs);
     if (workers == 1) {
       reference = std::move(batch);
@@ -119,7 +127,7 @@ TEST(SimFarm, RunAllIndependentOfWorkerCount) {
 TEST(SimFarm, MatchesDirectSerialSimulation) {
   const duv::IoUnit io;
   const auto& tmpl = io.defaults();
-  SimFarm farm(3);
+  ThreadFarm farm(3);
   const auto farm_stats = farm.run(io, tmpl, 200, 7);
 
   coverage::SimStats direct(io.space().size());
@@ -134,8 +142,8 @@ TEST(SimFarm, RunAllPreservesJobOrderAndSeeds) {
   const duv::L3Cache l3;
   const auto suite = l3.suite();
   ASSERT_GE(suite.size(), 3u);
-  SimFarm farm(2);
-  std::vector<SimFarm::Job> jobs;
+  ThreadFarm farm(2);
+  std::vector<Job> jobs;
   for (std::size_t j = 0; j < 3; ++j) {
     jobs.push_back({&suite[j], 100, 1000 + j});
   }
@@ -149,7 +157,7 @@ TEST(SimFarm, RunAllPreservesJobOrderAndSeeds) {
 
 TEST(SimFarm, DifferentSeedsGiveDifferentStats) {
   const duv::IoUnit io;
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   const auto a = farm.run(io, io.defaults(), 300, 1);
   const auto b = farm.run(io, io.defaults(), 300, 2);
   EXPECT_FALSE(a == b);
@@ -157,7 +165,7 @@ TEST(SimFarm, DifferentSeedsGiveDifferentStats) {
 
 TEST(SimFarm, CountsSimulations) {
   const duv::IoUnit io;
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   EXPECT_EQ(farm.total_simulations(), 0u);
   (void)farm.run(io, io.defaults(), 130, 5);
   EXPECT_EQ(farm.total_simulations(), 130u);
@@ -167,36 +175,36 @@ TEST(SimFarm, CountsSimulations) {
 
 TEST(SimFarm, ZeroCountJobReturnsEmptyStats) {
   const duv::IoUnit io;
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   const auto stats = farm.run(io, io.defaults(), 0, 5);
   EXPECT_EQ(stats.sims(), 0u);
 }
 
 TEST(SimFarm, RunAllWithEmptyJobList) {
   const duv::IoUnit io;
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   const auto results = farm.run_all(io, {});
   EXPECT_TRUE(results.empty());
 }
 
 TEST(SimFarm, StatsSimsMatchRequestedCount) {
   const duv::IoUnit io;
-  SimFarm farm(4);
+  ThreadFarm farm(4);
   // Non-multiple of the internal chunk size.
   const auto stats = farm.run(io, io.defaults(), 257, 3);
   EXPECT_EQ(stats.sims(), 257u);
 }
 
 TEST(SimFarm, DefaultWorkerCountIsPositive) {
-  SimFarm farm;
+  ThreadFarm farm;
   EXPECT_GE(farm.worker_count(), 1u);
 }
 
 TEST(SimFarm, ManySmallJobsComplete) {
   const duv::IoUnit io;
   const auto& tmpl = io.defaults();
-  SimFarm farm(2);
-  std::vector<SimFarm::Job> jobs(40, SimFarm::Job{&tmpl, 5, 0});
+  ThreadFarm farm(2);
+  std::vector<Job> jobs(40, Job{&tmpl, 5, 0});
   for (std::size_t j = 0; j < jobs.size(); ++j) jobs[j].seed_root = j;
   const auto results = farm.run_all(io, jobs);
   ASSERT_EQ(results.size(), 40u);
@@ -209,7 +217,7 @@ class ChunkBoundary : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ChunkBoundary, CountsAroundChunkSizeAreExact) {
   const duv::IoUnit io;
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   const std::size_t count = GetParam();
   const auto stats = farm.run(io, io.defaults(), count, 11);
   EXPECT_EQ(stats.sims(), count);
@@ -228,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(Batch, ChunkBoundary,
 
 TEST(SimFarm, ConcurrentCallersShareThePool) {
   const duv::IoUnit io;
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   coverage::SimStats a, b;
   std::thread caller([&] { a = farm.run(io, io.defaults(), 100, 21); });
   b = farm.run(io, io.defaults(), 100, 22);
@@ -254,7 +262,7 @@ TEST(SimFarm, ConcurrentCallersShareThePool) {
 TEST(SimFarmV2, ThrowingSimulationPropagatesInsteadOfHanging) {
   const duv::IoUnit io;
   const ThrowingDuv bad(io, /*fail_after=*/0);
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   EXPECT_THROW((void)farm.run(bad, io.defaults(), 200, 1), util::Error);
 }
 
@@ -262,7 +270,7 @@ TEST(SimFarmV2, ThrowMidRunStillPropagates) {
   const duv::IoUnit io;
   // Several chunks complete before the failure hits.
   const ThrowingDuv bad(io, /*fail_after=*/150);
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   EXPECT_THROW((void)farm.run(bad, io.defaults(), 512, 1), util::Error);
   EXPECT_GE(farm.telemetry().exceptions, 1u);
 }
@@ -270,7 +278,7 @@ TEST(SimFarmV2, ThrowMidRunStillPropagates) {
 TEST(SimFarmV2, ExceptionMessageSurvives) {
   const duv::IoUnit io;
   const ThrowingDuv bad(io);
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   try {
     (void)farm.run(bad, io.defaults(), 64, 1);
     FAIL() << "run() must rethrow the DUV exception";
@@ -282,7 +290,7 @@ TEST(SimFarmV2, ExceptionMessageSurvives) {
 TEST(SimFarmV2, FarmUsableAfterException) {
   const duv::IoUnit io;
   const ThrowingDuv bad(io);
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   EXPECT_THROW((void)farm.run(bad, io.defaults(), 128, 1), util::Error);
   const auto stats = farm.run(io, io.defaults(), 100, 5);
   EXPECT_EQ(stats.sims(), 100u);
@@ -291,8 +299,8 @@ TEST(SimFarmV2, FarmUsableAfterException) {
 TEST(SimFarmV2, RunAllWithZeroCountJobsMixedIn) {
   const duv::IoUnit io;
   const auto& tmpl = io.defaults();
-  SimFarm farm(2);
-  std::vector<SimFarm::Job> jobs{
+  ThreadFarm farm(2);
+  std::vector<Job> jobs{
       {&tmpl, 100, 1}, {&tmpl, 0, 2}, {&tmpl, 70, 3}, {&tmpl, 0, 4}};
   const auto results = farm.run_all(io, jobs);
   ASSERT_EQ(results.size(), 4u);
@@ -307,8 +315,8 @@ TEST(SimFarmV2, RunAllWithZeroCountJobsMixedIn) {
 TEST(SimFarmV2, JobsFarExceedWorkers) {
   const duv::IoUnit io;
   const auto& tmpl = io.defaults();
-  SimFarm farm(2);
-  std::vector<SimFarm::Job> jobs(300, SimFarm::Job{&tmpl, 3, 0});
+  ThreadFarm farm(2);
+  std::vector<Job> jobs(300, Job{&tmpl, 3, 0});
   for (std::size_t j = 0; j < jobs.size(); ++j) jobs[j].seed_root = j;
   const auto results = farm.run_all(io, jobs);
   ASSERT_EQ(results.size(), 300u);
@@ -326,21 +334,18 @@ TEST(SimFarmV2, JobsFarExceedWorkers) {
 
 TEST(SimFarmV2, TelemetryCountersAreConsistent) {
   const duv::IoUnit io;
-  SimFarm farm(2);
+  ThreadFarm farm(2);
   (void)farm.run(io, io.defaults(), 130, 5);  // 3 chunks (64+64+2)
   const auto& tmpl = io.defaults();
-  std::vector<SimFarm::Job> jobs{{&tmpl, 64, 1}, {&tmpl, 64, 2}};
+  std::vector<Job> jobs{{&tmpl, 64, 1}, {&tmpl, 64, 2}};
   (void)farm.run_all(io, jobs);  // 2 chunks
 
   const TelemetrySnapshot snap = farm.telemetry();
   EXPECT_EQ(snap.simulations, 258u);
   EXPECT_EQ(snap.simulations, farm.total_simulations());
   EXPECT_EQ(snap.chunks, 5u);
-  EXPECT_EQ(snap.enqueued, 5u);
   EXPECT_EQ(snap.runs, 2u);
   EXPECT_EQ(snap.exceptions, 0u);
-  EXPECT_GE(snap.max_queue_depth, 1u);
-  EXPECT_LE(snap.steals, snap.chunks);
   EXPECT_GT(snap.busy_ns, 0u);
   std::size_t histogram_total = 0;
   for (const std::size_t count : snap.chunk_latency) histogram_total += count;
@@ -351,53 +356,20 @@ TEST(SimFarmV2, TelemetryCountersAreConsistent) {
 TEST(SimFarmV2, DestructorDrainsInFlightRun) {
   const duv::IoUnit io;
   const SlowDuv slow(io);
-  auto farm = std::make_unique<SimFarm>(2);
+  auto farm = std::make_unique<ThreadFarm>(2);
   // The helper thread must not touch the unique_ptr itself — reset()
   // below writes it concurrently; only the pointee is synchronized.
-  SimFarm* const raw = farm.get();
+  ThreadFarm* const raw = farm.get();
   coverage::SimStats stats;
   std::thread caller(
       [&stats, raw, &slow, &io] { stats = raw->run(slow, io.defaults(), 256, 3); });
-  // Wait until all 4 chunks are queued, then tear the farm down while
-  // they are still in flight: v2 drains instead of dropping them.
-  while (raw->telemetry().enqueued < 4) std::this_thread::yield();
+  // Wait until the run is simulating, then tear the farm down while it
+  // is still in flight: the destructor waits for it instead of dropping
+  // its chunks.
+  while (!slow.started()) std::this_thread::yield();
   farm.reset();
   caller.join();
   EXPECT_EQ(stats.sims(), 256u);
-}
-
-// Regression: the pre-registry queue-depth gauge was updated with a
-// non-atomic read-modify-write racing enqueue against steal, so after a
-// run it could drift away from zero and the recorded peak could be
-// garbage. The obs::Gauge keeps one atomic cell with matched inc/dec,
-// so an idle farm must read exactly zero — under concurrent run_all
-// callers too (this test runs under TSan in CI).
-TEST(SimFarmV2, QueueDepthGaugeIsConsistentUnderConcurrentRuns) {
-  const duv::IoUnit io;
-  const auto& tmpl = io.defaults();
-  SimFarm farm(4);
-  constexpr std::size_t kCallers = 4;
-  std::vector<std::thread> callers;
-  for (std::size_t t = 0; t < kCallers; ++t) {
-    callers.emplace_back([&farm, &io, &tmpl, t] {
-      std::vector<SimFarm::Job> jobs(8, SimFarm::Job{&tmpl, 16, 0});
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        jobs[j].seed_root = t * 100 + j;
-      }
-      for (int round = 0; round < 5; ++round) (void)farm.run_all(io, jobs);
-    });
-  }
-  for (auto& caller : callers) caller.join();
-
-  const TelemetrySnapshot snap = farm.telemetry();
-  // Matched inc/dec: nothing queued once every run_all returned.
-  EXPECT_EQ(snap.queue_depth, 0u);
-  // 4 callers x 5 rounds x 8 jobs, one chunk each (16 < chunk size).
-  EXPECT_EQ(snap.enqueued, kCallers * 5u * 8u);
-  EXPECT_EQ(snap.chunks, snap.enqueued);
-  EXPECT_GE(snap.max_queue_depth, 1u);
-  EXPECT_LE(snap.max_queue_depth, snap.enqueued);
-  EXPECT_EQ(snap.simulations, kCallers * 5u * 8u * 16u);
 }
 
 // Batched objective evaluation through the shared farm, under TSan in
@@ -425,7 +397,7 @@ TEST(SimFarmV2, ConcurrentBatchedEvaluationsAreRaceFreeAndDeterministic) {
     seeds.push_back(5000 + i);
   }
 
-  exec::ThreadFarm farm(4);
+  ThreadFarm farm(4);
   // Reference: a single caller evaluating the same batch.
   cdg::CdgObjective reference(io, farm, skeleton, target, 20);
   const std::vector<double> expected = reference.evaluate_batch(xs, seeds);
@@ -452,18 +424,46 @@ TEST(SimFarmV2, ExceptionInOneJobOfManyRetiresTheWholeCall) {
   const duv::IoUnit io;
   const ThrowingDuv bad(io, /*fail_after=*/40);
   const auto& tmpl = io.defaults();
-  SimFarm farm(4);
-  std::vector<SimFarm::Job> jobs(10, SimFarm::Job{&tmpl, 64, 0});
+  ThreadFarm farm(4);
+  std::vector<Job> jobs(10, Job{&tmpl, 64, 0});
   for (std::size_t j = 0; j < jobs.size(); ++j) jobs[j].seed_root = j;
   EXPECT_THROW((void)farm.run_all(bad, jobs), util::Error);
-  // Every chunk retired (nothing left queued): an immediate clean run
-  // works and the counters balance.
+  // The failed run retired: an immediate clean run works and the
+  // counters balance.
   const auto stats = farm.run(io, tmpl, 64, 9);
   EXPECT_EQ(stats.sims(), 64u);
   const TelemetrySnapshot snap = farm.telemetry();
-  EXPECT_EQ(snap.enqueued, 11u);
+  EXPECT_EQ(snap.runs, 2u);
   EXPECT_GE(snap.exceptions, 1u);
 }
 
+// Back-to-back one-chunk runs on more workers than chunks: most workers
+// find the cursor already past the end and check out at once. Under TSan
+// (CI) this checks that no worker ever touches a finished run — a stale
+// claim would race the caller's stack-allocated run or steal a chunk of
+// the next one, and the results would stop matching.
+TEST(ThreadFarm, BackToBackOneChunkRunsMatchSerialReference) {
+  const duv::IoUnit io;
+  const auto& tmpl = io.defaults();
+  constexpr std::size_t kRuns = 2000;
+  constexpr std::size_t kSims = 4;
+  ThreadFarm farm(8);
+  for (std::size_t r = 0; r < kRuns; ++r) {
+    const Job job{&tmpl, kSims, r};
+    const auto results = farm.run_all(io, std::span<const Job>(&job, 1));
+    coverage::SimStats direct(io.space().size());
+    const util::SeedStream seeds(r);
+    for (std::size_t i = 0; i < kSims; ++i) {
+      direct.record(io.simulate(tmpl, seeds.at(i)));
+    }
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_EQ(results[0], direct) << "run " << r;
+  }
+  const TelemetrySnapshot snap = farm.telemetry();
+  EXPECT_EQ(snap.runs, kRuns);
+  EXPECT_EQ(snap.chunks, kRuns);
+  EXPECT_EQ(snap.simulations, kRuns * kSims);
+}
+
 }  // namespace
-}  // namespace ascdg::batch
+}  // namespace ascdg::exec

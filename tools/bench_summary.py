@@ -5,26 +5,19 @@ CI runs several bench binaries and archives each raw JSON; this script
 reduces them to the handful of headline numbers a human (or a trend
 dashboard) actually tracks per commit:
 
-  * batched simulation throughput (wall-clock sims/sec) at 1 worker and
-    at 8 workers, from BM_FarmRunAllBatched — the batch-of-seeds kernel
-    path, the repo's primary throughput headline;
-  * the batched-vs-scalar-dispatch speedup (BM_FarmRunAllBatched over
-    BM_FarmRunAllScalar at 8 workers);
+  * the thread farm's wall-clock sims/sec at 1 worker and at 8 workers,
+    from BM_ThreadFarmRunAll — the repo's throughput headline;
   * the fork-based process backend's wall-clock sims/sec at 1 and 8
     workers (BM_ProcessFarmRunAll) — informational, no regression gate:
     the pipe-protocol overhead is the price of crash isolation, and its
     cost profile is workload-shaped rather than code-shaped;
-  * cpu-time sims/sec at 1 and 8 workers from the BM_FarmRun scaling
-    sweep, plus the farm's full worker-scaling curve;
   * the --timeline sampling cost (BM_TimeSeriesSample);
   * per-benchmark medians (real time + items/sec) across every input
     file, so repeated or re-run benches aggregate instead of clobbering.
 
 Stdlib only — CI must not need a pip install. Exits non-zero when a
 required headline benchmark is missing from the inputs, so a silently
-renamed bench fails the pipeline instead of producing a hollow summary —
-and when the batched farm path is slower than the scalar-dispatch
-baseline, so a regression that undoes the batching win fails the build.
+renamed bench fails the pipeline instead of producing a hollow summary.
 
 Usage: bench_summary.py -o BENCH_summary.json BENCH_a.json [BENCH_b.json ...]
 """
@@ -37,15 +30,12 @@ import sys
 
 SCHEMA = "ascdg-bench-summary-v1"
 
-# Headline benches the summary cannot do without. The batched farm pair
-# carries google-benchmark's /real_time suffix (UseRealTime): wall-clock
-# sims/sec is the headline, not summed-CPU-time throughput.
+# Headline benches the summary cannot do without. The farm benches carry
+# google-benchmark's /real_time suffix (UseRealTime): wall-clock sims/sec
+# is the headline, not the CPU time of a caller blocked in run_all.
 REQUIRED = [
-    "BM_FarmRun/1",
-    "BM_FarmRun/8",
-    "BM_FarmRunAllBatched/1/real_time",
-    "BM_FarmRunAllBatched/8/real_time",
-    "BM_FarmRunAllScalar/8/real_time",
+    "BM_ThreadFarmRunAll/1/real_time",
+    "BM_ThreadFarmRunAll/8/real_time",
     "BM_TimeSeriesSample",
 ]
 
@@ -105,21 +95,9 @@ def main(argv):
             record["items_per_second"] = items
         medians[name] = record
 
-    farm_scaling = {}
-    for name, entries in by_name.items():
-        match = re.fullmatch(r"BM_FarmRun/(\d+)", name)
-        if match:
-            farm_scaling[match.group(1)] = median_of(entries, "items_per_second")
-
-    def batched(workers):
+    def thread_farm(workers):
         return median_of(
-            by_name["BM_FarmRunAllBatched/%d/real_time" % workers],
-            "items_per_second",
-        )
-
-    def scalar(workers):
-        return median_of(
-            by_name["BM_FarmRunAllScalar/%d/real_time" % workers],
+            by_name["BM_ThreadFarmRunAll/%d/real_time" % workers],
             "items_per_second",
         )
 
@@ -129,47 +107,23 @@ def main(argv):
         entries = by_name.get("BM_ProcessFarmRunAll/%d/real_time" % workers)
         return median_of(entries, "items_per_second") if entries else None
 
-    batched_8w = batched(8)
-    scalar_8w = scalar(8)
-    batched_speedup = (
-        batched_8w / scalar_8w if batched_8w and scalar_8w else None
-    )
-
     summary = {
         "schema": SCHEMA,
         "inputs": args.inputs,
         # The headline: wall-clock simulations per second through the
-        # batched (simulate_batch) farm path, serially and at the
-        # paper's 8-worker configuration.
-        "batched_sims_per_sec_1_worker": batched(1),
-        "batched_sims_per_sec_8_workers": batched_8w,
-        # Scalar-dispatch baseline (one simulate() per instance, no
-        # shared compiled tables) and the batched-over-scalar ratio.
-        "scalar_sims_per_sec_8_workers": scalar_8w,
-        "batched_speedup_8_workers": batched_speedup,
+        # thread farm, serially and at the paper's 8-worker
+        # configuration.
+        "sims_per_sec_1_worker": thread_farm(1),
+        "sims_per_sec_8_workers": thread_farm(8),
         # Fork-based process backend throughput (None when the bench did
         # not run). Tracked for trend visibility only — never gated.
         "process_sims_per_sec_1_worker": process_farm(1),
         "process_sims_per_sec_8_workers": process_farm(8),
-        # Legacy cpu-time headlines from the BM_FarmRun sweep (kept for
-        # trend continuity with pre-batching summaries).
-        "sims_per_sec_1_worker": farm_scaling.get("1"),
-        "sims_per_sec_8_workers": farm_scaling.get("8"),
-        "farm_sims_per_sec_by_workers": farm_scaling,
         "timeline_sample_ns": median_of(
             by_name["BM_TimeSeriesSample"], "real_time"
         ),
         "medians": medians,
     }
-
-    if batched_speedup is not None and batched_speedup < 1.0:
-        print(
-            "bench_summary: batched farm path regressed below the scalar "
-            "baseline (%.0f vs %.0f sims/s at 8 workers, speedup %.2fx)"
-            % (batched_8w, scalar_8w, batched_speedup),
-            file=sys.stderr,
-        )
-        return 1
 
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=False)
@@ -177,13 +131,12 @@ def main(argv):
     process_8w = summary["process_sims_per_sec_8_workers"]
     print(
         "bench_summary: %d benchmarks -> %s "
-        "(batched 1w %.0f sims/s, 8w %.0f sims/s, %.2fx over scalar%s)"
+        "(thread 1w %.0f sims/s, 8w %.0f sims/s%s)"
         % (
             len(medians),
             args.output,
-            summary["batched_sims_per_sec_1_worker"] or 0.0,
-            summary["batched_sims_per_sec_8_workers"] or 0.0,
-            batched_speedup or 0.0,
+            summary["sims_per_sec_1_worker"] or 0.0,
+            summary["sims_per_sec_8_workers"] or 0.0,
             ", process 8w %.0f sims/s" % process_8w if process_8w else "",
         )
     )

@@ -8,10 +8,10 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "batch/sim_farm.hpp"
 #include "duv/ifu.hpp"
 #include "duv/io_unit.hpp"
 #include "duv/l3_cache.hpp"
+#include "exec/thread_farm.hpp"
 #include "report/report.hpp"
 #include "tgen/parser.hpp"
 #include "util/strings.hpp"
@@ -21,7 +21,7 @@ namespace {
 
 using namespace ascdg;
 
-void dump_family(const duv::Duv& duv, batch::SimFarm& farm,
+void dump_family(const duv::Duv& duv, exec::ThreadFarm& farm,
                  const std::vector<coverage::EventId>& family,
                  const tgen::TestTemplate& tuned, std::size_t sims) {
   std::cout << "\n### " << duv.name() << " ###\n";
@@ -58,7 +58,7 @@ void dump_family(const duv::Duv& duv, batch::SimFarm& farm,
   table.render(std::cout, false);
 }
 
-void dump_ifu_statuses(const duv::Ifu& ifu, batch::SimFarm& farm,
+void dump_ifu_statuses(const duv::Ifu& ifu, exec::ThreadFarm& farm,
                        const tgen::TestTemplate& tuned, std::size_t sims) {
   const auto family = ifu.space().family_events("ifu");
   coverage::SimStats total(ifu.space().size());
@@ -83,7 +83,7 @@ void dump_ifu_statuses(const duv::Ifu& ifu, batch::SimFarm& farm,
 int main(int argc, char** argv) {
   const std::size_t sims =
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 4000;
-  batch::SimFarm farm;
+  exec::ThreadFarm farm;
 
   const duv::IoUnit io;
   dump_family(io, farm, io.crc_family(), tgen::parse_template(R"(
