@@ -102,8 +102,8 @@ void BM_EvalBatchDispatch(benchmark::State& state) {
     for (auto& seed : seeds) seed = next_seed++;
     benchmark::DoNotOptimize(objective.evaluate_batch(xs, seeds));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
-                                                    batch * kSimsPerPoint));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch * kSimsPerPoint));
 }
 BENCHMARK(BM_EvalBatchDispatch)
     ->ArgNames({"batch", "workers"})

@@ -69,7 +69,7 @@ void BM_TemplateParse(benchmark::State& state) {
     benchmark::DoNotOptimize(tgen::parse_template(text));
   }
   state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations() * text.size()));
+      state.iterations() * static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_TemplateParse);
 
@@ -193,23 +193,28 @@ void BM_TacBestTemplates(benchmark::State& state) {
 }
 BENCHMARK(BM_TacBestTemplates);
 
-// The flow's hot shape: many independent jobs (one per sampled
-// template) fanned across the backend's workers in one run_all call.
-// Real time, so items/sec is the backend's wall-clock sims/sec rather
-// than the CPU time of a caller blocked in run_all.
-void run_all_loop(benchmark::State& state, exec::Backend& farm) {
-  const duv::IoUnit io;
-  const auto& tmpl = io.defaults();
-  constexpr std::size_t kJobs = 32;
-  constexpr std::size_t kSimsPerJob = 64;
-  std::vector<exec::Job> jobs(kJobs, exec::Job{&tmpl, kSimsPerJob, 0});
+// `job_n` jobs of `sims_per_job` simulations of `tmpl`, one run_all
+// call per iteration. Real time, so items/sec is the backend's
+// wall-clock sims/sec rather than the CPU time of a caller blocked in
+// run_all.
+void run_jobs_loop(benchmark::State& state, exec::Backend& farm,
+                   const duv::Duv& unit, const tgen::TestTemplate& tmpl,
+                   std::size_t job_n, std::size_t sims_per_job) {
+  std::vector<exec::Job> jobs(job_n, exec::Job{&tmpl, sims_per_job, 0});
   std::uint64_t seed = 1;
   for (auto _ : state) {
     for (auto& job : jobs) job.seed_root = seed++;
-    benchmark::DoNotOptimize(farm.run_all(io, jobs));
+    benchmark::DoNotOptimize(farm.run_all(unit, jobs));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kJobs * kSimsPerJob));
+                          static_cast<std::int64_t>(job_n * sims_per_job));
+}
+
+// The flow's hot shape: many independent jobs (one per sampled
+// template) fanned across the backend's workers in one run_all call.
+void run_all_loop(benchmark::State& state, exec::Backend& farm) {
+  const duv::IoUnit io;
+  run_jobs_loop(state, farm, io, io.defaults(), 32, 64);
 }
 
 // The in-process thread farm: the repo's throughput headline
@@ -219,6 +224,22 @@ void BM_ThreadFarmRunAll(benchmark::State& state) {
   run_all_loop(state, farm);
 }
 BENCHMARK(BM_ThreadFarmRunAll)->Arg(1)->Arg(8)->UseRealTime();
+
+// The fine-grained flow's sampling shape: 5000 one-chunk jobs of 4 ifu
+// sims at a skeletonized point. Per-job work (compile, partials, merge)
+// outweighs the kernel here, so iteration time is the farm's per-run
+// cost at that shape.
+void BM_ThreadFarmRunAllFine(benchmark::State& state) {
+  const duv::Ifu ifu;
+  const auto skel = cdg::Skeletonizer().skeletonize(ifu.defaults());
+  util::Xoshiro256 rng(0x7E57);
+  std::vector<double> point(skel.mark_count());
+  for (double& weight : point) weight = rng.uniform();
+  const tgen::TestTemplate tmpl = skel.instantiate("point", point);
+  exec::ThreadFarm farm(static_cast<std::size_t>(state.range(0)));
+  run_jobs_loop(state, farm, ifu, tmpl, 5000, 4);
+}
+BENCHMARK(BM_ThreadFarmRunAllFine)->Arg(1)->Arg(8)->UseRealTime();
 
 // BM_ThreadFarmRunAll with the metrics registry mutators short-circuited,
 // for the instrumentation-overhead comparison (acceptance: enabled

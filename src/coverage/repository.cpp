@@ -1,6 +1,7 @@
 #include "coverage/repository.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -61,6 +62,14 @@ void SimStats::merge(const SimStats& other) {
   ASCDG_ASSERT(hits_.size() == other.hits_.size(), "stats size mismatch");
   sims_ += other.sims_;
   for (std::size_t i = 0; i < hits_.size(); ++i) hits_[i] += other.hits_[i];
+}
+
+void SimStats::merge(SimStats&& other) {
+  if (hits_.empty()) {
+    *this = std::move(other);
+    return;
+  }
+  merge(other);
 }
 
 std::size_t SimStats::hits(EventId id) const {

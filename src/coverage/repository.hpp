@@ -35,6 +35,9 @@ class SimStats {
 
   /// Adds another accumulator (associative, commutative).
   void merge(const SimStats& other);
+  /// As above; into an empty accumulator, `other` is moved in instead
+  /// of copied.
+  void merge(SimStats&& other);
 
   [[nodiscard]] std::size_t sims() const noexcept { return sims_; }
   [[nodiscard]] std::size_t event_count() const noexcept { return hits_.size(); }

@@ -61,9 +61,9 @@ class Duv {
       const tgen::TestTemplate& tmpl, std::uint64_t seed) const = 0;
 
   /// Opaque per-template precomputation (resolved parameter tables,
-  /// precompiled distributions, ...). The batch farm compiles each job's
-  /// template once and passes the result to every simulate_batch() call
-  /// of that job.
+  /// precompiled distributions, ...). A thread-farm worker compiles a
+  /// job's template once per job it visits and passes the result to
+  /// each of its simulate_batch() calls for that job.
   class Compiled {
    public:
     virtual ~Compiled() = default;
@@ -76,8 +76,10 @@ class Duv {
 
   /// Precompiles `tmpl` for simulate_batch(). The default returns
   /// nullptr — "no precomputation" — which every simulate_batch()
-  /// implementation must accept. The result is immutable and safe to
-  /// share across threads; it borrows `tmpl`, which must outlive it.
+  /// implementation must accept. Like simulate(), it must be
+  /// thread-safe: farm workers call it concurrently. The result is
+  /// immutable and safe to share across threads; it borrows `tmpl`,
+  /// which must outlive it.
   [[nodiscard]] virtual std::unique_ptr<Compiled> compile(
       const tgen::TestTemplate& tmpl) const {
     (void)tmpl;

@@ -90,14 +90,17 @@ L3Cache::L3Cache() : defaults_("l3_defaults") {
   // --- Coverage events -------------------------------------------------
   std::vector<std::string> byp_suffixes;
   for (std::size_t k = 1; k <= kTrackerDepth; ++k) {
-    byp_suffixes.push_back(k < 10 ? "0" + std::to_string(k)
-                                  : std::to_string(k));
+    std::string suffix = k < 10 ? "0" : "";
+    suffix += std::to_string(k);
+    byp_suffixes.push_back(std::move(suffix));
   }
   byp_events_ = space_.declare_family("byp_reqs", byp_suffixes);
 
   std::vector<std::string> wrq_suffixes;
   for (std::size_t k = 1; k <= kWriteQueueDepth; ++k) {
-    wrq_suffixes.push_back("0" + std::to_string(k));
+    std::string suffix = "0";
+    suffix += std::to_string(k);
+    wrq_suffixes.push_back(std::move(suffix));
   }
   wrq_events_ = space_.declare_family("l3_wrq", wrq_suffixes);
 

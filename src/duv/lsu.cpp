@@ -73,7 +73,9 @@ template lsu_stride_engine {
 Lsu::Lsu() : defaults_("lsu_defaults") {
   std::vector<std::string> suffixes;
   for (std::size_t k = 1; k <= kStoreQueueDepth; ++k) {
-    suffixes.push_back(k < 10 ? "0" + std::to_string(k) : std::to_string(k));
+    std::string suffix = k < 10 ? "0" : "";
+    suffix += std::to_string(k);
+    suffixes.push_back(std::move(suffix));
   }
   fwdq_events_ = space_.declare_family("lsu_fwdq", suffixes);
 

@@ -61,7 +61,10 @@ BackendConfig parse_backend_spec(std::string_view spec) {
 std::string to_string(const BackendConfig& config) {
   std::string out =
       config.kind == BackendConfig::Kind::kThread ? "thread" : "process";
-  if (config.workers != 0) out += ":" + std::to_string(config.workers);
+  if (config.workers != 0) {
+    out += ':';
+    out += std::to_string(config.workers);
+  }
   return out;
 }
 

@@ -249,8 +249,9 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
   }
 
   // Phase 2 — collect every live worker's response (draining keeps the
-  // streams synchronized for the next run), then merge or raise.
-  std::vector<coverage::SimStats> out(job_n, coverage::SimStats(event_count));
+  // streams synchronized for the next run), then merge or raise. A
+  // job's first partial is moved in, later ones are added.
+  std::vector<coverage::SimStats> out(job_n);
   std::size_t merged_sims = 0;
   std::string payload;
   for (std::size_t w = 0; w < worker_n; ++w) {
@@ -296,6 +297,9 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
   if (!first_error.empty()) {
     metrics_.exceptions->inc();
     throw util::Error(first_error);
+  }
+  for (coverage::SimStats& stats : out) {
+    if (stats.event_count() == 0) stats = coverage::SimStats(event_count);
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <string>
 
 #include "util/error.hpp"
@@ -24,27 +25,41 @@ struct Chunk {
   std::size_t end = 0;
 };
 
+/// One worker's hit counts for one job of a run.
+struct JobPartial {
+  std::size_t job = 0;
+  coverage::SimStats stats;
+};
+
 /// Per-worker batch arena: seed and coverage-vector storage reused
 /// across chunks, so the steady-state hot path performs no heap
-/// allocation (simulate_batch overwrites the vectors in place).
+/// allocation (simulate_batch overwrites the vectors in place), plus
+/// the compiled tables of the job the worker is on.
 struct Workspace {
   std::vector<std::uint64_t> seeds;
   std::vector<coverage::CoverageVector> vectors;
+  /// compile() of the job in `job` (nullptr for units that do not
+  /// override Duv::compile — their simulate_batch falls back to the
+  /// scalar loop). Released before the worker checks out.
+  std::unique_ptr<duv::Duv::Compiled> compiled;
+  /// Index of the job `compiled` belongs to; kNoJob between runs.
+  std::size_t job = kNoJob;
+
+  static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 };
 }  // namespace
 
 struct ThreadFarm::Run {
   const duv::Duv* duv = nullptr;
   std::span<const Job> jobs;
-  /// Per-job compiled distribution tables (nullptr for units that do
-  /// not override Duv::compile — their simulate_batch falls back to the
-  /// scalar loop).
-  std::vector<std::unique_ptr<duv::Duv::Compiled>> compiled;
+  std::size_t event_count = 0;
+  /// Job-major: all chunks of job j precede those of job j + 1.
   std::vector<Chunk> chunks;
   /// Next unclaimed chunk; each worker overshoots the end at most once.
   std::atomic<std::size_t> cursor{0};
-  /// (worker, job)-sliced partials, worker-major [w * jobs.size() + j].
-  std::vector<coverage::SimStats> partial;
+  /// partials[w]: worker w's partials in increasing job order, one per
+  /// job it visited (written by worker w alone until it checks out).
+  std::vector<std::vector<JobPartial>> partials;
   std::atomic<bool> failed{false};
   /// First captured exception; written under the farm's mutex_.
   std::exception_ptr error;
@@ -111,7 +126,7 @@ void ThreadFarm::worker_loop(std::size_t index) {
       seen = generation_;
       run = run_;
     }
-    const std::size_t job_n = run->jobs.size();
+    std::vector<JobPartial>& mine = run->partials[index];
     // Fail fast: once one chunk failed, the rest of the run is skipped.
     while (!run->failed.load(std::memory_order_relaxed)) {
       const std::size_t c = run->cursor.fetch_add(1, std::memory_order_relaxed);
@@ -120,6 +135,14 @@ void ThreadFarm::worker_loop(std::size_t index) {
       try {
         const auto start = std::chrono::steady_clock::now();
         const Job& job = run->jobs[chunk.job];
+        if (chunk.job != ws.job) {
+          // The cursor only moves forward over job-major chunks, so this
+          // worker never sees ws.job again: compile the next job's
+          // template and open its partial.
+          ws.compiled = run->duv->compile(*job.tmpl);
+          ws.job = chunk.job;
+          mine.push_back({chunk.job, coverage::SimStats(run->event_count)});
+        }
         const std::size_t n = chunk.end - chunk.begin;
         ws.seeds.resize(n);
         const util::SeedStream stream(job.seed_root);
@@ -130,10 +153,10 @@ void ThreadFarm::worker_loop(std::size_t index) {
           ws.vectors.resize(n, coverage::CoverageVector(0));
         }
         run->duv->simulate_batch(
-            *job.tmpl, run->compiled[chunk.job].get(),
+            *job.tmpl, ws.compiled.get(),
             std::span<const std::uint64_t>(ws.seeds.data(), n),
             std::span<coverage::CoverageVector>(ws.vectors.data(), n));
-        coverage::SimStats& acc = run->partial[index * job_n + chunk.job];
+        coverage::SimStats& acc = mine.back().stats;
         for (std::size_t i = 0; i < n; ++i) acc.record(ws.vectors[i]);
         const auto wall_ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -150,6 +173,9 @@ void ThreadFarm::worker_loop(std::size_t index) {
         run->failed.store(true, std::memory_order_relaxed);
       }
     }
+    // The tables borrow the run's template, which dies with the run.
+    ws.compiled.reset();
+    ws.job = Workspace::kNoJob;
     // Checkout is this worker's last touch of *run: once the count is
     // complete the caller may return and destroy it.
     const std::scoped_lock lock(mutex_);
@@ -166,6 +192,7 @@ std::vector<coverage::SimStats> ThreadFarm::run_all(const duv::Duv& duv,
   Run run;
   run.duv = &duv;
   run.jobs = jobs;
+  run.event_count = event_count;
   for (std::size_t j = 0; j < job_n; ++j) {
     ASCDG_ASSERT(jobs[j].tmpl != nullptr, "job with null template");
     for (std::size_t begin = 0; begin < jobs[j].count; begin += kChunk) {
@@ -173,12 +200,7 @@ std::vector<coverage::SimStats> ThreadFarm::run_all(const duv::Duv& duv,
     }
   }
   if (!run.chunks.empty()) {
-    // Compile every job's template once, before any worker wakes: all
-    // chunks of a job share the read-only tables. A compile failure
-    // propagates from here with no worker involved.
-    run.compiled.reserve(job_n);
-    for (const Job& job : jobs) run.compiled.push_back(duv.compile(*job.tmpl));
-    run.partial.assign(worker_n_ * job_n, coverage::SimStats(event_count));
+    run.partials.resize(worker_n_);
     std::unique_lock lock(mutex_);
     run_ = &run;
     checked_out_ = 0;
@@ -194,10 +216,16 @@ std::vector<coverage::SimStats> ThreadFarm::run_all(const duv::Duv& duv,
       static_cast<std::int64_t>(worker_busy_fraction() * 1e6));
   if (run.error != nullptr) std::rethrow_exception(run.error);
 
-  // Worker-major partials, so this merges in worker order.
-  std::vector<coverage::SimStats> out(job_n, coverage::SimStats(event_count));
-  for (std::size_t k = 0; k < run.partial.size(); ++k) {
-    if (run.partial[k].sims() != 0) out[k % job_n].merge(run.partial[k]);
+  // In worker order: a job's first partial is moved in, later ones are
+  // added; a job no partial reached gets empty stats.
+  std::vector<coverage::SimStats> out(job_n);
+  for (std::vector<JobPartial>& list : run.partials) {
+    for (JobPartial& partial : list) {
+      out[partial.job].merge(std::move(partial.stats));
+    }
+  }
+  for (coverage::SimStats& stats : out) {
+    if (stats.event_count() == 0) stats = coverage::SimStats(event_count);
   }
   return out;
 }

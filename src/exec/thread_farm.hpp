@@ -3,15 +3,21 @@
 // simulates N test-instances of each job's template and accumulates the
 // per-event hit counts. It is the default backend.
 //
-// Scheduling: run_all compiles each job's template once (Duv::compile)
-// on the caller, lays the run out as one list of (job, begin, end)
-// chunks of at most kChunk seeds, publishes it under a new generation
-// and wakes the pool. Workers claim chunks through one atomic cursor,
-// hand each chunk to Duv::simulate_batch over per-worker seed and
-// coverage arenas, and accumulate into per-(worker, job) partials, so
-// the simulation loop takes no lock. A worker checks out once the
-// cursor runs past the end; the caller waits until every worker has
-// checked out, then merges the partials in worker order.
+// Scheduling: run_all only lays the run out, as one job-major list of
+// (job, begin, end) chunks of at most kChunk seeds, publishes it under
+// a new generation and wakes the pool; workers do all per-job work.
+// Workers claim chunks through one atomic cursor. A worker compiles a
+// job's template (Duv::compile) the first time it claims one of that
+// job's chunks and keeps the tables while it claims further chunks of
+// the same job; it hands each chunk to Duv::simulate_batch over
+// per-worker seed and coverage arenas and accumulates into one running
+// partial per job it visits. The cursor only moves forward, so a worker
+// visits jobs in increasing order, each at most once: partial storage
+// is bounded by min(chunks, workers x jobs), and the simulation loop
+// takes no lock. A worker checks out once the cursor runs past the
+// end; the caller waits until every worker has checked out, then
+// builds each job's result from its first partial and merges the rest
+// in worker order.
 //
 // Determinism: the seed of instance i of a job is a pure function of
 // (seed_root, i) via a SeedStream, simulate_batch's out[i] is
@@ -19,10 +25,10 @@
 // accumulation is commutative, so results are bit-identical for any
 // worker count and any claim order.
 //
-// Failure semantics: if a simulation (or stats accumulation) throws,
-// the first exception is captured, workers stop claiming the run's
-// remaining chunks, and run_all rethrows once every worker has checked
-// out — the farm never hangs and stays usable afterwards.
+// Failure semantics: if a compile, a simulation or stats accumulation
+// throws, the first exception is captured, workers stop claiming the
+// run's remaining chunks, and run_all rethrows once every worker has
+// checked out — the farm never hangs and stays usable afterwards.
 //
 // Concurrency: one run at a time. Concurrent run_all callers queue on
 // a run mutex; the destructor takes the same mutex, so a run in flight
@@ -57,7 +63,8 @@ class ThreadFarm final : public Backend {
 
   /// Runs all jobs; results are returned in job order. Thread-safe:
   /// concurrent callers run one after another. Rethrows the first
-  /// exception any simulation raised, after every worker checked out.
+  /// exception any compile or simulation raised, after every worker
+  /// checked out.
   [[nodiscard]] std::vector<coverage::SimStats> run_all(
       const duv::Duv& duv, std::span<const Job> jobs) override;
 

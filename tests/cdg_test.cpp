@@ -171,7 +171,9 @@ TEST_P(SplitRangeProperty, TilesWithoutGapsOrOverlap) {
   EXPECT_EQ(parts.back().second, hi);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     EXPECT_LE(parts[i].first, parts[i].second);
-    if (i > 0) EXPECT_EQ(parts[i].first, parts[i - 1].second + 1);
+    if (i > 0) {
+      EXPECT_EQ(parts[i].first, parts[i - 1].second + 1);
+    }
   }
 }
 

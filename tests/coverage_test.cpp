@@ -163,7 +163,9 @@ TEST(Space, CrossProductReferenceStableAcrossDeclarations) {
   const auto& first = space.declare_cross_product("a", {{"x", 2}});
   const EventId probe = first.first;
   for (int i = 0; i < 10; ++i) {
-    space.declare_cross_product("b" + std::to_string(i), {{"x", 3}});
+    std::string name = "b";
+    name += std::to_string(i);
+    space.declare_cross_product(name, {{"x", 3}});
   }
   // The reference taken before later declarations must still be valid.
   EXPECT_EQ(first.family, "a");
@@ -292,6 +294,21 @@ TEST(SimStatsTest, EmptyStatsAreNeutral) {
   EXPECT_EQ(merged, stats);
   empty.merge(stats);
   EXPECT_EQ(empty, stats);
+}
+
+TEST(SimStatsTest, MergeFromRvalueMovesIntoEmptyAndAddsOtherwise) {
+  SimStats stats(2);
+  CoverageVector vec(2);
+  vec.hit(EventId{1});
+  stats.record(vec);
+  SimStats into;
+  SimStats moved = stats;
+  into.merge(std::move(moved));
+  EXPECT_EQ(into, stats);
+  into.merge(SimStats(stats));
+  EXPECT_EQ(into.sims(), 2u);
+  EXPECT_EQ(into.hits(EventId{1}), 2u);
+  EXPECT_EQ(into.hits(EventId{0}), 0u);
 }
 
 // --------------------------------------------------------------- status --

@@ -126,7 +126,7 @@ TEST_P(UnitContract, UnknownParametersInTemplateAreIgnored) {
 
 INSTANTIATE_TEST_SUITE_P(Duv, UnitContract,
                          ::testing::Values("io_unit", "l3_cache", "ifu", "lsu"),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& p) { return std::string(p.param); });
 
 // ------------------------------------------------------------ registry --
 
@@ -276,7 +276,9 @@ TEST(L3Physics, BypFamilyMonotoneWithinSimulation) {
     const auto vec = l3.simulate(tmpl, seeds.at(i));
     const auto& family = l3.byp_family();
     for (std::size_t k = 1; k < family.size(); ++k) {
-      if (vec.was_hit(family[k])) EXPECT_TRUE(vec.was_hit(family[k - 1]));
+      if (vec.was_hit(family[k])) {
+        EXPECT_TRUE(vec.was_hit(family[k - 1]));
+      }
     }
   }
 }
@@ -464,7 +466,9 @@ TEST(LsuPhysics, FwdqFamilyMonotoneWithinSimulation) {
     const auto vec = lsu.simulate(tmpl, seeds.at(i));
     const auto& family = lsu.fwdq_family();
     for (std::size_t k = 1; k < family.size(); ++k) {
-      if (vec.was_hit(family[k])) EXPECT_TRUE(vec.was_hit(family[k - 1]));
+      if (vec.was_hit(family[k])) {
+        EXPECT_TRUE(vec.was_hit(family[k - 1]));
+      }
     }
   }
 }

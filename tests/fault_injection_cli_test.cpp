@@ -80,7 +80,7 @@ std::string scrub_wall_ms(std::string text) {
     pos += key.size();
     std::size_t end = pos;
     while (end < text.size() && text[end] != ',' && text[end] != '}') ++end;
-    text.replace(pos, end - pos, "0");
+    text.replace(pos, end - pos, 1, '0');
     ++pos;
   }
   return text;

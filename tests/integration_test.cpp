@@ -276,7 +276,7 @@ TEST_P(FlowContract, MiniFlowSatisfiesInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(AllUnits, FlowContract,
                          ::testing::Values("io_unit", "l3_cache", "ifu", "lsu"),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& p) { return std::string(p.param); });
 
 TEST_F(IntegrationFlow, ReportsRenderOnRealFlow) {
   const duv::IoUnit io;

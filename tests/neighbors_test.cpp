@@ -300,8 +300,12 @@ TEST_F(CorrelationTest, ExistingEventsKeepTheirWeights) {
   const CorrelationExpansion expansion(repo_, 0.9, 0.25);
   const auto expanded = expansion.expand(base);
   for (const auto& [event, weight] : expanded.events()) {
-    if (event == EventId{0}) EXPECT_DOUBLE_EQ(weight, 1.0);
-    if (event == EventId{3}) EXPECT_DOUBLE_EQ(weight, 2.0);
+    if (event == EventId{0}) {
+      EXPECT_DOUBLE_EQ(weight, 1.0);
+    }
+    if (event == EventId{3}) {
+      EXPECT_DOUBLE_EQ(weight, 2.0);
+    }
   }
   EXPECT_EQ(expanded.targets(), base.targets());
 }

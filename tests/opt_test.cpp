@@ -245,7 +245,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadOptionsCase{"negative_step", 8, -0.1, 0.0, 1.0, 2},
         BadOptionsCase{"empty_box", 8, 0.25, 1.0, 0.0, 2},
         BadOptionsCase{"dim_mismatch", 8, 0.25, 0.0, 1.0, 3}),
-    [](const auto& info) { return info.param.label; });
+    [](const auto& p) { return p.param.label; });
 
 // Hyperparameter sweep (property): implicit filtering beats its starting
 // value on the noisy hill for every (n, h, N) combination in the grid.
@@ -279,10 +279,10 @@ INSTANTIATE_TEST_SUITE_P(
                       HyperCase{8, 0.1, 100}, HyperCase{8, 0.3, 400},
                       HyperCase{16, 0.2, 100}, HyperCase{16, 0.3, 25},
                       HyperCase{8, 0.5, 100}, HyperCase{32, 0.25, 50}),
-    [](const auto& info) {
-      return "n" + std::to_string(info.param.directions) + "_h" +
-             std::to_string(static_cast<int>(info.param.step * 100)) + "_N" +
-             std::to_string(info.param.samples);
+    [](const auto& p) {
+      return "n" + std::to_string(p.param.directions) + "_h" +
+             std::to_string(static_cast<int>(p.param.step * 100)) + "_N" +
+             std::to_string(p.param.samples);
     });
 
 // All direction modes must converge on a moderate-dimension bowl.
@@ -308,8 +308,8 @@ INSTANTIATE_TEST_SUITE_P(
     Opt, DirectionModes,
     ::testing::Values(DirectionMode::kRandomSphere, DirectionMode::kCoordinate,
                       DirectionMode::kRademacher, DirectionMode::kSparse),
-    [](const auto& info) {
-      switch (info.param) {
+    [](const auto& p) {
+      switch (p.param) {
         case DirectionMode::kRandomSphere:
           return "sphere";
         case DirectionMode::kCoordinate:

@@ -320,9 +320,10 @@ class WeightFidelity : public ::testing::TestWithParam<WeightShape> {};
 TEST_P(WeightFidelity, ChiSquareWithinCritical) {
   const auto& shape = GetParam();
   tgen::WeightParameter param{"W", {}};
+  param.entries.resize(shape.weights.size());
   for (std::size_t i = 0; i < shape.weights.size(); ++i) {
-    param.entries.push_back(
-        {Value{static_cast<std::int64_t>(i)}, shape.weights[i]});
+    param.entries[i].value = Value{static_cast<std::int64_t>(i)};
+    param.entries[i].weight = shape.weights[i];
   }
   const TestTemplate tmpl = one_param(std::move(param));
   const CompiledTemplate table(nullptr, tmpl);
@@ -349,7 +350,7 @@ INSTANTIATE_TEST_SUITE_P(
                       WeightShape{"tiny_fractions", {0.001, 0.002, 0.003}},
                       WeightShape{"two_values", {7, 3}},
                       WeightShape{"extreme_skew", {10000, 1}}),
-    [](const auto& info) { return info.param.label; });
+    [](const auto& p) { return p.param.label; });
 
 // ------------------------------------------------------------ profiler --
 

@@ -251,7 +251,7 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"skeleton_in_templates", "skeleton s { range R [0, 1] }"},
         MalformedCase{"inverted_range", "template t { range R [9, 1] }"},
         MalformedCase{"trailing_junk", "template t { range R [0, 1] } junk"}),
-    [](const auto& info) { return info.param.label; });
+    [](const auto& p) { return p.param.label; });
 
 // Round-trip property: parse(print(t)) == t over a corpus of templates.
 class RoundTrip : public ::testing::TestWithParam<const char*> {};

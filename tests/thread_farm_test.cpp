@@ -1,13 +1,17 @@
 // Tests for the in-process thread farm: determinism across worker
 // counts, job batching, accounting, edge cases (zero counts), exception
-// propagation, concurrent callers and drain-on-destruct. The suite names
-// SimFarm and SimFarmV2 predate the farm's current class name and are
-// kept so the test ids stay stable.
+// propagation (from simulations and from compiles on a worker),
+// compiles per job, concurrent callers and drain-on-destruct. The
+// suite names SimFarm and SimFarmV2 predate the farm's current class
+// name and are kept so the test ids stay stable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -91,6 +95,100 @@ class SlowDuv final : public duv::Duv {
   const duv::Duv* inner_;
   mutable std::atomic<bool> started_{false};
 };
+
+/// Forwards everything, batch path included, to an inner unit.
+/// Subclasses intercept compile().
+class ForwardingDuv : public duv::Duv {
+ public:
+  explicit ForwardingDuv(const duv::Duv& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_->name();
+  }
+  [[nodiscard]] const coverage::CoverageSpace& space() const noexcept override {
+    return inner_->space();
+  }
+  [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
+    return inner_->defaults();
+  }
+  [[nodiscard]] coverage::CoverageVector simulate(
+      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override {
+    return inner_->simulate(tmpl, seed);
+  }
+  [[nodiscard]] std::unique_ptr<Compiled> compile(
+      const tgen::TestTemplate& tmpl) const override {
+    return inner_->compile(tmpl);
+  }
+  void simulate_batch(const tgen::TestTemplate& tmpl, const Compiled* compiled,
+                      std::span<const std::uint64_t> seeds,
+                      std::span<coverage::CoverageVector> out) const override {
+    inner_->simulate_batch(tmpl, compiled, seeds, out);
+  }
+  [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override {
+    return inner_->suite();
+  }
+
+ private:
+  const duv::Duv* inner_;
+};
+
+/// compile() throws for one template — a template the unit rejects,
+/// found on whichever worker first claims a chunk of its job.
+class CompileThrowingDuv final : public ForwardingDuv {
+ public:
+  CompileThrowingDuv(const duv::Duv& inner, const tgen::TestTemplate& poison)
+      : ForwardingDuv(inner), poison_(&poison) {}
+
+  [[nodiscard]] std::unique_ptr<Compiled> compile(
+      const tgen::TestTemplate& tmpl) const override {
+    if (&tmpl == poison_) throw util::Error("injected compile failure");
+    return ForwardingDuv::compile(tmpl);
+  }
+
+ private:
+  const tgen::TestTemplate* poison_;
+};
+
+/// Counts compile() calls per template object.
+class CompileCountingDuv final : public ForwardingDuv {
+ public:
+  using ForwardingDuv::ForwardingDuv;
+
+  [[nodiscard]] std::unique_ptr<Compiled> compile(
+      const tgen::TestTemplate& tmpl) const override {
+    {
+      const std::scoped_lock lock(mutex_);
+      ++compiles_[&tmpl];
+    }
+    return ForwardingDuv::compile(tmpl);
+  }
+
+  [[nodiscard]] std::size_t compiles(const tgen::TestTemplate& tmpl) const {
+    const std::scoped_lock lock(mutex_);
+    const auto it = compiles_.find(&tmpl);
+    return it == compiles_.end() ? 0 : it->second;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::map<const tgen::TestTemplate*, std::size_t> compiles_;
+};
+
+/// `count` scalar simulations of `tmpl` over SeedStream(seed_root).
+coverage::SimStats serial_reference(const duv::Duv& unit,
+                                    const tgen::TestTemplate& tmpl,
+                                    std::size_t count,
+                                    std::uint64_t seed_root) {
+  coverage::SimStats direct(unit.space().size());
+  const util::SeedStream seeds(seed_root);
+  for (std::size_t i = 0; i < count; ++i) {
+    direct.record(unit.simulate(tmpl, seeds.at(i)));
+  }
+  return direct;
+}
+
+/// Simulations per farm chunk (the farm's internal kChunk).
+constexpr std::size_t kChunkSims = 64;
 
 TEST(SimFarm, ResultIndependentOfWorkerCount) {
   const duv::IoUnit io;
@@ -463,6 +561,103 @@ TEST(ThreadFarm, BackToBackOneChunkRunsMatchSerialReference) {
   EXPECT_EQ(snap.runs, kRuns);
   EXPECT_EQ(snap.chunks, kRuns);
   EXPECT_EQ(snap.simulations, kRuns * kSims);
+}
+
+// A compile failure happens on the worker that first claims the job:
+// it is rethrown once every worker checked out, counted as an
+// exception, and the farm runs the next batch normally.
+TEST(ThreadFarm, CompileFailureOnAWorkerPropagatesAndFarmRecovers) {
+  const duv::L3Cache l3;
+  const auto suite = l3.suite();
+  ASSERT_GE(suite.size(), 3u);
+  const CompileThrowingDuv bad(l3, suite[1]);
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    ThreadFarm farm(workers);
+    const std::vector<Job> jobs{
+        {&suite[0], 300, 1}, {&suite[1], 130, 2}, {&suite[2], 4, 3}};
+    try {
+      (void)farm.run_all(bad, jobs);
+      FAIL() << "run_all must rethrow the compile failure, workers="
+             << workers;
+    } catch (const util::Error& e) {
+      EXPECT_STREQ(e.what(), "injected compile failure");
+    }
+    EXPECT_GE(farm.telemetry().exceptions, 1u) << "workers=" << workers;
+    const auto results = farm.run_all(l3, jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_EQ(results[j], serial_reference(l3, *jobs[j].tmpl, jobs[j].count,
+                                             jobs[j].seed_root))
+          << "workers=" << workers << " job " << j;
+    }
+    EXPECT_EQ(farm.telemetry().runs, 2u);
+  }
+}
+
+// Workers compile a job when they first claim one of its chunks and
+// keep the tables for its later chunks: one compile per non-empty job
+// at one worker, at most one per worker that visits the job otherwise,
+// and none for a zero-count job.
+TEST(ThreadFarm, CompilesEachJobOncePerVisitingWorker) {
+  const duv::IoUnit io;
+  const std::vector<std::size_t> counts{1, 64, 65, 1000, 0, 300, 4};
+  // One template object per job, so compiles are counted per job.
+  const std::vector<tgen::TestTemplate> tmpls(counts.size(), io.defaults());
+  std::vector<Job> jobs;
+  for (std::size_t j = 0; j < counts.size(); ++j) {
+    jobs.push_back({&tmpls[j], counts[j], 40 + j});
+  }
+  for (const std::size_t workers : {1u, 8u}) {
+    const CompileCountingDuv counting(io);
+    ThreadFarm farm(workers);
+    const auto results = farm.run_all(counting, jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const std::size_t chunks = (counts[j] + kChunkSims - 1) / kChunkSims;
+      const std::size_t compiles = counting.compiles(tmpls[j]);
+      if (workers == 1 || chunks == 0) {
+        EXPECT_EQ(compiles, chunks == 0 ? 0u : 1u)
+            << "workers=" << workers << " job " << j;
+      } else {
+        EXPECT_GE(compiles, 1u) << "workers=" << workers << " job " << j;
+        EXPECT_LE(compiles, std::min(chunks, workers))
+            << "workers=" << workers << " job " << j;
+      }
+      EXPECT_EQ(results[j],
+                serial_reference(io, tmpls[j], counts[j], jobs[j].seed_root))
+          << "workers=" << workers << " job " << j;
+    }
+  }
+}
+
+// Single-chunk, many-chunk and zero-count jobs interleaved: each result
+// matches its serial SeedStream reference at every worker count, and a
+// zero-count job still returns stats sized to the coverage space.
+TEST(ThreadFarm, MixedJobShapesMatchSerialReference) {
+  const duv::L3Cache l3;
+  const auto suite = l3.suite();
+  ASSERT_GE(suite.size(), 3u);
+  const std::vector<Job> jobs{
+      {&suite[0], 4, 100},   {&suite[1], 1000, 101}, {&suite[2], 0, 102},
+      {&suite[0], 64, 103},  {&suite[1], 0, 104},    {&suite[2], 1000, 105},
+      {&suite[0], 1, 106},   {&suite[1], 65, 107},   {&suite[2], 4, 108}};
+  std::vector<coverage::SimStats> expected;
+  for (const Job& job : jobs) {
+    expected.push_back(
+        serial_reference(l3, *job.tmpl, job.count, job.seed_root));
+  }
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    ThreadFarm farm(workers);
+    const auto results = farm.run_all(l3, jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_EQ(results[j], expected[j])
+          << "workers=" << workers << " job " << j;
+      EXPECT_EQ(results[j].sims(), jobs[j].count);
+      EXPECT_EQ(results[j].event_count(), l3.space().size())
+          << "workers=" << workers << " job " << j;
+    }
+  }
 }
 
 }  // namespace
