@@ -97,6 +97,22 @@ std::vector<opt::IterationRecord> trace_from_json(
   return trace;
 }
 
+std::string read_artifact(const std::filesystem::path& path) {
+  if (const int e = util::FailurePoint::check(
+          util::FailurePoint::Id::kArtifactRead);
+      e != 0) {
+    throw util::Error("cannot open artifact '" + path.string() +
+                      "': " + std::strerror(e));
+  }
+  std::ifstream is(path, std::ios::binary);
+  if (!is) {
+    throw util::Error("cannot open artifact '" + path.string() + "'");
+  }
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return std::move(buffer).str();
+}
+
 }  // namespace
 
 std::string hex_u64(std::uint64_t value) {
@@ -104,6 +120,14 @@ std::string hex_u64(std::uint64_t value) {
   std::snprintf(buf, sizeof buf, "0x%016llx",
                 static_cast<unsigned long long>(value));
   return buf;
+}
+
+std::uint64_t fnv1a(std::string_view text, std::uint64_t hash) noexcept {
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 std::uint64_t parse_hex_u64(const util::JsonValue& value) {
@@ -303,19 +327,22 @@ OptStageCheckpoint opt_stage_checkpoint_from_json(
 }
 
 util::JsonValue read_json_file(const std::filesystem::path& path) {
-  if (const int e = util::FailurePoint::check(
-          util::FailurePoint::Id::kArtifactRead);
-      e != 0) {
-    throw util::Error("cannot open artifact '" + path.string() +
-                      "': " + std::strerror(e));
+  return util::json_parse(read_artifact(path));
+}
+
+util::JsonValue read_digested_json_file(const std::filesystem::path& path) {
+  const std::string text = read_artifact(path);
+  util::JsonValue doc = util::json_parse(text);
+  if (const util::JsonValue* digest = doc.find("digest"); digest != nullptr) {
+    const std::size_t end = text.rfind(",\"digest\":");
+    if (end == std::string::npos ||
+        parse_hex_u64(*digest) !=
+            fnv1a(std::string_view(text).substr(0, end))) {
+      throw util::Error("artifact '" + path.string() +
+                        "' does not match its digest");
+    }
   }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw util::Error("cannot open artifact '" + path.string() + "'");
-  }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return util::json_parse(buffer.str());
+  return doc;
 }
 
 }  // namespace ascdg::flow

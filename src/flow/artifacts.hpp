@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdg/random_sample.hpp"
@@ -28,6 +29,12 @@ namespace ascdg::flow {
 [[nodiscard]] std::string hex_u64(std::uint64_t value);
 /// Inverse of hex_u64; throws util::Error for a non-hex string.
 [[nodiscard]] std::uint64_t parse_hex_u64(const util::JsonValue& value);
+
+/// 64-bit FNV-1a of `text`, continuing from `hash`, so a digest can be
+/// taken over pieces as they stream past.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+[[nodiscard]] std::uint64_t fnv1a(std::string_view text,
+                                  std::uint64_t hash = kFnv1aBasis) noexcept;
 
 [[nodiscard]] std::string to_json(const coverage::SimStats& stats);
 [[nodiscard]] coverage::SimStats sim_stats_from_json(
@@ -76,5 +83,13 @@ struct OptStageCheckpoint {
 /// Reads and parses one JSON artifact. Throws util::Error when the file
 /// cannot be read, util::ParseError when it is not valid JSON.
 [[nodiscard]] util::JsonValue read_json_file(const std::filesystem::path& path);
+
+/// read_json_file for an object artifact whose last key is "digest":
+/// the hex_u64 fnv1a of every byte before `,"digest":`. Throws
+/// util::Error when it does not match, so a file altered on disk that
+/// still parses is an error, not a resume into another trajectory. A
+/// file without the key (written before digests) is read as is.
+[[nodiscard]] util::JsonValue read_digested_json_file(
+    const std::filesystem::path& path);
 
 }  // namespace ascdg::flow

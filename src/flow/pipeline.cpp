@@ -1,7 +1,5 @@
 #include "flow/pipeline.hpp"
 
-#include <chrono>
-
 #include "util/log.hpp"
 
 namespace ascdg::flow {
@@ -19,7 +17,9 @@ std::vector<std::string> Pipeline::stage_names() const {
 }
 
 void Pipeline::execute(StageContext& ctx) {
-  using Clock = StageContext::Clock;
+  const auto farm_sims = [&ctx] {
+    return ctx.farm != nullptr ? ctx.farm->total_simulations() : 0;
+  };
   for (const auto& stage : stages_) {
     const std::string name(stage->name());
     if (ctx.session != nullptr && ctx.session->stage_done(name)) {
@@ -29,19 +29,22 @@ void Pipeline::execute(StageContext& ctx) {
       continue;
     }
     if (ctx.session != nullptr) ctx.session->mark_running(name);
-    const std::size_t sims_before =
-        ctx.farm != nullptr ? ctx.farm->total_simulations() : 0;
-    const auto start = Clock::now();
-    stage->run(ctx);
-    if (ctx.session != nullptr) {
-      stage->save(ctx);
-      const std::size_t sims_after =
-          ctx.farm != nullptr ? ctx.farm->total_simulations() : 0;
-      ctx.session->mark_done(
-          name, sims_after - sims_before,
-          std::chrono::duration<double, std::milli>(Clock::now() - start)
-              .count());
+    const std::size_t sims_before = farm_sims();
+    obs::PhaseScope scope(ctx.config->trace, name);
+    ctx.scope = &scope;
+    try {
+      stage->run(ctx);
+      if (ctx.session != nullptr) stage->save(ctx);
+    } catch (...) {
+      ctx.scope = nullptr;  // the scope ends with this frame
+      throw;
     }
+    ctx.scope = nullptr;
+    const std::size_t sims = farm_sims() - sims_before;
+    const double wall_ms = scope.elapsed_ms();
+    scope.fields().add("sims", sims);
+    scope.end();
+    if (ctx.session != nullptr) ctx.session->mark_done(name, sims, wall_ms);
   }
 }
 

@@ -1,12 +1,17 @@
 // Pipeline: executes stages in order against one StageContext.
 //
+// Each stage it runs is marked once, here: one obs::PhaseScope named
+// after the stage covers its run() and save() and is the stage's trace
+// span, /runz phase and ascdg_phase_* gauges. The span carries the
+// stage's simulations, measured as the farm's counter delta.
+//
 // With a session attached, every stage boundary is a durable
 // checkpoint: the stage is marked "running" in the manifest, run, its
-// artifact written atomically, then marked "done" with the simulations
-// and wall time it cost (simulations measured as the farm's counter
-// delta, so the manifest reconciles with the paper's cost metric). A
-// stage already recorded "done" is restored from its artifact via
-// load() instead — completed stages cost zero simulations on resume.
+// artifact written atomically, then marked "done" with the scope's
+// simulations and wall time (so the manifest reconciles with the
+// paper's cost metric). A stage already recorded "done" is restored
+// from its artifact via load() instead — restored stages cost zero
+// simulations and open no scope.
 #pragma once
 
 #include <memory>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <memory>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "obs/phase_scope.hpp"
 #include "obs/resource.hpp"
 #include "obs/run_state.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/jsonl.hpp"
 #include "util/log.hpp"
@@ -20,13 +18,6 @@
 namespace ascdg::flow {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 /// Per-target-event closure telemetry: the first flow phase whose
 /// cumulative coverage hit each real target event.
@@ -116,6 +107,7 @@ FlowResult CdgRunner::run(const neighbors::ApproximatedTarget& target,
                           const coverage::CoverageRepository& before,
                           std::span<const tgen::TestTemplate> suite_templates) {
   std::optional<Session> session = prepare_session(kRunStages, "run");
+  obs::PhaseScope flow_scope(config_.trace, "flow");
 
   // Coarse selection runs through the pipeline too, so a session
   // checkpoints (and a resume skips) the template-merging work.
@@ -144,11 +136,11 @@ FlowResult CdgRunner::run(const neighbors::ApproximatedTarget& target,
                    expanded.events().size(), " objective events");
     return execute(expanded, selection_ctx.seed_template, &before_total,
                    before.total_sims(),
-                   session.has_value() ? &*session : nullptr);
+                   session.has_value() ? &*session : nullptr, flow_scope);
   }
   return execute(target, selection_ctx.seed_template, &before_total,
                  before.total_sims(),
-                 session.has_value() ? &*session : nullptr);
+                 session.has_value() ? &*session : nullptr, flow_scope);
 }
 
 FlowResult CdgRunner::run_from_template(
@@ -157,14 +149,16 @@ FlowResult CdgRunner::run_from_template(
     const coverage::SimStats* before_stats, std::size_t before_sims) {
   std::optional<Session> session = prepare_session(
       kTemplateStages, "template:" + std::string(seed_template.name()));
+  obs::PhaseScope flow_scope(config_.trace, "flow");
   return execute(target, seed_template, before_stats, before_sims,
-                 session.has_value() ? &*session : nullptr);
+                 session.has_value() ? &*session : nullptr, flow_scope);
 }
 
 FlowResult CdgRunner::execute(const neighbors::ApproximatedTarget& target,
                               const tgen::TestTemplate& seed_template,
                               const coverage::SimStats* before_stats,
-                              std::size_t before_sims, Session* session) {
+                              std::size_t before_sims, Session* session,
+                              obs::PhaseScope& flow_scope) {
   FlowResult result;
   result.seed_template = seed_template.name();
 
@@ -176,11 +170,8 @@ FlowResult CdgRunner::execute(const neighbors::ApproximatedTarget& target,
     result.before.stats = coverage::SimStats(duv_->space().size());
   }
 
-  const auto flow_start = Clock::now();
   obs::run_state().start_flow(seed_template.name());
-  obs::PhaseScope flow_scope("flow");
-  obs::Span flow_span = obs::make_span(config_.trace, "flow");
-  flow_span.fields().add("seed_template", seed_template.name());
+  flow_scope.fields().add("seed_template", seed_template.name());
 
   StageContext ctx;
   ctx.duv = duv_;
@@ -222,11 +213,12 @@ FlowResult CdgRunner::execute(const neighbors::ApproximatedTarget& target,
   }
   obs::update_resource_gauges(obs::registry());
 
-  flow_span.fields()
+  const double flow_wall_ms = flow_scope.elapsed_ms();
+  flow_scope.fields()
       .add("flow_sims", result.flow_sims())
       .add("target_events", result.first_hits.size())
       .add("target_events_hit", events_hit);
-  flow_span.end();
+  flow_scope.end();
 
   if (config_.trace != nullptr) {
     const exec::TelemetrySnapshot farm_stats = farm_->telemetry();
@@ -234,7 +226,7 @@ FlowResult CdgRunner::execute(const neighbors::ApproximatedTarget& target,
         util::JsonObject{}
             .add("event", "flow_end")
             .add("flow_sims", result.flow_sims())
-            .add("wall_ms", ms_since(flow_start))
+            .add("wall_ms", flow_wall_ms)
             .add("target_events", result.first_hits.size())
             .add("target_events_hit", events_hit)
             .add("farm_total_sims", farm_stats.simulations)

@@ -12,8 +12,9 @@
 // Since the stage-pipeline refactor the runner is a thin driver: it
 // assembles a flow::Pipeline of stages, optionally attaches a durable
 // flow::Session (FlowConfig::session_dir / resume), and keeps the
-// flow-level bookkeeping the stages share (the flow span, first-hit
-// telemetry, the final trace epilogue).
+// flow-level bookkeeping the stages share (the "flow" obs::PhaseScope
+// around every stage of the entry point, first-hit telemetry, the final
+// trace epilogue).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include "flow/session.hpp"
 #include "flow/types.hpp"
 #include "neighbors/neighbors.hpp"
+#include "obs/phase_scope.hpp"
 #include "tac/tac.hpp"
 #include "tgen/test_template.hpp"
 
@@ -73,11 +75,13 @@ class CdgRunner {
 
  private:
   /// The flow proper: skeletonize -> sample -> optimize -> refine ->
-  /// harvest, plus the flow-level telemetry epilogue.
+  /// harvest, plus the flow-level telemetry epilogue, which ends
+  /// `flow_scope` (the entry point's "flow" marker).
   [[nodiscard]] FlowResult execute(const neighbors::ApproximatedTarget& target,
                                    const tgen::TestTemplate& seed_template,
                                    const coverage::SimStats* before_stats,
-                                   std::size_t before_sims, Session* session);
+                                   std::size_t before_sims, Session* session,
+                                   obs::PhaseScope& flow_scope);
 
   /// Creates or re-opens the configured session (nullopt when
   /// FlowConfig::session_dir is empty).

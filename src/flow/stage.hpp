@@ -1,13 +1,16 @@
 // The Stage interface of the flow engine.
 //
-// The old monolithic CdgRunner::run_from_template is decomposed into
-// stages (coarse search, skeletonize, sample, optimize, refine,
-// harvest), each owning three responsibilities:
+// The paper's flow is a fixed sequence of stages (coarse search,
+// skeletonize, sample, optimize, refine, harvest), each owning three
+// responsibilities:
 //
 //   run()  — do the work: simulate, mutate the shared StageContext, and
-//            emit the stage's spans / trace events / log lines exactly
-//            as the monolith did (telemetry parity is load-bearing:
-//            tests reconcile per-phase sims against the farm's books).
+//            set the stage's PhaseOutcome::wall_ms from
+//            ctx.scope->elapsed_ms(). flow::Pipeline marks the stage:
+//            it opens the one obs::PhaseScope (trace span, /runz phase,
+//            ascdg_phase_* gauges) around run() and save(), and puts
+//            the stage's farm sims on the span; run() only adds the
+//            stage's details to ctx.scope->fields().
 //   save() — persist the stage's output as a session artifact
 //            (atomic write; only called when a session is attached).
 //   load() — reconstruct the stage's output from its artifact instead
@@ -15,8 +18,6 @@
 //            they cost zero simulations and emit no telemetry).
 #pragma once
 
-#include <chrono>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "flow/types.hpp"
 #include "neighbors/neighbors.hpp"
 #include "obs/phase_scope.hpp"
-#include "obs/trace.hpp"
 #include "tgen/test_template.hpp"
 
 namespace ascdg::flow {
@@ -36,8 +36,6 @@ namespace ascdg::flow {
 /// for the duration of a pipeline execution; stages communicate only
 /// through it (and through the FlowResult it points at).
 struct StageContext {
-  using Clock = std::chrono::steady_clock;
-
   const duv::Duv* duv = nullptr;
   exec::Backend* farm = nullptr;
   const FlowConfig* config = nullptr;
@@ -58,23 +56,17 @@ struct StageContext {
   /// best template is instantiated from.
   std::vector<double> best_point;
 
-  // The paper's "optimization phase" covers implicit filtering AND the
-  // optional real-objective refinement, so its span / phase scope /
-  // wall clock open in OptimizeStage and close in RefineStage. On a
-  // resume that skips the optimize stage these stay empty and
-  // RefineStage opens its own scope; `opt_wall_base` then carries the
-  // already-spent wall time loaded from the optimize artifact.
-  std::optional<obs::Span> opt_span;
-  std::optional<obs::PhaseScope> opt_scope;
-  std::optional<Clock::time_point> opt_start;
-  double opt_wall_base = 0.0;
+  /// The marker of the stage being run; set by Pipeline::execute for
+  /// the duration of the stage's run() and save().
+  obs::PhaseScope* scope = nullptr;
 };
 
 class Stage {
  public:
   virtual ~Stage() = default;
 
-  /// Stable stage name — the manifest key and artifact-file prefix.
+  /// Stable stage name: the manifest key, the artifact-file prefix, and
+  /// the stage's span name, /runz phase and ascdg_phase_* label.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   virtual void run(StageContext& ctx) = 0;

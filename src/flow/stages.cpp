@@ -22,28 +22,6 @@ namespace ascdg::flow {
 
 namespace {
 
-using Clock = StageContext::Clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-/// Emits one "phase" trace event: the phase's simulation budget and
-/// latency, plus any caller-supplied detail fields.
-void trace_phase(obs::Tracer* sink, std::string_view key,
-                 const PhaseOutcome& phase, const util::JsonObject& details) {
-  if (sink == nullptr) return;
-  util::JsonObject event;
-  event.add("event", "phase")
-      .add("phase", key)
-      .add("label", phase.name)
-      .add("sims", phase.sims)
-      .add("wall_ms", phase.wall_ms)
-      .merge(details);
-  sink->emit(event);
-}
-
 /// Builds the implicit-filtering options the flow config asks for; the
 /// optimize and refine stages share everything but budget/seed/label.
 opt::ImplicitFilteringOptions base_if_options(const FlowConfig& config) {
@@ -70,16 +48,6 @@ coverage::SimStats merged(const coverage::SimStats& prefix,
 void remove_if_exists(const std::filesystem::path& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
-}
-
-/// 64-bit FNV-1a of `text`.
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 /// An optimizer stage's checkpoint journal in the session
@@ -232,13 +200,9 @@ void CoarseSearchStage::load(StageContext& ctx) const {
 void SkeletonizeStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
-  obs::Span skel_span = obs::make_span(config.trace, "skeletonize");
-  obs::PhaseScope skel_phase("skeletonize");
   const cdg::Skeletonizer skeletonizer(config.skeletonizer);
   result.skeleton = skeletonizer.skeletonize(ctx.seed_template);
-  skel_phase.end();
-  skel_span.fields().add("marks", result.skeleton.mark_count());
-  skel_span.end();
+  ctx.scope->fields().add("marks", result.skeleton.mark_count());
   util::log_info("skeletonized '", ctx.seed_template.name(), "' -> ",
                  result.skeleton.mark_count(), " marks");
   if (config.trace != nullptr) {
@@ -265,9 +229,6 @@ void SkeletonizeStage::load(StageContext& ctx) const {
 void SampleStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
-  const auto sampling_start = Clock::now();
-  obs::Span sampling_span = obs::make_span(config.trace, "sampling");
-  obs::PhaseScope sampling_scope("sampling");
   cdg::RandomSampleOptions sample_options;
   sample_options.templates = config.sample_templates;
   sample_options.sims_per_template = config.sample_sims;
@@ -276,38 +237,39 @@ void SampleStage::run(StageContext& ctx) {
                                        *ctx.target, sample_options);
   result.sampling_phase = {"Sampling phase", result.sampling.simulations,
                            result.sampling.combined};
-  result.sampling_phase.wall_ms = ms_since(sampling_start);
-  sampling_scope.end();
-  sampling_span.fields()
-      .add("sims", result.sampling_phase.sims)
+  result.sampling_phase.wall_ms = ctx.scope->elapsed_ms();
+  ctx.scope->fields()
+      .add("templates", result.sampling.samples.size())
       .add("best_value", result.sampling.best().target_value);
-  sampling_span.end();
   util::log_info("sampling phase: best target value ",
                  result.sampling.best().target_value, " over ",
                  result.sampling.simulations, " sims");
-  trace_phase(config.trace, "sampling", result.sampling_phase,
-              util::JsonObject{}
-                  .add("templates", result.sampling.samples.size())
-                  .add("best_value", result.sampling.best().target_value));
 }
 
 void SampleStage::save(StageContext& ctx) const {
   // Streamed: this is the session's one megabyte-sized artifact, and
   // as one string it would put several whole copies of itself on the
-  // flow's memory peak.
-  atomic_write_stream(ctx.session->artifact_path("sampling.json"),
-                      [&ctx](const util::ContentSink& sink) {
-                        sink("{\"sampling\":");
-                        write_json(sink, ctx.result->sampling);
-                        sink(",\"phase\":");
-                        sink(to_json(ctx.result->sampling_phase));
-                        sink("}\n");
-                      });
+  // flow's memory peak. It closes with the digest of the bytes before
+  // it, which read_digested_json_file checks on resume.
+  atomic_write_stream(
+      ctx.session->artifact_path("sampling.json"),
+      [&ctx](const util::ContentSink& sink) {
+        std::uint64_t digest = kFnv1aBasis;
+        const util::ContentSink hashed = [&](std::string_view piece) {
+          digest = fnv1a(piece, digest);
+          sink(piece);
+        };
+        hashed("{\"sampling\":");
+        write_json(hashed, ctx.result->sampling);
+        hashed(",\"phase\":");
+        hashed(to_json(ctx.result->sampling_phase));
+        sink(",\"digest\":\"" + hex_u64(digest) + "\"}\n");
+      });
 }
 
 void SampleStage::load(StageContext& ctx) const {
   const util::JsonValue doc =
-      read_json_file(ctx.session->artifact_path("sampling.json"));
+      read_digested_json_file(ctx.session->artifact_path("sampling.json"));
   ctx.result->sampling = sampling_from_json(doc.at("sampling"));
   ctx.result->sampling_phase = phase_outcome_from_json(doc.at("phase"));
 }
@@ -317,9 +279,6 @@ void SampleStage::load(StageContext& ctx) const {
 void OptimizeStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
-  ctx.opt_start = Clock::now();
-  ctx.opt_span.emplace(obs::make_span(config.trace, "optimization"));
-  ctx.opt_scope.emplace("optimization");
   cdg::CdgObjective objective(*ctx.duv, *ctx.farm, result.skeleton,
                               *ctx.target, config.opt_sims_per_point,
                               config.trace);
@@ -336,7 +295,6 @@ void OptimizeStage::run(StageContext& ctx) {
     if (journal->resume().has_value()) {
       prefix = *journal->resume();
       if_options.resume = &prefix.ifc;
-      ctx.opt_wall_base = prefix.wall_ms;
       util::log_info("optimization: resuming from checkpoint at iteration ",
                      prefix.ifc.next_iteration, " (", prefix.sims,
                      " sims already spent)");
@@ -346,7 +304,7 @@ void OptimizeStage::run(StageContext& ctx) {
       ckpt.ifc = ifc;
       ckpt.sims = prefix.sims + objective.simulations();
       ckpt.stats = merged(prefix.stats, objective.combined());
-      ckpt.wall_ms = ctx.opt_wall_base + ms_since(*ctx.opt_start);
+      ckpt.wall_ms = prefix.wall_ms + ctx.scope->elapsed_ms();
       journal->append(std::move(ckpt));
     };
   }
@@ -357,14 +315,14 @@ void OptimizeStage::run(StageContext& ctx) {
   result.optimization_phase = {"Optimization phase",
                                prefix.sims + objective.simulations(),
                                merged(prefix.stats, objective.combined())};
-  result.optimization_phase.wall_ms =
-      ctx.opt_wall_base + ms_since(*ctx.opt_start);
+  result.optimization_phase.wall_ms = prefix.wall_ms + ctx.scope->elapsed_ms();
+  ctx.scope->fields()
+      .add("iterations", result.optimization.trace.size())
+      .add("best_value", result.optimization.best_value);
   util::log_info("optimization: ", result.optimization.trace.size(),
                  " iterations, best value ", result.optimization.best_value,
                  " (", to_string(result.optimization.reason), ")");
   ctx.best_point = result.optimization.best_point;
-  // ctx.opt_wall_base stays at the checkpoint prefix: the refine stage
-  // re-measures from ctx.opt_start, which covers this stage's run too.
 }
 
 void OptimizeStage::save(StageContext& ctx) const {
@@ -387,7 +345,6 @@ void OptimizeStage::load(StageContext& ctx) const {
   result.optimization = opt_result_from_json(doc.at("optimization"));
   result.optimization_phase = phase_outcome_from_json(doc.at("phase"));
   ctx.best_point = result.optimization.best_point;
-  ctx.opt_wall_base = result.optimization_phase.wall_ms;
 }
 
 // --------------------------------------------------------- refinement --
@@ -396,17 +353,8 @@ void RefineStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
   // The paper's optimization phase covers implicit filtering and this
-  // refinement; when the optimize stage ran in this process its span /
-  // phase scope / clock are still open here. After a resume that
-  // restored the optimize stage from its artifact they are not — open
-  // fresh ones (the restored wall time rides in ctx.opt_wall_base).
-  if (!ctx.opt_start.has_value()) {
-    ctx.opt_start = Clock::now();
-    ctx.opt_span.emplace(obs::make_span(config.trace, "optimization"));
-    ctx.opt_scope.emplace("optimization");
-  }
-  const auto refine_start = *ctx.opt_start;
-
+  // refinement: its outcome, restored or just computed, gets this
+  // stage's sims, stats and wall time added.
   if (config.refine_with_real_target && !ctx.target->targets().empty()) {
     const neighbors::ApproximatedTarget& target = *ctx.target;
     OptStageCheckpoint prefix;
@@ -420,7 +368,7 @@ void RefineStage::run(StageContext& ctx) {
       prefix = *journal->resume();
       result.optimization_phase.sims = prefix.sims;
       result.optimization_phase.stats = prefix.stats;
-      ctx.opt_wall_base = prefix.wall_ms;
+      result.optimization_phase.wall_ms = prefix.wall_ms;
       util::log_info("refinement: resuming from checkpoint at iteration ",
                      prefix.ifc.next_iteration);
     }
@@ -462,7 +410,8 @@ void RefineStage::run(StageContext& ctx) {
           ckpt.ifc = ifc;
           ckpt.sims = base_sims + refine_objective.simulations();
           ckpt.stats = merged(base_stats, refine_objective.combined());
-          ckpt.wall_ms = ctx.opt_wall_base + ms_since(refine_start);
+          ckpt.wall_ms =
+              result.optimization_phase.wall_ms + ctx.scope->elapsed_ms();
           ckpt.evidence = evidence;
           journal->append(std::move(ckpt));
         };
@@ -486,23 +435,8 @@ void RefineStage::run(StageContext& ctx) {
     }
   }
 
-  result.optimization_phase.wall_ms = ctx.opt_wall_base + ms_since(refine_start);
-  if (ctx.opt_scope.has_value()) ctx.opt_scope->end();
-  if (ctx.opt_span.has_value()) {
-    ctx.opt_span->fields()
-        .add("sims", result.optimization_phase.sims)
-        .add("iterations", result.optimization.trace.size())
-        .add("best_value", result.optimization.best_value);
-    ctx.opt_span->end();
-  }
-  trace_phase(config.trace, "optimization", result.optimization_phase,
-              util::JsonObject{}
-                  .add("iterations", result.optimization.trace.size())
-                  .add("best_value", result.optimization.best_value)
-                  .add("refined", result.refinement.has_value()));
-  ctx.opt_span.reset();
-  ctx.opt_scope.reset();
-  ctx.opt_start.reset();
+  result.optimization_phase.wall_ms += ctx.scope->elapsed_ms();
+  ctx.scope->fields().add("refined", result.refinement.has_value());
 }
 
 void RefineStage::save(StageContext& ctx) const {
@@ -531,12 +465,6 @@ void RefineStage::load(StageContext& ctx) const {
   }
   result.optimization_phase = phase_outcome_from_json(doc.at("phase"));
   ctx.best_point = double_array_from_json(doc.at("best_point"));
-  // The optimize stage's shared-telemetry handles are only open when it
-  // ran in this process; a restored refine stage must not leave them
-  // around for the harvest stage.
-  ctx.opt_span.reset();
-  ctx.opt_scope.reset();
-  ctx.opt_start.reset();
 }
 
 // ------------------------------------------------------------ harvest --
@@ -544,9 +472,6 @@ void RefineStage::load(StageContext& ctx) const {
 void HarvestStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
-  const auto harvest_start = Clock::now();
-  obs::Span harvest_span = obs::make_span(config.trace, "harvest");
-  obs::PhaseScope harvest_scope("harvest");
   result.best_template = result.skeleton.instantiate(
       ctx.seed_template.name() + instance_suffix_, ctx.best_point);
   result.harvest_phase.name = "Running best test";
@@ -561,16 +486,11 @@ void HarvestStage::run(StageContext& ctx) {
   } else {
     result.harvest_phase.stats = coverage::SimStats(ctx.duv->space().size());
   }
-  result.harvest_phase.wall_ms = ms_since(harvest_start);
-  harvest_scope.end();
-  harvest_span.fields().add("sims", result.harvest_phase.sims);
-  harvest_span.end();
-  trace_phase(config.trace, "harvest", result.harvest_phase,
-              util::JsonObject{}.add(
-                  "real_value", result.harvest_phase.stats.sims() > 0
-                                    ? ctx.target->real_value(
-                                          result.harvest_phase.stats)
-                                    : 0.0));
+  result.harvest_phase.wall_ms = ctx.scope->elapsed_ms();
+  ctx.scope->fields().add(
+      "real_value", result.harvest_phase.stats.sims() > 0
+                        ? ctx.target->real_value(result.harvest_phase.stats)
+                        : 0.0);
 }
 
 void HarvestStage::save(StageContext& ctx) const {

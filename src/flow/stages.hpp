@@ -1,7 +1,7 @@
 // Concrete pipeline stages. Each reproduces one section of the old
 // monolithic CdgRunner::run / run_from_template verbatim — same seed
-// mixes, same spans and trace events, same log lines — so the refactor
-// is observationally invisible to an un-sessioned run.
+// mixes, same log lines — so results do not depend on the stage split.
+// Their spans are opened by the pipeline (see stage.hpp).
 //
 // Optimize and Harvest take their seed mix (and the harvest its
 // instance-name suffix) as constructor parameters because the
@@ -77,8 +77,8 @@ class OptimizeStage final : public Stage {
 
 /// §IV-E refinement. Always present in the pipeline (so the session's
 /// stage list is config-independent); when refinement is disabled or
-/// evidence is missing it only closes the optimization-phase telemetry
-/// that OptimizeStage opened and emits the "optimization" phase event.
+/// evidence is missing it only adds its (short) wall time to the
+/// optimization phase, which covers both stages.
 class RefineStage final : public Stage {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {

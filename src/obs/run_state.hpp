@@ -1,5 +1,5 @@
 // Live run state for the introspection service's /runz endpoint: the
-// CDG runner publishes its current flow-phase stack and the optimizer
+// flow's obs::PhaseScopes publish the stage stack and the optimizer
 // its per-iteration heartbeat here, so an operator can ask a running
 // process "where are you and is the objective still improving?"
 // without waiting for the post-run report.

@@ -241,7 +241,7 @@ void TimeSeriesRecorder::sample_locked() {
 }
 
 void TimeSeriesRecorder::write_index_locked(bool final) {
-  if (config_.index_path.empty() || index_failed_) return;
+  if (config_.index_path.empty()) return;
   util::JsonObject index;
   index.add("schema", kTimeSeriesSchema);
   index.add("interval_ms",
@@ -256,9 +256,13 @@ void TimeSeriesRecorder::write_index_locked(bool final) {
     // (ASCDG_FAIL_POINTS) land here too; telemetry absorbs them.
     util::atomic_write_file(config_.index_path, index.str() + "\n");
   } catch (const std::exception& e) {
-    util::log_warn("timeline: index write failed (",
-                   config_.index_path.string(), "): ", e.what());
-    index_failed_ = true;
+    // Not latched: a session reap can unlink the temp file under a
+    // write, and the next sample (or stop()) rewrites the index whole.
+    if (!index_warned_) {
+      util::log_warn("timeline: index write failed (",
+                     config_.index_path.string(), "): ", e.what());
+      index_warned_ = true;
+    }
   }
 }
 

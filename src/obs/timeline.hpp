@@ -20,10 +20,11 @@
 //
 // The sampler thread waits on a condition variable with a stopping
 // flag; `start_thread = false` leaves it off for tests that drive
-// sample_now() manually. All file IO is best-effort: any
-// filesystem error degrades the recorder to memory-only rather than
-// throwing into the flow (a throw from the sampler thread would
-// terminate the process).
+// sample_now() manually. All file IO is best-effort and never throws
+// into the flow (a throw from the sampler thread would terminate the
+// process): a failed sample append degrades the recorder to
+// memory-only, and a failed index write warns once and is rewritten
+// whole by the next sample and by stop().
 #pragma once
 
 #include <chrono>
@@ -117,7 +118,7 @@ class TimeSeriesRecorder {
   std::uint64_t seq_ = 0;          // next sample's sequence number
   std::ofstream sink_;
   bool sink_failed_ = false;
-  bool index_failed_ = false;
+  bool index_warned_ = false;     // an index write failed (warn once)
   std::uint64_t start_ns_ = 0;     // monotonic epoch for t_ms
   // previous sample's (t_ms, sims) for the derived sims/sec.
   std::uint64_t prev_t_ms_ = 0;

@@ -3,8 +3,8 @@
 // Tracer is the process's trace sink: one util::JsonObject per line,
 // each stamped with a monotone per-sink sequence number ("seq") and a
 // wall-clock timestamp in milliseconds since the Unix epoch ("ts_ms").
-// Point events (emit()) carry the flow_start / phase / flow_end schema
-// the CDG-Runner writes, and RAII spans sit on top.
+// Point events (emit()) carry the flow_start / flow_end schema the
+// CDG-Runner writes, and RAII spans sit on top.
 //
 // A Span measures one scoped unit of work: it records its start on the
 // shared monotonic clock (util::monotonic_ns, the same timebase log

@@ -591,7 +591,7 @@ bool extract_uint_field(const std::string& line, const std::string& key,
 }
 }  // namespace
 
-TEST(Runner, TraceJsonlPhaseSimsSumToFarmTotal) {
+TEST(Runner, TraceJsonlStageSpanSimsSumToFarmTotal) {
   const duv::IoUnit io;
   exec::ThreadFarm farm(2);
   std::ostringstream trace;
@@ -612,11 +612,12 @@ TEST(Runner, TraceJsonlPhaseSimsSumToFarmTotal) {
   const auto target = neighbors::family_target(io.space(), "crc", none);
   const auto result = runner.run_from_template(target, io.suite().front());
 
-  // flow_start, three phases, flow_end — plus the span records, the
-  // per-iteration opt_iter series, and one first_hit per target event.
+  // flow_start and flow_end, plus the span records (the flow, one per
+  // stage, the eval batches), the per-iteration opt_iter series, and one
+  // first_hit per target event.
   std::istringstream lines(trace.str());
   std::string line;
-  std::size_t phase_lines = 0;
+  std::vector<std::string> stage_spans;
   std::size_t span_lines = 0;
   std::size_t eval_batch_spans = 0;
   std::size_t opt_iter_lines = 0;
@@ -627,18 +628,19 @@ TEST(Runner, TraceJsonlPhaseSimsSumToFarmTotal) {
   while (std::getline(lines, line)) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    if (line.find("\"event\":\"phase\"") != std::string::npos) {
-      ++phase_lines;
-      std::size_t sims = 0;
-      ASSERT_TRUE(extract_uint_field(line, "sims", &sims)) << line;
-      sims_total += sims;
-      EXPECT_NE(line.find("\"wall_ms\":"), std::string::npos) << line;
-    }
     if (line.find("\"event\":\"span\"") != std::string::npos) {
       if (line.find("\"span\":\"eval_batch\"") != std::string::npos) {
         ++eval_batch_spans;
       } else {
         ++span_lines;
+        if (line.find("\"span\":\"flow\"") == std::string::npos) {
+          const std::size_t name = line.find("\"span\":\"") + 8;
+          stage_spans.push_back(
+              line.substr(name, line.find('"', name) - name));
+          std::size_t sims = 0;
+          ASSERT_TRUE(extract_uint_field(line, "sims", &sims)) << line;
+          sims_total += sims;
+        }
       }
     }
     if (line.find("\"event\":\"opt_iter\"") != std::string::npos) {
@@ -654,20 +656,22 @@ TEST(Runner, TraceJsonlPhaseSimsSumToFarmTotal) {
           << line;
     }
   }
-  EXPECT_EQ(phase_lines, 3u);
   EXPECT_EQ(flow_end_lines, 1u);
-  // flow + skeletonize + sampling + optimization + harvest.
-  EXPECT_EQ(span_lines, 5u);
+  // One span per stage, in the order the stages ran, plus the flow's.
+  EXPECT_EQ(stage_spans,
+            (std::vector<std::string>{"skeletonize", "sampling", "optimization",
+                                      "refinement", "harvest"}));
+  EXPECT_EQ(span_lines, 1u + stage_spans.size());
   // One eval_batch span per optimizer dispatch: the initial center,
   // then one whole-stencil batch per iteration.
   EXPECT_EQ(eval_batch_spans, 1u + result.optimization.trace.size());
   EXPECT_EQ(opt_iter_lines, result.optimization.trace.size());
   EXPECT_EQ(first_hit_lines, target.targets().size());
   EXPECT_EQ(result.first_hits.size(), target.targets().size());
-  EXPECT_EQ(sink.lines(), 5u + span_lines + eval_batch_spans + opt_iter_lines +
+  EXPECT_EQ(sink.lines(), 2u + span_lines + eval_batch_spans + opt_iter_lines +
                               first_hit_lines);
 
-  // The paper's cost metric must reconcile: per-phase sims sum to the
+  // The paper's cost metric must reconcile: per-stage sims sum to the
   // farm's books (the farm was fresh, so flow sims are all its sims).
   EXPECT_EQ(sims_total, result.flow_sims());
   EXPECT_EQ(sims_total, farm.total_simulations());

@@ -3,7 +3,9 @@
 // fingerprinting, resume-without-resimulation for single runs and
 // campaigns, bit-identical optimizer restart from a serialized
 // checkpoint, the restart of a stage whose checkpoint predates the
-// journal, and the run / run_from_template shared-tail regression.
+// journal, the resume-journal and artifact fuzzes, the stage spans
+// against the manifest ledger, and the run / run_from_template
+// shared-tail regression.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,6 +29,7 @@
 #include "flow/session.hpp"
 #include "flow/types.hpp"
 #include "neighbors/neighbors.hpp"
+#include "obs/trace.hpp"
 #include "opt/implicit_filtering.hpp"
 #include "opt/synthetic.hpp"
 #include "util/error.hpp"
@@ -630,6 +634,31 @@ TEST(SessionedRun, FreshRunIgnoresTheJournalOfTheRunItReplaces) {
   EXPECT_EQ(fresh.harvest_phase.stats, reference.harvest_phase.stats);
 }
 
+/// One past the end of the JSON value that starts at `begin` in `text`:
+/// a number or literal, a string, an array or an object.
+std::size_t json_value_end(const std::string& text, std::size_t begin) {
+  std::size_t depth = 0;
+  bool quoted = false;
+  for (std::size_t end = begin; end < text.size(); ++end) {
+    const char d = text[end];
+    if (quoted) {
+      if (d == '\\') ++end;
+      else if (d == '"') quoted = false;
+      if (!quoted && depth == 0) return end + 1;
+    } else if (d == '"') {
+      quoted = true;
+    } else if (d == '[' || d == '{') {
+      ++depth;
+    } else if (d == ']' || d == '}') {
+      if (depth == 0) return end;  // a scalar ends at its container's close
+      if (--depth == 0) return end + 1;
+    } else if (d == ',' && depth == 0) {
+      return end;
+    }
+  }
+  return text.size();
+}
+
 /// Byte ranges [begin, end) of the JSON values inside `record` that
 /// `want` selects, given each value's first byte: numbers ('n'), arrays
 /// ('[') or objects ('{'). The record itself (offset 0) is not a value
@@ -637,44 +666,38 @@ TEST(SessionedRun, FreshRunIgnoresTheJournalOfTheRunItReplaces) {
 std::vector<std::pair<std::size_t, std::size_t>> json_values(
     const std::string& record, char want) {
   std::vector<std::pair<std::size_t, std::size_t>> out;
-  bool in_string = false;
   for (std::size_t i = 1; i < record.size(); ++i) {
     const char c = record[i];
-    if (in_string) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_string = false;
+    if (c == '"') {
+      i = json_value_end(record, i) - 1;
+    } else if ((want == 'n' && (c == '-' || (c >= '0' && c <= '9'))) ||
+               c == want) {
+      out.emplace_back(i, json_value_end(record, i));
+      if (want == 'n') i = out.back().second - 1;
+    }
+  }
+  return out;
+}
+
+/// Byte ranges [begin, end) that each delete one object member of the
+/// compact JSON `doc`: its key, its value and one adjoining comma.
+std::vector<std::pair<std::size_t, std::size_t>> json_members(
+    const std::string& doc) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t i = 1; i < doc.size(); ++i) {
+    if (doc[i] != '"') continue;
+    const std::size_t key_end = json_value_end(doc, i);
+    if (key_end >= doc.size() || doc[key_end] != ':') {
+      i = key_end - 1;  // a string value, not a key
       continue;
     }
-    if (c == '"') {
-      in_string = true;
-    } else if (want == 'n' && (c == '-' || (c >= '0' && c <= '9'))) {
-      std::size_t end = i;
-      while (end < record.size() &&
-             std::string_view("+-.eE0123456789").find(record[end]) !=
-                 std::string_view::npos) {
-        ++end;
-      }
-      out.emplace_back(i, end);
-      i = end - 1;
-    } else if (c == want) {
-      std::size_t depth = 0;
-      std::size_t end = i;
-      bool quoted = false;
-      for (; end < record.size(); ++end) {
-        const char d = record[end];
-        if (quoted) {
-          if (d == '\\') ++end;
-          else if (d == '"') quoted = false;
-        } else if (d == '"') {
-          quoted = true;
-        } else if (d == '[' || d == '{') {
-          ++depth;
-        } else if ((d == ']' || d == '}') && --depth == 0) {
-          break;
-        }
-      }
-      out.emplace_back(i, end + 1);
+    const std::size_t end = json_value_end(doc, key_end + 1);
+    if (doc[i - 1] == ',') {
+      out.emplace_back(i - 1, end);
+    } else {
+      out.emplace_back(i, doc[end] == ',' ? end + 1 : end);
     }
+    i = key_end;  // continue inside the value: nested members count too
   }
   return out;
 }
@@ -689,18 +712,23 @@ struct JournaledSession {
   neighbors::ApproximatedTarget target = neighbors::family_target(
       io.space(), "crc", coverage::SimStats(io.space().size()));
   tgen::TestTemplate seed_template = io.suite().front();
-  FlowConfig config = [] {
-    FlowConfig c = small_config();
-    c.opt_max_iterations = 4;
-    return c;
-  }();
+  FlowConfig config;
   exec::ThreadFarm farm{2};
-  FlowResult reference = run(config);
+  FlowResult reference;
   fs::path pristine;
   std::string journal;
 
-  explicit JournaledSession(const std::string& name)
-      : pristine(scratch_dir(name + "_pristine")) {
+  explicit JournaledSession(const std::string& name,
+                            std::size_t sample_templates =
+                                small_config().sample_templates)
+      : config([sample_templates] {
+          FlowConfig c = small_config();
+          c.sample_templates = sample_templates;
+          c.opt_max_iterations = 4;
+          return c;
+        }()),
+        reference(run(config)),
+        pristine(scratch_dir(name + "_pristine")) {
     using Fp = util::FailurePoint;
     FlowConfig sessioned = config;
     sessioned.session_dir = pristine.string();
@@ -715,12 +743,13 @@ struct JournaledSession {
     return CdgRunner(io, farm, c).run_from_template(target, seed_template);
   }
 
-  /// Resumes a copy of the pristine session in `dir` whose journal holds
-  /// `bytes`.
-  FlowResult resume_with(const fs::path& dir, const std::string& bytes) {
+  /// Resumes a copy of the pristine session in `dir` whose `file` (by
+  /// default the journal) holds `bytes`.
+  FlowResult resume_with(const fs::path& dir, const std::string& bytes,
+                         const char* file = kJournal) {
     fs::remove_all(dir);
     fs::copy(pristine, dir, fs::copy_options::recursive);
-    std::ofstream(dir / kJournal, std::ios::binary | std::ios::trunc) << bytes;
+    std::ofstream(dir / file, std::ios::binary | std::ios::trunc) << bytes;
     FlowConfig resumed = config;
     resumed.session_dir = dir.string();
     resumed.resume = true;
@@ -729,6 +758,11 @@ struct JournaledSession {
 
   /// Every result the resume must reproduce bit for bit.
   void expect_reference(const FlowResult& got, const std::string& what) const {
+    EXPECT_EQ(got.sampling.best_index, reference.sampling.best_index) << what;
+    EXPECT_EQ(got.sampling.combined, reference.sampling.combined) << what;
+    EXPECT_EQ(got.sampling_phase.sims, reference.sampling_phase.sims) << what;
+    EXPECT_EQ(got.sampling_phase.stats, reference.sampling_phase.stats)
+        << what;
     EXPECT_EQ(got.optimization.best_value, reference.optimization.best_value)
         << what;
     EXPECT_EQ(got.optimization.best_point, reference.optimization.best_point)
@@ -739,6 +773,11 @@ struct JournaledSession {
         << what;
     EXPECT_EQ(got.harvest_phase.stats, reference.harvest_phase.stats) << what;
     EXPECT_EQ(got.flow_sims(), reference.flow_sims()) << what;
+    ASSERT_EQ(got.first_hits.size(), reference.first_hits.size()) << what;
+    for (std::size_t i = 0; i < got.first_hits.size(); ++i) {
+      EXPECT_EQ(got.first_hits[i].phase, reference.first_hits[i].phase)
+          << what;
+    }
   }
 };
 
@@ -875,6 +914,75 @@ TEST(SessionedRun, CorruptJournalResumesBitIdenticallyOrFailsTyped) {
   EXPECT_GT(rejected_flips, middle.size() * 9 / 10);
 }
 
+// Artifact-reader fuzz: the session of a JournaledSession (it died in
+// the optimizer, after sampling) with its manifest.json or sampling.json
+// cut at every byte offset, each number replaced with 1e999 and -0, each
+// array and object swapped for the other shape, and each key removed.
+// After each corruption the resume either reproduces the uninterrupted
+// run bit for bit or fails with a util::Error subtype. A file that does
+// not parse fails the resume at its read, so corruptions that fail to
+// parse with a message already seen for that file are resumed once.
+TEST(SessionedRun, CorruptArtifactsResumeBitIdenticallyOrFailTyped) {
+  JournaledSession s("artifact_fuzz", /*sample_templates=*/3);
+  const fs::path dir = scratch_dir("artifact_fuzz");
+  std::set<std::string> parse_errors;
+  std::size_t matched = 0;
+  for (const char* file : {"manifest.json", "sampling.json"}) {
+    std::ifstream in(s.pristine / file, std::ios::binary);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    ASSERT_FALSE(text.empty()) << file;
+    const auto resume_with = [&](const std::string& bytes,
+                                 const std::string& what) -> bool {
+      try {
+        (void)util::json_parse(bytes);
+      } catch (const ParseError& e) {
+        if (!parse_errors.insert(std::string(file) + e.what()).second) {
+          return false;
+        }
+      }
+      try {
+        s.expect_reference(s.resume_with(dir, bytes, file),
+                           std::string(file) + ": " + what);
+        ++matched;
+        return true;
+      } catch (const util::Error&) {
+        return false;
+      }
+    };
+    const auto with = [&](std::size_t begin, std::size_t end,
+                          std::string_view replacement) {
+      std::string bytes = text;
+      bytes.replace(begin, end - begin, replacement);
+      return bytes;
+    };
+    for (std::size_t n = 0; n < text.size(); ++n) {
+      (void)resume_with(text.substr(0, n), "cut at " + std::to_string(n));
+    }
+    for (const auto& [begin, end] : json_values(text, 'n')) {
+      EXPECT_FALSE(resume_with(with(begin, end, "1e999"),
+                               "number at " + std::to_string(begin) +
+                                   " 1e999"))
+          << file << ": number at " << begin << " replaced with 1e999";
+      (void)resume_with(with(begin, end, "-0"),
+                        "number at " + std::to_string(begin) + " -0");
+    }
+    for (const char shape : {'[', '{'}) {
+      for (const auto& [begin, end] : json_values(text, shape)) {
+        EXPECT_FALSE(resume_with(with(begin, end, shape == '[' ? "{}" : "[]"),
+                                 "value at " + std::to_string(begin) +
+                                     " reshaped"))
+            << file << ": value at " << begin << " reshaped";
+      }
+    }
+    for (const auto& [begin, end] : json_members(text)) {
+      (void)resume_with(with(begin, end, ""),
+                        "key at " + std::to_string(begin) + " removed");
+    }
+  }
+  // The cut of the trailing newline resumes, in both files.
+  EXPECT_GE(matched, 2u);
+}
+
 // The dedupe regression for the monolith split: run() is coarse search
 // plus the exact tail run_from_template() executes, so with the coarse
 // winner as the explicit seed both entry points must produce the same
@@ -918,6 +1026,99 @@ TEST(SessionedRun, RunMatchesRunFromTemplateOnSameSeed) {
             via_run.optimization.best_point);
   EXPECT_EQ(via_template.harvest_phase.stats, via_run.harvest_phase.stats);
   EXPECT_EQ(via_template.flow_sims(), via_run.flow_sims());
+}
+
+/// The spans `trace` holds directly under its "flow" span, in the order
+/// they ended: (name, sims).
+std::vector<std::pair<std::string, std::size_t>> stage_spans(
+    const std::string& trace) {
+  std::vector<util::JsonValue> spans;
+  std::uint64_t flow_id = 0;
+  std::istringstream lines(trace);
+  std::string line;
+  while (std::getline(lines, line)) {
+    util::JsonValue event = util::json_parse(line);
+    if (event.at("event").as_string() != "span") continue;
+    if (event.at("span").as_string() == "flow") {
+      flow_id = event.at("span_id").as_uint64();
+    }
+    spans.push_back(std::move(event));
+  }
+  std::vector<std::pair<std::string, std::size_t>> out;
+  for (const util::JsonValue& span : spans) {
+    if (flow_id != 0 && span.at("parent_id").as_uint64() == flow_id) {
+      out.emplace_back(span.at("span").as_string(), span.at("sims").as_size());
+    }
+  }
+  return out;
+}
+
+// Each stage a run executes is one span under "flow", named as in the
+// manifest and carrying the sims the manifest's ledger records for it;
+// with the before-CDG sims they are every simulation the farm ran. A
+// resumed run emits spans only for the stages it runs again.
+TEST(SessionedRun, StageSpansMatchTheManifestLedger) {
+  using Fp = util::FailurePoint;
+  const duv::IoUnit io;
+  const auto suite = io.suite();
+  exec::ThreadFarm farm(2);
+  coverage::CoverageRepository repo(io.space().size());
+  for (std::size_t j = 0; j < suite.size(); ++j) {
+    repo.record(suite[j].name(), farm.run(io, suite[j], 150, 500 + j));
+  }
+  const auto target = neighbors::family_target(io.space(), "crc", repo.total());
+  FlowConfig config = small_config();
+  config.opt_max_iterations = 3;
+  config.session_dir = scratch_dir("stage_spans").string();
+
+  std::ostringstream trace;
+  obs::Tracer tracer(trace);
+  config.trace = &tracer;
+  CdgRunner runner(io, farm, config);
+  (void)runner.run(target, repo, suite);
+  const auto spans = stage_spans(trace.str());
+  const auto& ledger = runner.session_summary()->stages;
+  ASSERT_EQ(spans.size(), ledger.size());
+  std::size_t stage_sims = 0;
+  for (std::size_t i = 0; i < ledger.size(); ++i) {
+    EXPECT_EQ(spans[i].first, ledger[i].name);
+    EXPECT_EQ(spans[i].second, ledger[i].sims) << ledger[i].name;
+    stage_sims += spans[i].second;
+  }
+  EXPECT_EQ(ledger.front().name, "coarse");
+  EXPECT_EQ(stage_sims + repo.total_sims(), farm.total_simulations());
+
+  // Interrupt a second session in the optimizer (its second record's
+  // sync fails), then resume it traced on a fresh farm.
+  config.trace = nullptr;
+  config.session_dir = scratch_dir("stage_spans_resume").string();
+  {
+    exec::ThreadFarm crashed_farm(2);
+    Fp::prime_every_nth(Fp::Id::kJournalSync, 2);
+    EXPECT_THROW((void)CdgRunner(io, crashed_farm, config)
+                     .run(target, repo, suite),
+                 Error);
+    Fp::disarm_all();
+  }
+  std::ostringstream resumed_trace;
+  obs::Tracer resumed_tracer(resumed_trace);
+  config.trace = &resumed_tracer;
+  config.resume = true;
+  exec::ThreadFarm resumed_farm(2);
+  CdgRunner resumed(io, resumed_farm, config);
+  (void)resumed.run(target, repo, suite);
+  const auto resumed_spans = stage_spans(resumed_trace.str());
+  const auto& resumed_ledger = resumed.session_summary()->stages;
+  ASSERT_EQ(resumed_spans.size(), 3u);
+  std::size_t resumed_sims = 0;
+  for (std::size_t i = 0; i < resumed_spans.size(); ++i) {
+    const StageRecord& record = resumed_ledger[ledger.size() - 3 + i];
+    EXPECT_EQ(resumed_spans[i].first, record.name);
+    EXPECT_EQ(resumed_spans[i].second, record.sims) << record.name;
+    resumed_sims += resumed_spans[i].second;
+  }
+  EXPECT_EQ(resumed_spans.front().first, "optimization");
+  EXPECT_EQ(resumed_sims, resumed_farm.total_simulations());
 }
 
 // ------------------------------------------------------------ campaign --

@@ -21,6 +21,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace_profile.hpp"
 #include "util/error.hpp"
+#include "util/failure.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -173,6 +174,34 @@ TEST(TimeSeries, StopTakesAFinalSampleAndFinalizesTheIndex) {
   EXPECT_EQ(index.at("samples").as_uint64(), 1u);
   EXPECT_EQ(index.at("file").as_string(), "telemetry.jsonl");
   EXPECT_TRUE(index.at("final").as_bool());
+}
+
+// A failed index write is not latched: a session reap can unlink the
+// index's temp file under the sampler, and the final index must still
+// be written, counting every sample.
+TEST(TimeSeries, FailedIndexWriteIsRewrittenByStop) {
+  using Fp = util::FailurePoint;
+  const fs::path dir = scratch_dir("index_retry");
+  Registry reg;
+  RunState run;
+  TimeSeriesConfig config = manual_config(reg, run);
+  config.jsonl_path = dir / "telemetry.jsonl";
+  config.index_path = dir / "telemetry.index.json";
+  TimeSeriesRecorder recorder(config);
+
+  Fp::prime_one_shot(Fp::Id::kAtomicWriteRename);
+  recorder.sample_now();  // the first index write fails
+  EXPECT_EQ(Fp::fires(Fp::Id::kAtomicWriteRename), 1u);
+  Fp::disarm_all();
+  EXPECT_FALSE(fs::exists(config.index_path));
+
+  recorder.stop();
+  const auto index_lines = read_lines(config.index_path);
+  ASSERT_EQ(index_lines.size(), 1u);
+  const util::JsonValue index = util::json_parse(index_lines.front());
+  EXPECT_TRUE(index.at("final").as_bool());
+  EXPECT_EQ(index.at("samples").as_uint64(), 2u);
+  EXPECT_EQ(read_lines(config.jsonl_path).size(), 2u);
 }
 
 TEST(TimeSeries, AppendModeContinuesTheSequenceAcrossProcesses) {
