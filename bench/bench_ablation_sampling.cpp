@@ -69,16 +69,17 @@ int main(int argc, char** argv) {
       sopt.templates = sample_templates;
       sopt.sims_per_template = sample_sims;
       sopt.seed = seed;
-      const auto sampling = cdg::random_sample(l3, farm, skeleton, target, sopt);
+      const auto sampling =
+          cdg::random_sample(l3, farm, skeleton, {&target, 1}, sopt);
       cdg::CdgObjective objective(l3, farm, skeleton, target, sims_per_point);
       opt::ImplicitFilteringOptions ifopt;
       ifopt.directions = directions;
       ifopt.max_iterations = opt_iterations;
       ifopt.seed = seed;
       const auto result =
-          opt::implicit_filtering(objective, sampling.best().point, ifopt);
+          opt::implicit_filtering(objective, sampling.best.front().point, ifopt);
       table.add_row({"with sampling", std::to_string(seed),
-                     util::format_number(sampling.best().target_value, 4),
+                     util::format_number(sampling.best.front().value, 4),
                      util::format_number(result.best_value, 4),
                      util::format_count(sampling.simulations +
                                         objective.simulations())});

@@ -8,6 +8,7 @@
 
 #include "exec/process_farm.hpp"
 #include "exec/thread_farm.hpp"
+#include "cdg/random_sample.hpp"
 #include "cdg/skeletonizer.hpp"
 #include "coverage/repository.hpp"
 #include "flow/artifacts.hpp"
@@ -21,6 +22,7 @@
 #include "duv/io_unit.hpp"
 #include "duv/l3_cache.hpp"
 #include "duv/registry.hpp"
+#include "neighbors/neighbors.hpp"
 #include "stimgen/compiled.hpp"
 #include "stimgen/sampler.hpp"
 #include "tac/tac.hpp"
@@ -240,6 +242,28 @@ void BM_ThreadFarmRunAllFine(benchmark::State& state) {
   run_jobs_loop(state, farm, ifu, tmpl, 5000, 4);
 }
 BENCHMARK(BM_ThreadFarmRunAllFine)->Arg(1)->Arg(8)->UseRealTime();
+
+// ifu-fine's sampling phase: 5000 templates x 4 ifu sims scored against
+// the ifu family target on 4 workers. The phase dispatches a slice of
+// templates at a time; this is what that costs against one dispatch.
+void BM_RandomSampleFine(benchmark::State& state) {
+  const duv::Ifu ifu;
+  const auto skel = cdg::Skeletonizer().skeletonize(ifu.defaults());
+  const auto target = neighbors::family_target(
+      ifu.space(), "ifu", coverage::SimStats(ifu.space().size()));
+  exec::ThreadFarm farm(4);
+  cdg::RandomSampleOptions options;
+  options.templates = 5000;
+  options.sims_per_template = 4;
+  for (auto _ : state) {
+    const auto result =
+        cdg::random_sample(ifu, farm, skel, {&target, 1}, options);
+    benchmark::DoNotOptimize(result.simulations);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          5000 * 4);
+}
+BENCHMARK(BM_RandomSampleFine)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // BM_ThreadFarmRunAll with the metrics registry mutators short-circuited,
 // for the instrumentation-overhead comparison (acceptance: enabled

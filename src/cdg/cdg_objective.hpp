@@ -1,8 +1,7 @@
 // Adapter that exposes the CDG problem as an opt::Objective: a point in
 // [0,1]^d is a weight assignment for the skeleton's marks; evaluating it
 // instantiates a test-template, simulates it N times on the execution
-// backend,
-// and returns the empirical approximated-target value T_N(t).
+// backend, and returns the empirical approximated-target value T_N(t).
 //
 // Evaluation is batched: evaluate_batch() instantiates one template per
 // point up front and submits a single Backend::run_all covering every
@@ -66,8 +65,8 @@ class CdgObjective final : public opt::Objective {
   };
 
   /// Batched evaluation that also hands back each point's statistics —
-  /// the random-sampling phase and multi-target re-scoring need the
-  /// per-point stats, not just the values. Semantics are identical to
+  /// the random-sampling phase scores them against every campaign
+  /// target before it drops them. Semantics are identical to
   /// evaluate_batch (same dispatch and bookkeeping).
   [[nodiscard]] std::vector<PointEval> evaluate_batch_full(
       std::span<const opt::Point> xs, std::span<const std::uint64_t> seeds);

@@ -4,9 +4,14 @@
 // to pick the starting point for the optimizer. "This good starting
 // point can save the optimization algorithm many iterations of
 // wandering in an almost flat area."
+//
+// It keeps a score, not a simulation record: the templates go to the
+// backend a slice at a time, and each sample's statistics are scored
+// against every target and dropped, so memory holds one slice.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "exec/backend.hpp"
@@ -21,27 +26,37 @@ struct RandomSampleOptions {
   std::uint64_t seed = 1;
 };
 
-/// One sampled template: its mark weights, per-event stats, and score.
-struct Sample {
-  std::vector<double> point;
-  coverage::SimStats stats;
-  double target_value = 0.0;
+/// Templates per backend dispatch; results do not depend on it.
+extern const std::size_t kSampleSlice;
+
+/// The best sampled template for one scoring target.
+struct SampleBest {
+  std::size_t index = 0;      ///< in generation order
+  double value = 0.0;         ///< the target's T_N over the sample's stats
+  std::vector<double> point;  ///< the sample's mark weights
 };
 
 struct RandomSampleResult {
-  std::vector<Sample> samples;     ///< in generation order
-  std::size_t best_index = 0;      ///< argmax of target_value
-  coverage::SimStats combined;     ///< union over the whole phase
-  std::size_t simulations = 0;     ///< n * N
-
-  [[nodiscard]] const Sample& best() const { return samples[best_index]; }
+  std::size_t templates = 0;          ///< n
+  std::size_t sims_per_template = 0;  ///< N
+  coverage::SimStats combined;        ///< union over the whole phase
+  std::size_t simulations = 0;        ///< n * N
+  std::vector<SampleBest> best;       ///< one per scoring target, in order
 };
 
-/// Runs the random-sampling phase. Throws util::ConfigError for a zero
-/// template/sim budget or a skeleton without marks.
+/// Scores sample `index` against every target and keeps it as target
+/// t's best when its value beats best[t]'s strictly (an empty `best`
+/// takes it): offered in index order, a tie keeps the lowest index.
+void keep_best(std::span<const neighbors::ApproximatedTarget> targets,
+               std::size_t index, std::span<const double> point,
+               const coverage::SimStats& stats, std::vector<SampleBest>& best);
+
+/// Runs the random-sampling phase, scoring every sample against each of
+/// `targets`. Throws util::ConfigError for a zero template/sim budget,
+/// no target, or a skeleton without marks.
 [[nodiscard]] RandomSampleResult random_sample(
     const duv::Duv& duv, exec::Backend& farm, const tgen::Skeleton& skeleton,
-    const neighbors::ApproximatedTarget& target,
+    std::span<const neighbors::ApproximatedTarget> targets,
     const RandomSampleOptions& options);
 
 }  // namespace ascdg::cdg

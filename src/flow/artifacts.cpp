@@ -1,5 +1,6 @@
 #include "flow/artifacts.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "flow/session.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
 #include "util/jsonl.hpp"
@@ -97,6 +99,20 @@ std::vector<opt::IterationRecord> trace_from_json(
   return trace;
 }
 
+/// FNV-1a of the targets' weighted events: all that their scores read.
+std::uint64_t targets_digest(
+    std::span<const neighbors::ApproximatedTarget> targets) {
+  std::string text;
+  for (const auto& target : targets) {
+    for (const auto& weighted : target.events()) {
+      text += std::to_string(weighted.event.value) + ':';
+      append_double(text, weighted.weight);
+    }
+    text += ';';
+  }
+  return fnv1a(text);
+}
+
 std::string read_artifact(const std::filesystem::path& path) {
   if (const int e = util::FailurePoint::check(
           util::FailurePoint::Id::kArtifactRead);
@@ -122,7 +138,8 @@ std::string hex_u64(std::uint64_t value) {
   return buf;
 }
 
-std::uint64_t fnv1a(std::string_view text, std::uint64_t hash) noexcept {
+std::uint64_t fnv1a(std::string_view text) noexcept {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ULL;
@@ -194,49 +211,72 @@ PhaseOutcome phase_outcome_from_json(const util::JsonValue& value) {
   return phase;
 }
 
-std::string to_json(const cdg::RandomSampleResult& sampling) {
-  std::string out;
-  write_json([&out](std::string_view piece) { out += piece; }, sampling);
-  return out;
-}
-
-void write_json(const util::ContentSink& sink,
-                const cdg::RandomSampleResult& sampling) {
-  sink("{\"samples\":[");
-  for (std::size_t i = 0; i < sampling.samples.size(); ++i) {
-    if (i != 0) sink(",");
-    const auto& sample = sampling.samples[i];
-    sink(util::JsonObject{}
-             .add_raw("point", json_double_array(sample.point))
-             .add("target_value", sample.target_value)
-             .add_raw("stats", to_json(sample.stats))
-             .str());
+std::string to_json(const cdg::RandomSampleResult& sampling,
+                    std::span<const neighbors::ApproximatedTarget> targets) {
+  std::string best = "[";
+  for (std::size_t t = 0; t < sampling.best.size(); ++t) {
+    if (t != 0) best += ',';
+    best += util::JsonObject{}
+                .add("index", sampling.best[t].index)
+                .add("value", sampling.best[t].value)
+                .add_raw("point", json_double_array(sampling.best[t].point))
+                .str();
   }
-  // The fields after the array: this object's body, minus its '{'.
-  const std::string rest = util::JsonObject{}
-                               .add("best_index", sampling.best_index)
-                               .add_raw("combined", to_json(sampling.combined))
-                               .add("simulations", sampling.simulations)
-                               .str();
-  sink("],");
-  sink(std::string_view(rest).substr(1));
+  best += ']';
+  return util::JsonObject{}
+      .add("templates", sampling.templates)
+      .add("sims_per_template", sampling.sims_per_template)
+      .add("targets", hex_u64(targets_digest(targets)))
+      .add_raw("best", best)
+      .add_raw("combined", to_json(sampling.combined))
+      .add("simulations", sampling.simulations)
+      .str();
 }
 
-cdg::RandomSampleResult sampling_from_json(const util::JsonValue& value) {
+cdg::RandomSampleResult sampling_from_json(
+    const util::JsonValue& value,
+    std::span<const neighbors::ApproximatedTarget> targets) {
   cdg::RandomSampleResult sampling;
-  for (const auto& entry : value.at("samples").as_array()) {
-    cdg::Sample sample;
-    sample.point = double_array_from_json(entry.at("point"));
-    sample.target_value = json_double(entry.at("target_value"));
-    sample.stats = sim_stats_from_json(entry.at("stats"));
-    sampling.samples.push_back(std::move(sample));
-  }
-  sampling.best_index = value.at("best_index").as_size();
   sampling.combined = sim_stats_from_json(value.at("combined"));
   sampling.simulations = value.at("simulations").as_size();
-  if (!sampling.samples.empty() &&
-      sampling.best_index >= sampling.samples.size()) {
-    throw util::Error("sampling artifact: best_index out of range");
+  if (const util::JsonValue* samples = value.find("samples")) {
+    std::size_t events = 0;
+    for (const auto& target : targets) {
+      for (const auto& weighted : target.events()) {
+        events = std::max<std::size_t>(events, weighted.event.value + 1);
+      }
+    }
+    const auto& entries = samples->as_array();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const auto stats = sim_stats_from_json(entries[i].at("stats"));
+      if (stats.event_count() < events) {
+        throw util::Error("sampling artifact: a sample misses target events");
+      }
+      cdg::keep_best(targets, i, double_array_from_json(entries[i].at("point")),
+                     stats, sampling.best);
+      if (i == 0) sampling.sims_per_template = stats.sims();
+    }
+    sampling.templates = entries.size();
+  } else {
+    if (parse_hex_u64(value.at("targets")) != targets_digest(targets)) {
+      throw util::ConfigError(
+          "sampling artifact: scored other targets than this run's");
+    }
+    sampling.templates = value.at("templates").as_size();
+    sampling.sims_per_template = value.at("sims_per_template").as_size();
+    for (const auto& entry : value.at("best").as_array()) {
+      sampling.best.push_back({entry.at("index").as_size(),
+                               json_double(entry.at("value")),
+                               double_array_from_json(entry.at("point"))});
+    }
+  }
+  if (sampling.best.size() != targets.size()) {
+    throw util::Error("sampling artifact: not one best sample per target");
+  }
+  for (const auto& best : sampling.best) {
+    if (best.index >= sampling.templates) {
+      throw util::Error("sampling artifact: best index out of range");
+    }
   }
   return sampling;
 }
@@ -326,8 +366,15 @@ OptStageCheckpoint opt_stage_checkpoint_from_json(
   return ckpt;
 }
 
-util::JsonValue read_json_file(const std::filesystem::path& path) {
-  return util::json_parse(read_artifact(path));
+void write_digested_json_file(const std::filesystem::path& path,
+                              const util::JsonObject& doc) {
+  std::string text = doc.str();
+  text.pop_back();  // the closing '}'
+  const std::uint64_t digest = fnv1a(text);
+  text += ",\"digest\":\"";
+  text += hex_u64(digest);
+  text += "\"}\n";
+  atomic_write_file(path, text);
 }
 
 util::JsonValue read_digested_json_file(const std::filesystem::path& path) {

@@ -18,9 +18,10 @@
 #include "cdg/random_sample.hpp"
 #include "coverage/repository.hpp"
 #include "flow/types.hpp"
+#include "neighbors/neighbors.hpp"
 #include "opt/implicit_filtering.hpp"
-#include "util/fs.hpp"
 #include "util/json.hpp"
+#include "util/jsonl.hpp"
 
 namespace ascdg::flow {
 
@@ -30,11 +31,8 @@ namespace ascdg::flow {
 /// Inverse of hex_u64; throws util::Error for a non-hex string.
 [[nodiscard]] std::uint64_t parse_hex_u64(const util::JsonValue& value);
 
-/// 64-bit FNV-1a of `text`, continuing from `hash`, so a digest can be
-/// taken over pieces as they stream past.
-inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
-[[nodiscard]] std::uint64_t fnv1a(std::string_view text,
-                                  std::uint64_t hash = kFnv1aBasis) noexcept;
+/// 64-bit FNV-1a of `text`.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view text) noexcept;
 
 [[nodiscard]] std::string to_json(const coverage::SimStats& stats);
 [[nodiscard]] coverage::SimStats sim_stats_from_json(
@@ -44,13 +42,18 @@ inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 [[nodiscard]] PhaseOutcome phase_outcome_from_json(
     const util::JsonValue& value);
 
-[[nodiscard]] std::string to_json(const cdg::RandomSampleResult& sampling);
-/// The same JSON as to_json(sampling), handed to `sink` one sample at a
-/// time: at thousands of samples it runs to megabytes.
-void write_json(const util::ContentSink& sink,
-                const cdg::RandomSampleResult& sampling);
+/// A sampling result scored against `targets`, with a digest of them.
+[[nodiscard]] std::string to_json(
+    const cdg::RandomSampleResult& sampling,
+    std::span<const neighbors::ApproximatedTarget> targets);
+/// Reads to_json(sampling, targets), or re-scores the per-sample layout
+/// of older sessions ("samples": every point and stats) with
+/// cdg::keep_best as the live phase does. Throws util::ConfigError when
+/// it scored other targets, util::Error when it lacks one best sample
+/// per target within its template count.
 [[nodiscard]] cdg::RandomSampleResult sampling_from_json(
-    const util::JsonValue& value);
+    const util::JsonValue& value,
+    std::span<const neighbors::ApproximatedTarget> targets);
 
 [[nodiscard]] std::string to_json(const opt::OptResult& result);
 [[nodiscard]] opt::OptResult opt_result_from_json(const util::JsonValue& value);
@@ -80,15 +83,18 @@ struct OptStageCheckpoint {
 [[nodiscard]] std::vector<double> double_array_from_json(
     const util::JsonValue& value);
 
-/// Reads and parses one JSON artifact. Throws util::Error when the file
-/// cannot be read, util::ParseError when it is not valid JSON.
-[[nodiscard]] util::JsonValue read_json_file(const std::filesystem::path& path);
+/// Writes `doc` with a last key "digest" (see read_digested_json_file)
+/// and a newline through flow::atomic_write_file.
+void write_digested_json_file(const std::filesystem::path& path,
+                              const util::JsonObject& doc);
 
-/// read_json_file for an object artifact whose last key is "digest":
-/// the hex_u64 fnv1a of every byte before `,"digest":`. Throws
-/// util::Error when it does not match, so a file altered on disk that
-/// still parses is an error, not a resume into another trajectory. A
-/// file without the key (written before digests) is read as is.
+/// Reads and parses one JSON file of a session or campaign. An object
+/// whose last key is "digest" must match it: the hex_u64 fnv1a of every
+/// byte before `,"digest":`, so a file altered on disk that still
+/// parses is an error, not a resume into another trajectory. A file
+/// without the key (a manifest, or written before digests) is read as
+/// is. Throws util::Error when the file cannot be read or does not
+/// match its digest, util::ParseError when it is not valid JSON.
 [[nodiscard]] util::JsonValue read_digested_json_file(
     const std::filesystem::path& path);
 

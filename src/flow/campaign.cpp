@@ -53,7 +53,7 @@ void write_campaign_manifest(const std::filesystem::path& path,
 void validate_campaign_manifest(const std::filesystem::path& path,
                                 std::uint64_t fingerprint,
                                 std::size_t targets) {
-  const util::JsonValue doc = read_json_file(path);
+  const util::JsonValue doc = read_digested_json_file(path);
   if (doc.at("schema").as_string() != kCampaignSchema) {
     throw util::ConfigError("campaign manifest " + path.string() +
                             ": unknown schema '" + doc.at("schema").as_string() +
@@ -75,21 +75,6 @@ void validate_campaign_manifest(const std::filesystem::path& path,
 }
 
 }  // namespace
-
-std::size_t best_sample_for(const cdg::RandomSampleResult& sampling,
-                            const neighbors::ApproximatedTarget& target) {
-  ASCDG_ASSERT(!sampling.samples.empty(), "empty sampling result");
-  std::size_t best = 0;
-  double best_value = target.value(sampling.samples[0].stats);
-  for (std::size_t i = 1; i < sampling.samples.size(); ++i) {
-    const double value = target.value(sampling.samples[i].stats);
-    if (value > best_value) {
-      best_value = value;
-      best = i;
-    }
-  }
-  return best;
-}
 
 MultiTargetResult run_multi_target(
     const duv::Duv& duv, exec::Backend& farm, const FlowConfig& config,
@@ -137,17 +122,14 @@ MultiTargetResult run_multi_target(
   shared_ctx.duv = &duv;
   shared_ctx.farm = &farm;
   shared_ctx.config = &config;
-  // Score against the first target just to fill the field; every target
-  // re-scores below from the retained per-sample stats.
-  shared_ctx.target = &targets[0];
   shared_ctx.session = shared_session.has_value() ? &*shared_session : nullptr;
   shared_ctx.result = &shared;
   shared_ctx.seed_template = seed_template;
   Pipeline shared_pipeline;
   shared_pipeline.add(std::make_unique<SkeletonizeStage>())
-      .add(std::make_unique<SampleStage>());
+      .add(std::make_unique<SampleStage>(targets));
   shared_pipeline.execute(shared_ctx);
-  result.sampling = shared.sampling;
+  result.sampling = std::move(shared.sampling);
   util::log_info("multi-target: shared sampling of ",
                  result.sampling.simulations, " sims for ", targets.size(),
                  " targets");
@@ -166,8 +148,10 @@ MultiTargetResult run_multi_target(
     flow.before.name = "Before CDG";
     flow.before.stats = coverage::SimStats(duv.space().size());
 
-    flow.sampling = result.sampling;
-    flow.sampling.best_index = best_sample_for(result.sampling, target);
+    // The target's own best sample is its optimizer's start.
+    flow.sampling = {result.sampling.templates,
+                     result.sampling.sims_per_template, result.sampling.combined,
+                     result.sampling.simulations, {result.sampling.best[t]}};
     // Attribute the shared cost once (to the first target).
     flow.sampling_phase = {"Sampling phase",
                            t == 0 ? result.sampling.simulations : 0,

@@ -6,12 +6,11 @@
 //    simulations per event by using the same simulations for several
 //    target events."
 //
-// The key observation: the random-sampling phase records the FULL
-// per-event statistics of every sampled template, so one sampling pass
-// can serve any number of targets — each target just re-scores the same
-// samples with its own objective and starts its optimization from its
-// own best sample. Only the (cheaper, focused) optimization and harvest
-// phases are per-target.
+// The key observation: the targets are known before the random-sampling
+// phase runs, so one sampling pass can serve any number of them — it
+// scores each sample's statistics against every target as they return
+// and keeps each target's best sample, its optimizer's start. Only the
+// (cheaper, focused) optimization and harvest phases are per-target.
 //
 // Since the stage-pipeline refactor this is a session-backed campaign
 // driver: with FlowConfig::session_dir set, the campaign directory
@@ -33,12 +32,13 @@
 namespace ascdg::flow {
 
 struct MultiTargetResult {
-  /// The shared sampling phase (paid once).
+  /// The shared sampling phase (paid once), with one best sample per
+  /// target in target order.
   cdg::RandomSampleResult sampling;
   /// One flow result per target. The `sampling` member of each result
-  /// is re-scored against that target (same stats, its own best index);
-  /// sampling_phase.sims is attributed only to the first target so that
-  /// summing flow_sims() over results gives the true total cost.
+  /// holds only that target's best sample; sampling_phase.sims is
+  /// attributed only to the first target so that summing flow_sims()
+  /// over results gives the true total cost.
   std::vector<FlowResult> per_target;
   /// Simulations the shared sampling phase saved versus running the
   /// full flow independently per target.
@@ -55,18 +55,14 @@ struct MultiTargetResult {
   }
 };
 
-/// Re-scores a sampling result against a different target: returns the
-/// index of the sample with the best target value.
-[[nodiscard]] std::size_t best_sample_for(const cdg::RandomSampleResult& sampling,
-                                          const neighbors::ApproximatedTarget& target);
-
 /// Runs the shared-sampling multi-target campaign: one sampling phase
 /// of the skeletonized `seed_template`, then per-target optimization
 /// and harvest with `config`'s budgets. With `config.session_dir` set,
 /// checkpoints the whole campaign under that directory (see above);
 /// with `config.resume` also set, restarts from the last completed
-/// checkpoint. Throws util::ConfigError when `targets` is empty or the
-/// resumed campaign manifest does not match this configuration.
+/// checkpoint. Throws util::ConfigError when `targets` is empty, or the
+/// resumed campaign manifest does not match this configuration, or its
+/// shared sampling scored other targets.
 [[nodiscard]] MultiTargetResult run_multi_target(
     const duv::Duv& duv, exec::Backend& farm, const FlowConfig& config,
     std::span<const neighbors::ApproximatedTarget> targets,

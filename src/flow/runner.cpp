@@ -184,7 +184,7 @@ FlowResult CdgRunner::execute(const neighbors::ApproximatedTarget& target,
 
   Pipeline flow;
   flow.add(std::make_unique<SkeletonizeStage>())
-      .add(std::make_unique<SampleStage>())
+      .add(std::make_unique<SampleStage>(std::span(&target, 1)))
       .add(std::make_unique<OptimizeStage>())
       .add(std::make_unique<RefineStage>())
       .add(std::make_unique<HarvestStage>());

@@ -84,13 +84,6 @@ void atomic_write_file(const std::filesystem::path& path,
   maybe_crash_after_write();
 }
 
-void atomic_write_stream(
-    const std::filesystem::path& path,
-    const std::function<void(const util::ContentSink&)>& produce) {
-  util::atomic_write_stream(path, produce);
-  maybe_crash_after_write();
-}
-
 JournalWriter::JournalWriter(const std::filesystem::path& path,
                              std::uintmax_t keep_bytes)
     : util::JournalWriter(path, keep_bytes, maybe_crash_after_write) {}

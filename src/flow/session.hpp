@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -57,12 +56,6 @@ inline constexpr std::string_view kTraceFile = "trace.jsonl";
 /// not a silent no-op.
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content);
-
-/// atomic_write_file for content produced piece by piece
-/// (util::atomic_write_stream), with the same crash hook.
-void atomic_write_stream(
-    const std::filesystem::path& path,
-    const std::function<void(const util::ContentSink&)>& produce);
 
 /// util::JournalWriter that services the crash hook above once per
 /// durable record, after its sync completes and before the next record

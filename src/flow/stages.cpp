@@ -234,43 +234,30 @@ void SampleStage::run(StageContext& ctx) {
   sample_options.sims_per_template = config.sample_sims;
   sample_options.seed = config.seed ^ 0x5A4D91E5ULL;
   result.sampling = cdg::random_sample(*ctx.duv, *ctx.farm, result.skeleton,
-                                       *ctx.target, sample_options);
+                                       targets_, sample_options);
   result.sampling_phase = {"Sampling phase", result.sampling.simulations,
                            result.sampling.combined};
   result.sampling_phase.wall_ms = ctx.scope->elapsed_ms();
+  const double best_value = result.sampling.best.front().value;
   ctx.scope->fields()
-      .add("templates", result.sampling.samples.size())
-      .add("best_value", result.sampling.best().target_value);
-  util::log_info("sampling phase: best target value ",
-                 result.sampling.best().target_value, " over ",
+      .add("templates", result.sampling.templates)
+      .add("best_value", best_value);
+  util::log_info("sampling phase: best target value ", best_value, " over ",
                  result.sampling.simulations, " sims");
 }
 
 void SampleStage::save(StageContext& ctx) const {
-  // Streamed: this is the session's one megabyte-sized artifact, and
-  // as one string it would put several whole copies of itself on the
-  // flow's memory peak. It closes with the digest of the bytes before
-  // it, which read_digested_json_file checks on resume.
-  atomic_write_stream(
+  write_digested_json_file(
       ctx.session->artifact_path("sampling.json"),
-      [&ctx](const util::ContentSink& sink) {
-        std::uint64_t digest = kFnv1aBasis;
-        const util::ContentSink hashed = [&](std::string_view piece) {
-          digest = fnv1a(piece, digest);
-          sink(piece);
-        };
-        hashed("{\"sampling\":");
-        write_json(hashed, ctx.result->sampling);
-        hashed(",\"phase\":");
-        hashed(to_json(ctx.result->sampling_phase));
-        sink(",\"digest\":\"" + hex_u64(digest) + "\"}\n");
-      });
+      util::JsonObject{}
+          .add_raw("sampling", to_json(ctx.result->sampling, targets_))
+          .add_raw("phase", to_json(ctx.result->sampling_phase)));
 }
 
 void SampleStage::load(StageContext& ctx) const {
   const util::JsonValue doc =
       read_digested_json_file(ctx.session->artifact_path("sampling.json"));
-  ctx.result->sampling = sampling_from_json(doc.at("sampling"));
+  ctx.result->sampling = sampling_from_json(doc.at("sampling"), targets_);
   ctx.result->sampling_phase = phase_outcome_from_json(doc.at("phase"));
 }
 
@@ -310,7 +297,7 @@ void OptimizeStage::run(StageContext& ctx) {
   }
 
   result.optimization = opt::implicit_filtering(
-      objective, result.sampling.best().point, if_options);
+      objective, result.sampling.best.front().point, if_options);
   if (journal.has_value()) journal->close();
   result.optimization_phase = {"Optimization phase",
                                prefix.sims + objective.simulations(),
@@ -327,20 +314,18 @@ void OptimizeStage::run(StageContext& ctx) {
 
 void OptimizeStage::save(StageContext& ctx) const {
   const FlowResult& result = *ctx.result;
-  atomic_write_file(
+  write_digested_json_file(
       ctx.session->artifact_path("optimization.json"),
       util::JsonObject{}
           .add_raw("optimization", to_json(result.optimization))
-          .add_raw("phase", to_json(result.optimization_phase))
-          .str() +
-          "\n");
+          .add_raw("phase", to_json(result.optimization_phase)));
   remove_if_exists(
       ctx.session->artifact_path(checkpoint_journal_name(name())));
 }
 
 void OptimizeStage::load(StageContext& ctx) const {
   const util::JsonValue doc =
-      read_json_file(ctx.session->artifact_path("optimization.json"));
+      read_digested_json_file(ctx.session->artifact_path("optimization.json"));
   FlowResult& result = *ctx.result;
   result.optimization = opt_result_from_json(doc.at("optimization"));
   result.optimization_phase = phase_outcome_from_json(doc.at("phase"));
@@ -448,15 +433,14 @@ void RefineStage::save(StageContext& ctx) const {
   }
   doc.add_raw("phase", to_json(result.optimization_phase))
       .add_raw("best_point", json_double_array(ctx.best_point));
-  atomic_write_file(ctx.session->artifact_path("refinement.json"),
-                    doc.str() + "\n");
+  write_digested_json_file(ctx.session->artifact_path("refinement.json"), doc);
   remove_if_exists(
       ctx.session->artifact_path(checkpoint_journal_name(name())));
 }
 
 void RefineStage::load(StageContext& ctx) const {
   const util::JsonValue doc =
-      read_json_file(ctx.session->artifact_path("refinement.json"));
+      read_digested_json_file(ctx.session->artifact_path("refinement.json"));
   FlowResult& result = *ctx.result;
   if (doc.at("refined").as_bool()) {
     result.refinement = opt_result_from_json(doc.at("refinement"));
@@ -496,19 +480,16 @@ void HarvestStage::run(StageContext& ctx) {
 void HarvestStage::save(StageContext& ctx) const {
   tgen::save_template(ctx.session->artifact_path("best_template.tmpl"),
                       ctx.result->best_template);
-  atomic_write_file(
+  write_digested_json_file(
       ctx.session->artifact_path("harvest.json"),
-      util::JsonObject{}
-          .add_raw("phase", to_json(ctx.result->harvest_phase))
-          .str() +
-          "\n");
+      util::JsonObject{}.add_raw("phase", to_json(ctx.result->harvest_phase)));
 }
 
 void HarvestStage::load(StageContext& ctx) const {
   ctx.result->best_template =
       tgen::load_template(ctx.session->artifact_path("best_template.tmpl"));
   const util::JsonValue doc =
-      read_json_file(ctx.session->artifact_path("harvest.json"));
+      read_digested_json_file(ctx.session->artifact_path("harvest.json"));
   ctx.result->harvest_phase = phase_outcome_from_json(doc.at("phase"));
 }
 

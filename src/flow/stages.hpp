@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -43,15 +44,22 @@ class SkeletonizeStage final : public Stage {
   void load(StageContext& ctx) const override;
 };
 
-/// §IV-D: the random-sampling phase.
+/// §IV-D: the random-sampling phase, keeping the best sample for each
+/// of `targets`, which must outlive the stage.
 class SampleStage final : public Stage {
  public:
+  explicit SampleStage(std::span<const neighbors::ApproximatedTarget> targets)
+      : targets_(targets) {}
+
   [[nodiscard]] std::string_view name() const noexcept override {
     return "sampling";
   }
   void run(StageContext& ctx) override;
   void save(StageContext& ctx) const override;
   void load(StageContext& ctx) const override;
+
+ private:
+  std::span<const neighbors::ApproximatedTarget> targets_;
 };
 
 /// §IV-E: implicit filtering over the skeleton's weight space. With a

@@ -606,11 +606,8 @@ void write_metrics_json(const std::filesystem::path& path,
 std::string phase_caption(const flow::FlowResult& flow) {
   std::string caption;
   caption += "Before CDG (" + util::format_count(flow.before.sims) + " sims); ";
-  caption += "Sampling (" + std::to_string(flow.sampling.samples.size()) +
-             " tests x " +
-             std::to_string(flow.sampling.samples.empty()
-                                ? 0
-                                : flow.sampling.samples.front().stats.sims()) +
+  caption += "Sampling (" + std::to_string(flow.sampling.templates) +
+             " tests x " + std::to_string(flow.sampling.sims_per_template) +
              " sims each); ";
   caption += "Optimization (" + std::to_string(flow.optimization.trace.size()) +
              " iterations, " + util::format_count(flow.optimization_phase.sims) +

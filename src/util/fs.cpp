@@ -103,13 +103,6 @@ std::filesystem::path parent_or_cwd(const std::filesystem::path& path) {
 
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content) {
-  atomic_write_stream(path,
-                      [content](const ContentSink& sink) { sink(content); });
-}
-
-void atomic_write_stream(
-    const std::filesystem::path& path,
-    const std::function<void(const ContentSink&)>& produce) {
   if (path.has_parent_path()) {
     std::error_code ec;
     std::filesystem::create_directories(path.parent_path(), ec);
@@ -130,34 +123,11 @@ void atomic_write_stream(
   }
   if (fd < 0) fail("cannot open temp file", tmp, errno);
 
-  // Pieces smaller than the buffer are gathered into it; a larger one
-  // goes straight to write(2), so a single-string write stays one
-  // write_all call.
-  constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
-  std::string buffer;
-  const auto write_or_fail = [&](std::string_view bytes) {
-    if (!write_all(fd, bytes.data(), bytes.size(), Fp::Id::kAtomicWriteWrite)) {
-      fail("failed writing", tmp, errno);
-    }
-  };
-  const ContentSink sink = [&](std::string_view piece) {
-    if (buffer.size() + piece.size() > kBufferBytes && !buffer.empty()) {
-      write_or_fail(buffer);
-      buffer.clear();
-    }
-    if (piece.size() >= kBufferBytes) {
-      write_or_fail(piece);
-    } else {
-      buffer.append(piece);
-    }
-  };
-  try {
-    produce(sink);
-    if (!buffer.empty()) write_or_fail(buffer);
-  } catch (...) {
+  if (!write_all(fd, content.data(), content.size(),
+                 Fp::Id::kAtomicWriteWrite)) {
     close_keep_errno(fd);
     unlink_keep_errno(tmp);
-    throw;
+    fail("failed writing", tmp, errno);
   }
 
   // Data must be on stable storage *before* the rename publishes the

@@ -42,19 +42,6 @@ namespace ascdg::util {
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content);
 
-/// Receives the next piece of a file's content (see atomic_write_stream).
-using ContentSink = std::function<void(std::string_view)>;
-
-/// atomic_write_file for content too large to build as one string:
-/// `produce` hands the content to its sink piece by piece, and the
-/// pieces reach the temp file through a fixed-size buffer, so memory
-/// stays flat however large the file. Same atomicity, durability,
-/// errors and clean-up; an exception from `produce` also removes the
-/// temp file and propagates.
-void atomic_write_stream(
-    const std::filesystem::path& path,
-    const std::function<void(const ContentSink&)>& produce);
-
 /// Durable append-only journal of one-line records. append(record):
 ///   1. waits for the previous record's fdatasync and throws its error
 ///      as util::Error (then runs `on_durable`, if set);

@@ -1,7 +1,8 @@
 // Tests for the CDG flow components: Skeletonizer rules (paper §IV-C),
 // range splitting, the CDG objective adapter, the random-sampling
-// phase, the coarse-grained search, and CdgRunner configuration and
-// failure handling.
+// phase (its slices against one whole batch, and its scorer), the
+// coarse-grained search, and CdgRunner configuration and failure
+// handling.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "opt/synthetic.hpp"
 #include "tgen/parser.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ascdg::cdg {
 namespace {
@@ -194,6 +196,59 @@ TEST(SplitRange, GeometricWidthsGrow) {
     EXPECT_GE(w_cur, w_prev);
   }
 }
+
+/// The points and eval seeds random_sample draws for `options` over a
+/// `dim`-mark skeleton, in generation order.
+struct SampleDraws {
+  std::vector<opt::Point> points;
+  std::vector<std::uint64_t> seeds;
+};
+
+SampleDraws sample_draws(const RandomSampleOptions& options, std::size_t dim) {
+  util::Xoshiro256 rng(options.seed);
+  util::SeedStream job_seeds(options.seed ^ 0x5A3B1E5EEDULL);
+  SampleDraws draws;
+  for (std::size_t t = 0; t < options.templates; ++t) {
+    opt::Point point(dim);
+    for (double& w : point) w = rng.uniform();
+    draws.points.push_back(std::move(point));
+    draws.seeds.push_back(job_seeds.next());
+  }
+  return draws;
+}
+
+/// Forwards to another backend and records the job count of each
+/// run_all.
+class CountingBackend final : public exec::Backend {
+ public:
+  explicit CountingBackend(exec::Backend& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::string_view kind() const noexcept override {
+    return inner_->kind();
+  }
+  [[nodiscard]] std::size_t worker_count() const noexcept override {
+    return inner_->worker_count();
+  }
+  [[nodiscard]] std::vector<coverage::SimStats> run_all(
+      const duv::Duv& duv, std::span<const exec::Job> jobs) override {
+    batches.push_back(jobs.size());
+    return inner_->run_all(duv, jobs);
+  }
+  [[nodiscard]] std::size_t total_simulations() const noexcept override {
+    return inner_->total_simulations();
+  }
+  [[nodiscard]] exec::TelemetrySnapshot telemetry() const override {
+    return inner_->telemetry();
+  }
+  [[nodiscard]] double worker_busy_fraction() const noexcept override {
+    return inner_->worker_busy_fraction();
+  }
+
+  std::vector<std::size_t> batches;
+
+ private:
+  exec::Backend* inner_;
+};
 
 // --------------------------------------------------------- cdg objective --
 
@@ -468,16 +523,14 @@ TEST_F(CdgObjectiveTest, RandomSampleShapes) {
   options.templates = 20;
   options.sims_per_template = 25;
   options.seed = 5;
-  const auto result = random_sample(io_, farm_, skel, target, options);
-  ASSERT_EQ(result.samples.size(), 20u);
+  const auto result = random_sample(io_, farm_, skel, {&target, 1}, options);
+  EXPECT_EQ(result.templates, 20u);
+  EXPECT_EQ(result.sims_per_template, 25u);
   EXPECT_EQ(result.simulations, 500u);
   EXPECT_EQ(result.combined.sims(), 500u);
-  EXPECT_LT(result.best_index, result.samples.size());
-  for (const auto& sample : result.samples) {
-    EXPECT_EQ(sample.point.size(), skel.mark_count());
-    EXPECT_EQ(sample.stats.sims(), 25u);
-    EXPECT_LE(sample.target_value, result.best().target_value);
-  }
+  ASSERT_EQ(result.best.size(), 1u);
+  EXPECT_LT(result.best[0].index, 20u);
+  EXPECT_EQ(result.best[0].point.size(), skel.mark_count());
 }
 
 TEST_F(CdgObjectiveTest, RandomSampleDeterministic) {
@@ -487,14 +540,14 @@ TEST_F(CdgObjectiveTest, RandomSampleDeterministic) {
   options.templates = 10;
   options.sims_per_template = 20;
   options.seed = 77;
-  const auto a = random_sample(io_, farm_, skel, target, options);
-  const auto b = random_sample(io_, farm_, skel, target, options);
-  EXPECT_EQ(a.best_index, b.best_index);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].point, b.samples[i].point);
-    EXPECT_EQ(a.samples[i].stats, b.samples[i].stats);
-  }
+  const auto a = random_sample(io_, farm_, skel, {&target, 1}, options);
+  const auto b = random_sample(io_, farm_, skel, {&target, 1}, options);
+  ASSERT_EQ(a.best.size(), 1u);
+  ASSERT_EQ(b.best.size(), 1u);
+  EXPECT_EQ(a.best[0].index, b.best[0].index);
+  EXPECT_EQ(a.best[0].value, b.best[0].value);
+  EXPECT_EQ(a.best[0].point, b.best[0].point);
+  EXPECT_EQ(a.combined, b.combined);
 }
 
 TEST_F(CdgObjectiveTest, RandomSampleZeroBudgetThrows) {
@@ -502,8 +555,93 @@ TEST_F(CdgObjectiveTest, RandomSampleZeroBudgetThrows) {
   const auto target = crc_target();
   RandomSampleOptions options;
   options.templates = 0;
-  EXPECT_THROW((void)random_sample(io_, farm_, skel, target, options),
+  EXPECT_THROW((void)random_sample(io_, farm_, skel, {&target, 1}, options),
                ConfigError);
+  options.templates = 3;
+  EXPECT_THROW((void)random_sample(io_, farm_, skel, {}, options),
+               ConfigError);
+}
+
+// The phase dispatches a slice of templates at a time and keeps only
+// each target's best sample: over 3 slices + 1 template no dispatch
+// exceeds a slice, and the result is what one whole-batch evaluation
+// of the same points and seeds gives.
+TEST_F(CdgObjectiveTest, RandomSampleSlicesMatchOneWholeBatch) {
+  const auto skel = crc_skeleton();
+  const auto family = io_.crc_family();
+  const std::vector<neighbors::ApproximatedTarget> targets{
+      crc_target(),
+      neighbors::ApproximatedTarget({family[1]}, {{family[1], 1.0}}),
+      neighbors::ApproximatedTarget({family[4]},
+                                    {{family[3], 0.5}, {family[4], 2.0}}),
+  };
+  RandomSampleOptions options;
+  options.templates = 3 * kSampleSlice + 1;
+  options.sims_per_template = 2;
+  options.seed = 13;
+  CountingBackend counting(farm_);
+  const auto result = random_sample(io_, counting, skel, targets, options);
+
+  std::size_t jobs = 0;
+  for (const std::size_t batch : counting.batches) {
+    EXPECT_LE(batch, kSampleSlice);
+    jobs += batch;
+  }
+  EXPECT_EQ(counting.batches.size(), 4u);
+  EXPECT_EQ(jobs, options.templates);
+
+  const auto draws = sample_draws(options, skel.mark_count());
+  CdgObjective whole(io_, farm_, skel, targets[0], options.sims_per_template);
+  const auto evals = whole.evaluate_batch_full(draws.points, draws.seeds);
+  EXPECT_EQ(result.templates, options.templates);
+  EXPECT_EQ(result.sims_per_template, options.sims_per_template);
+  EXPECT_EQ(result.combined, whole.combined());
+  EXPECT_EQ(result.simulations, whole.simulations());
+  ASSERT_EQ(result.best.size(), targets.size());
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < evals.size(); ++i) {
+      if (targets[t].value(evals[i].stats) >
+          targets[t].value(evals[best].stats)) {
+        best = i;
+      }
+    }
+    EXPECT_EQ(result.best[t].index, best) << "target " << t;
+    EXPECT_EQ(result.best[t].value, targets[t].value(evals[best].stats))
+        << "target " << t;
+    EXPECT_EQ(result.best[t].point, draws.points[best]) << "target " << t;
+  }
+}
+
+TEST(KeepBest, TiesGoToTheLowestIndex) {
+  const coverage::EventId e0{0};
+  const coverage::EventId e1{1};
+  const std::vector<neighbors::ApproximatedTarget> targets{
+      neighbors::ApproximatedTarget({e0}, {{e0, 1.0}}),
+      neighbors::ApproximatedTarget({e1}, {{e1, 1.0}}),
+      neighbors::ApproximatedTarget({e0}, {{e0, 0.0}}),  // always 0
+  };
+  // Event 0 first hit by sample 1, event 1 by sample 2; samples 2 and 3
+  // repeat those values.
+  const std::vector<std::vector<coverage::EventId>> hits{
+      {}, {e0}, {e0, e1}, {e1}};
+  std::vector<SampleBest> best;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    coverage::CoverageVector vec(2);
+    for (const auto event : hits[i]) vec.hit(event);
+    coverage::SimStats stats(2);
+    stats.record(vec);
+    const std::vector<double> point{static_cast<double>(i)};
+    keep_best(targets, i, point, stats, best);
+  }
+  ASSERT_EQ(best.size(), 3u);
+  EXPECT_EQ(best[0].index, 1u);
+  EXPECT_EQ(best[0].value, 1.0);
+  EXPECT_EQ(best[0].point, std::vector<double>{1.0});
+  EXPECT_EQ(best[1].index, 2u);
+  EXPECT_EQ(best[1].point, std::vector<double>{2.0});
+  EXPECT_EQ(best[2].index, 0u);
+  EXPECT_EQ(best[2].value, 0.0);
 }
 
 // ---------------------------------------------------------- coarse search --
@@ -870,6 +1008,7 @@ TEST_F(MultiTargetTest, SharesSamplingAcrossTargets) {
   EXPECT_EQ(result.per_target[1].sampling_phase.sims, 0u);
   EXPECT_EQ(result.per_target[2].sampling_phase.sims, 0u);
   EXPECT_EQ(result.sims_saved, 2u * 400u);
+  EXPECT_EQ(result.sampling.best.size(), 3u);
   // Each target optimized and harvested.
   for (const auto& flow : result.per_target) {
     EXPECT_GT(flow.optimization_phase.sims, 0u);
@@ -887,16 +1026,38 @@ TEST_F(MultiTargetTest, PerTargetBestSampleDiffers) {
   const auto suite = io_.suite();
   const auto* seed = crc_smoke(suite);
   ASSERT_NE(seed, nullptr);
-  const auto result =
-      run_multi_target(io_, farm_, small_config(), targets, *seed);
-  // Each target's sampling view re-scored its own best index over the
-  // SAME stats.
+  const FlowConfig config = small_config();
+  const auto result = run_multi_target(io_, farm_, config, targets, *seed);
+
+  // Each target starts from the argmax of a scalar evaluation of every
+  // sample against that target.
+  RandomSampleOptions options;
+  options.templates = config.sample_templates;
+  options.sims_per_template = config.sample_sims;
+  options.seed = config.seed ^ 0x5A4D91E5ULL;  // the sampling stage's mix
+  const tgen::Skeleton& skeleton = result.per_target[0].skeleton;
+  const auto draws = sample_draws(options, skeleton.mark_count());
+  std::vector<std::size_t> argmax;
   for (std::size_t t = 0; t < targets.size(); ++t) {
-    EXPECT_EQ(result.per_target[t].sampling.best_index,
-              best_sample_for(result.sampling, targets[t]));
-    EXPECT_EQ(result.per_target[t].sampling.samples.size(),
-              result.sampling.samples.size());
+    CdgObjective scalar(io_, farm_, skeleton, targets[t], config.sample_sims);
+    std::size_t best = 0;
+    double best_value = 0.0;
+    for (std::size_t i = 0; i < draws.points.size(); ++i) {
+      const double value = scalar.evaluate(draws.points[i], draws.seeds[i]);
+      if (i == 0 || value > best_value) {
+        best = i;
+        best_value = value;
+      }
+    }
+    argmax.push_back(best);
+    const auto& start = result.per_target[t].sampling.best;
+    ASSERT_EQ(start.size(), 1u) << "target " << t;
+    EXPECT_EQ(start[0].index, best) << "target " << t;
+    EXPECT_EQ(start[0].value, best_value) << "target " << t;
+    EXPECT_EQ(start[0].point, draws.points[best]) << "target " << t;
+    EXPECT_EQ(result.sampling.best[t].index, best) << "target " << t;
   }
+  EXPECT_NE(argmax[0], argmax[1]);
 }
 
 TEST_F(MultiTargetTest, EmptyTargetsThrows) {
@@ -907,25 +1068,6 @@ TEST_F(MultiTargetTest, EmptyTargetsThrows) {
   EXPECT_THROW(
       (void)run_multi_target(io_, farm_, small_config(), none, *seed),
       ConfigError);
-}
-
-TEST(BestSampleFor, PicksArgmaxForTarget) {
-  RandomSampleResult sampling;
-  for (int i = 0; i < 3; ++i) {
-    Sample sample;
-    sample.stats = coverage::SimStats(2);
-    coverage::CoverageVector vec(2);
-    if (i == 1) vec.hit(coverage::EventId{0});
-    if (i == 2) vec.hit(coverage::EventId{1});
-    sample.stats.record(vec);
-    sampling.samples.push_back(std::move(sample));
-  }
-  const neighbors::ApproximatedTarget t0({coverage::EventId{0}},
-                                         {{coverage::EventId{0}, 1.0}});
-  const neighbors::ApproximatedTarget t1({coverage::EventId{1}},
-                                         {{coverage::EventId{1}, 1.0}});
-  EXPECT_EQ(best_sample_for(sampling, t0), 1u);
-  EXPECT_EQ(best_sample_for(sampling, t1), 2u);
 }
 
 }  // namespace

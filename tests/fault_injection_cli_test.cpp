@@ -68,20 +68,22 @@ std::string read_file(const fs::path& path) {
   return buffer.str();
 }
 
-/// Zeroes every "wall_ms":<number> in a JSON artifact. Wall-clock cost
-/// is telemetry, not result: it legitimately differs between a crashed
-/// + resumed run and an uninterrupted one. Everything else (points,
+/// Zeroes every "wall_ms":<number> in a JSON artifact, and its
+/// "digest", which covers those wall times. Wall-clock cost is
+/// telemetry, not result: it legitimately differs between a crashed +
+/// resumed run and an uninterrupted one. Everything else (points,
 /// values, traces, hit counts, RNG-driven trajectories) must match to
 /// the last bit.
 std::string scrub_wall_ms(std::string text) {
-  const std::string key = "\"wall_ms\":";
-  std::size_t pos = 0;
-  while ((pos = text.find(key, pos)) != std::string::npos) {
-    pos += key.size();
-    std::size_t end = pos;
-    while (end < text.size() && text[end] != ',' && text[end] != '}') ++end;
-    text.replace(pos, end - pos, 1, '0');
-    ++pos;
+  for (const std::string key : {"\"wall_ms\":", "\"digest\":"}) {
+    std::size_t pos = 0;
+    while ((pos = text.find(key, pos)) != std::string::npos) {
+      pos += key.size();
+      std::size_t end = pos;
+      while (end < text.size() && text[end] != ',' && text[end] != '}') ++end;
+      text.replace(pos, end - pos, 1, '0');
+      ++pos;
+    }
   }
   return text;
 }

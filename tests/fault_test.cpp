@@ -259,53 +259,31 @@ TEST_F(FaultTest, DirFsyncEinvalIsTolerated) {
 }
 
 TEST_F(FaultTest, AtomicWriteStreamJoinsPiecesOfEverySize) {
-  const fs::path dir = scratch_dir("stream_join");
-  // Small pieces share the buffer; the large one bypasses it, so the
-  // file must still come out in order.
-  const std::string large(200000, 'L');
-  std::string expected;
-  ascdg::util::atomic_write_stream(
-      dir / "a.json", [&](const ascdg::util::ContentSink& sink) {
-        for (int i = 0; i < 5000; ++i) {
-          const std::string piece = std::to_string(i) + ",";
-          sink(piece);
-          expected += piece;
-        }
-        sink(large);
-        expected += large;
-        sink("end");
-        expected += "end";
-      });
-  EXPECT_EQ(read_file(dir / "a.json"), expected);
-  EXPECT_FALSE(has_tmp_files(dir));
-}
-
-TEST_F(FaultTest, AtomicWriteStreamProducerThrowKeepsPreviousFile) {
-  const fs::path dir = scratch_dir("stream_throw");
-  const fs::path file = dir / "ckpt.json";
-  ascdg::util::atomic_write_file(file, "previous checkpoint");
-  EXPECT_THROW(ascdg::util::atomic_write_stream(
-                   file,
-                   [](const ascdg::util::ContentSink& sink) {
-                     sink(std::string(100000, 'x'));
-                     throw ascdg::util::Error("producer failed");
-                   }),
-               ascdg::util::Error);
-  EXPECT_EQ(read_file(file), "previous checkpoint");
+  // Contents of every size around the write sizes the kernel may split
+  // a write(2) at come back whole and in order.
+  const fs::path dir = scratch_dir("write_sizes");
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4095}, std::size_t{65536},
+        std::size_t{65537}, std::size_t{200000}}) {
+    std::string content(size, 'L');
+    for (std::size_t i = 0; i < size; i += 7) {
+      content[i] = static_cast<char>('a' + i % 26);
+    }
+    ascdg::util::atomic_write_file(dir / "a.json", content);
+    EXPECT_EQ(read_file(dir / "a.json"), content) << size << " bytes";
+  }
   EXPECT_FALSE(has_tmp_files(dir));
 }
 
 TEST_F(FaultTest, AtomicWriteStreamShortWriteKeepsPreviousFile) {
-  const fs::path dir = scratch_dir("stream_short_write");
+  // A short write against a full disk in the middle of a large file.
+  const fs::path dir = scratch_dir("large_short_write");
   const fs::path file = dir / "ckpt.json";
   ascdg::util::atomic_write_file(file, "previous checkpoint");
   FailurePoint::prime_one_shot(Id::kAtomicWriteWrite, ENOSPC);
-  EXPECT_THROW(ascdg::util::atomic_write_stream(
-                   file,
-                   [](const ascdg::util::ContentSink& sink) {
-                     for (int i = 0; i < 100; ++i) sink(std::string(4096, 'x'));
-                   }),
-               ascdg::util::Error);
+  EXPECT_THROW(
+      ascdg::util::atomic_write_file(file, std::string(100 * 4096, 'x')),
+      ascdg::util::Error);
   EXPECT_EQ(read_file(file), "previous checkpoint");
   EXPECT_FALSE(has_tmp_files(dir));
 }
@@ -500,9 +478,9 @@ TEST_F(FaultTest, ArtifactReadFailureIsInjectable) {
   const fs::path dir = scratch_dir("artifact_read");
   ascdg::util::atomic_write_file(dir / "a.json", R"({"a":1})");
   FailurePoint::prime_one_shot(Id::kArtifactRead, EIO);
-  EXPECT_THROW((void)ascdg::flow::read_json_file(dir / "a.json"),
+  EXPECT_THROW((void)ascdg::flow::read_digested_json_file(dir / "a.json"),
                ascdg::util::Error);
-  EXPECT_EQ(ascdg::flow::read_json_file(dir / "a.json").at("a").as_size(),
+  EXPECT_EQ(ascdg::flow::read_digested_json_file(dir / "a.json").at("a").as_size(),
             1u);
 }
 

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "cdg/cdg_objective.hpp"
 #include "exec/thread_farm.hpp"
 #include "coverage/repository.hpp"
 #include "duv/io_unit.hpp"
@@ -32,11 +33,13 @@
 #include "obs/trace.hpp"
 #include "opt/implicit_filtering.hpp"
 #include "opt/synthetic.hpp"
+#include "tgen/file_io.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
 #include "util/jsonl.hpp"
+#include "util/rng.hpp"
 
 namespace ascdg::flow {
 namespace {
@@ -97,79 +100,109 @@ TEST(Artifacts, PhaseOutcomeRoundTrip) {
   EXPECT_EQ(parsed.stats, phase.stats);
 }
 
+/// Targets on events 0 and 1 of a two-event space.
+std::vector<neighbors::ApproximatedTarget> two_targets() {
+  const coverage::EventId e0{0};
+  const coverage::EventId e1{1};
+  return {neighbors::ApproximatedTarget({e0}, {{e0, 1.0}}),
+          neighbors::ApproximatedTarget({e1}, {{e1, 0.5}, {e0, 0.25}})};
+}
+
 TEST(Artifacts, SamplingRoundTrip) {
+  const auto targets = two_targets();
   cdg::RandomSampleResult sampling;
-  for (int i = 0; i < 3; ++i) {
-    cdg::Sample sample;
-    sample.point = {0.1 * i, 1.0 / 3.0, 0.999999999999};
-    sample.target_value = 0.07 * i;
-    sample.stats = coverage::SimStats::from_counts(
-        20, {static_cast<std::size_t>(i), 20});
-    sampling.samples.push_back(std::move(sample));
-  }
-  sampling.best_index = 2;
+  sampling.templates = 3;
+  sampling.sims_per_template = 20;
+  sampling.best = {{2, 0.07 * 2, {0.2, 1.0 / 3.0, 0.999999999999}},
+                   {0, 1.0 / 7.0, {0.0, 0.5, 1e-12}}};
   sampling.combined = coverage::SimStats::from_counts(60, {3, 60});
   sampling.simulations = 60;
 
-  const auto parsed = sampling_from_json(util::json_parse(to_json(sampling)));
-  ASSERT_EQ(parsed.samples.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(parsed.samples[i].point, sampling.samples[i].point);
-    EXPECT_EQ(parsed.samples[i].target_value, sampling.samples[i].target_value);
-    EXPECT_EQ(parsed.samples[i].stats, sampling.samples[i].stats);
+  const auto parsed = sampling_from_json(
+      util::json_parse(to_json(sampling, targets)), targets);
+  EXPECT_EQ(parsed.templates, 3u);
+  EXPECT_EQ(parsed.sims_per_template, 20u);
+  ASSERT_EQ(parsed.best.size(), 2u);
+  for (std::size_t t = 0; t < 2; ++t) {
+    EXPECT_EQ(parsed.best[t].index, sampling.best[t].index);
+    EXPECT_EQ(parsed.best[t].value, sampling.best[t].value);  // bit-identical
+    EXPECT_EQ(parsed.best[t].point, sampling.best[t].point);
   }
-  EXPECT_EQ(parsed.best_index, 2u);
   EXPECT_EQ(parsed.combined, sampling.combined);
   EXPECT_EQ(parsed.simulations, 60u);
+
+  // It records the targets it scored: other ones are a config error.
+  auto other = targets;
+  other[1] = other[0];
+  EXPECT_THROW((void)sampling_from_json(
+                   util::json_parse(to_json(sampling, targets)), other),
+               ConfigError);
 }
 
 TEST(Artifacts, SamplingJsonKeepsTheLayoutSessionsHold) {
-  // write_json streams the sampling artifact; its bytes must match the
-  // single-object layout that existing session files hold.
-  cdg::RandomSampleResult sampling;
-  const auto expected = [&sampling] {
-    std::string samples = "[";
-    for (std::size_t i = 0; i < sampling.samples.size(); ++i) {
-      if (i != 0) samples += ',';
-      const auto& sample = sampling.samples[i];
-      samples += util::JsonObject{}
-                     .add_raw("point", json_double_array(sample.point))
-                     .add("target_value", sample.target_value)
-                     .add_raw("stats", to_json(sample.stats))
-                     .str();
-    }
-    samples += ']';
-    return util::JsonObject{}
-        .add_raw("samples", samples)
-        .add("best_index", sampling.best_index)
-        .add_raw("combined", to_json(sampling.combined))
-        .add("simulations", sampling.simulations)
-        .str();
+  // Sessions written before the phase kept only scores hold every
+  // sample's point, score and stats; the reader re-scores those stats
+  // against this run's targets, ties to the lowest index.
+  const auto targets = two_targets();
+  const std::vector<coverage::SimStats> stats{
+      coverage::SimStats::from_counts(4, {0, 0}),
+      coverage::SimStats::from_counts(4, {2, 1}),
+      coverage::SimStats::from_counts(4, {2, 3}),
   };
-  sampling.combined = coverage::SimStats(2);
-  EXPECT_EQ(to_json(sampling), expected());
-
-  for (int i = 0; i < 2; ++i) {
-    cdg::Sample sample;
-    sample.point = {0.25 * i, 1.0 / 3.0};
-    sample.target_value = 0.5 * i;
-    sample.stats = coverage::SimStats::from_counts(
-        4, {static_cast<std::size_t>(i), 4});
-    sampling.samples.push_back(std::move(sample));
+  std::string samples = "[";
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    if (i != 0) samples += ',';
+    const std::vector<double> point{0.25 * static_cast<double>(i), 1.0 / 3.0};
+    samples += util::JsonObject{}
+                   .add_raw("point", json_double_array(point))
+                   .add("target_value", 0.5)
+                   .add_raw("stats", to_json(stats[i]))
+                   .str();
   }
-  sampling.best_index = 1;
-  sampling.combined = coverage::SimStats::from_counts(8, {1, 8});
-  sampling.simulations = 8;
-  EXPECT_EQ(to_json(sampling), expected());
+  samples += ']';
+  const std::string layout =
+      util::JsonObject{}
+          .add_raw("samples", samples)
+          .add("best_index", 0)
+          .add_raw("combined",
+                   to_json(coverage::SimStats::from_counts(12, {4, 4})))
+          .add("simulations", 12)
+          .str();
+
+  const auto parsed = sampling_from_json(util::json_parse(layout), targets);
+  EXPECT_EQ(parsed.templates, 3u);
+  EXPECT_EQ(parsed.sims_per_template, 4u);
+  EXPECT_EQ(parsed.simulations, 12u);
+  EXPECT_EQ(parsed.combined, coverage::SimStats::from_counts(12, {4, 4}));
+  ASSERT_EQ(parsed.best.size(), 2u);
+  EXPECT_EQ(parsed.best[0].index, 1u);  // ties with sample 2
+  EXPECT_EQ(parsed.best[0].value, 0.5);
+  EXPECT_EQ(parsed.best[0].point, (std::vector<double>{0.25, 1.0 / 3.0}));
+  EXPECT_EQ(parsed.best[1].index, 2u);
+  EXPECT_EQ(parsed.best[1].value, 0.5 * 0.75 + 0.25 * 0.5);
+
+  // Its stats must cover the targets' events.
+  const std::vector<neighbors::ApproximatedTarget> wide{
+      neighbors::ApproximatedTarget({coverage::EventId{5}},
+                                    {{coverage::EventId{5}, 1.0}})};
+  EXPECT_THROW((void)sampling_from_json(util::json_parse(layout), wide),
+               Error);
 }
 
 TEST(Artifacts, SamplingRejectsBestIndexOutOfRange) {
+  const auto targets = two_targets();
   cdg::RandomSampleResult sampling;
-  sampling.samples.emplace_back();
-  sampling.samples.back().stats = coverage::SimStats(1);
-  sampling.best_index = 7;
-  EXPECT_THROW((void)sampling_from_json(util::json_parse(to_json(sampling))),
-               Error);
+  sampling.templates = 1;
+  sampling.combined = coverage::SimStats(2);
+  sampling.best = {{0, 0.0, {0.5}}, {7, 0.0, {0.5}}};
+  const auto parse = [&](std::span<const neighbors::ApproximatedTarget> ts) {
+    return sampling_from_json(util::json_parse(to_json(sampling, ts)), ts);
+  };
+  EXPECT_THROW((void)parse(targets), Error);
+  // One best sample per target, no more and no fewer.
+  sampling.best.pop_back();
+  EXPECT_THROW((void)parse(targets), Error);
+  EXPECT_NO_THROW((void)parse(std::span(targets).first(1)));
 }
 
 TEST(Artifacts, OptResultRoundTrip) {
@@ -256,11 +289,11 @@ TEST(Artifacts, DoubleArrayRoundTripsNaNAsNull) {
 
 TEST(Artifacts, ReadJsonFileErrors) {
   const fs::path dir = scratch_dir("read_json");
-  EXPECT_THROW((void)read_json_file(dir / "missing.json"), Error);
+  EXPECT_THROW((void)read_digested_json_file(dir / "missing.json"), Error);
   atomic_write_file(dir / "bad.json", "{\"a\": not json");
-  EXPECT_THROW((void)read_json_file(dir / "bad.json"), ParseError);
+  EXPECT_THROW((void)read_digested_json_file(dir / "bad.json"), ParseError);
   atomic_write_file(dir / "good.json", R"({"a": 1})");
-  EXPECT_EQ(read_json_file(dir / "good.json").at("a").as_int64(), 1);
+  EXPECT_EQ(read_digested_json_file(dir / "good.json").at("a").as_int64(), 1);
 }
 
 // ------------------------------------------------------------- session --
@@ -482,7 +515,7 @@ TEST(SessionedRun, CompletedSessionResumesWithZeroSimulations) {
   EXPECT_EQ(farm2.total_simulations(), 0u);
 
   EXPECT_EQ(second.seed_template, first.seed_template);
-  EXPECT_EQ(second.sampling.best_index, first.sampling.best_index);
+  EXPECT_EQ(second.sampling.best.front().index, first.sampling.best.front().index);
   EXPECT_EQ(second.sampling.combined, first.sampling.combined);
   EXPECT_EQ(second.optimization.best_value, first.optimization.best_value);
   EXPECT_EQ(second.optimization.best_point, first.optimization.best_point);
@@ -703,8 +736,9 @@ std::vector<std::pair<std::size_t, std::size_t>> json_members(
 }
 
 /// An io_unit flow with four optimizer iterations: its uninterrupted
-/// result, and a session of it in `pristine` that died in the optimizer
-/// (the third record's sync failed) with three records journaled.
+/// result, a session of it in `pristine` that died in the optimizer
+/// (the third record's sync failed) with three records journaled, and
+/// a finished session of it in `complete`.
 struct JournaledSession {
   static constexpr const char* kJournal = "optimization.ckpt.jsonl";
 
@@ -717,6 +751,7 @@ struct JournaledSession {
   FlowResult reference;
   fs::path pristine;
   std::string journal;
+  fs::path complete;
 
   explicit JournaledSession(const std::string& name,
                             std::size_t sample_templates =
@@ -728,7 +763,8 @@ struct JournaledSession {
           return c;
         }()),
         reference(run(config)),
-        pristine(scratch_dir(name + "_pristine")) {
+        pristine(scratch_dir(name + "_pristine")),
+        complete(scratch_dir(name + "_complete")) {
     using Fp = util::FailurePoint;
     FlowConfig sessioned = config;
     sessioned.session_dir = pristine.string();
@@ -737,6 +773,8 @@ struct JournaledSession {
     Fp::disarm_all();
     std::ifstream in(pristine / kJournal, std::ios::binary);
     journal.assign(std::istreambuf_iterator<char>(in), {});
+    sessioned.session_dir = complete.string();
+    (void)run(sessioned);
   }
 
   FlowResult run(const FlowConfig& c) {
@@ -747,9 +785,20 @@ struct JournaledSession {
   /// default the journal) holds `bytes`.
   FlowResult resume_with(const fs::path& dir, const std::string& bytes,
                          const char* file = kJournal) {
+    return resume_copy(pristine, dir, bytes, file);
+  }
+
+  /// Resumes a copy of the session in `source` in `dir` whose `file`
+  /// holds `bytes`.
+  FlowResult resume_copy(const fs::path& source, const fs::path& dir,
+                         const std::string& bytes, const char* file) {
     fs::remove_all(dir);
-    fs::copy(pristine, dir, fs::copy_options::recursive);
+    fs::copy(source, dir, fs::copy_options::recursive);
     std::ofstream(dir / file, std::ios::binary | std::ios::trunc) << bytes;
+    return resume(dir);
+  }
+
+  FlowResult resume(const fs::path& dir) {
     FlowConfig resumed = config;
     resumed.session_dir = dir.string();
     resumed.resume = true;
@@ -758,7 +807,7 @@ struct JournaledSession {
 
   /// Every result the resume must reproduce bit for bit.
   void expect_reference(const FlowResult& got, const std::string& what) const {
-    EXPECT_EQ(got.sampling.best_index, reference.sampling.best_index) << what;
+    EXPECT_EQ(got.sampling.best.front().index, reference.sampling.best.front().index) << what;
     EXPECT_EQ(got.sampling.combined, reference.sampling.combined) << what;
     EXPECT_EQ(got.sampling_phase.sims, reference.sampling_phase.sims) << what;
     EXPECT_EQ(got.sampling_phase.stats, reference.sampling_phase.stats)
@@ -914,21 +963,27 @@ TEST(SessionedRun, CorruptJournalResumesBitIdenticallyOrFailsTyped) {
   EXPECT_GT(rejected_flips, middle.size() * 9 / 10);
 }
 
-// Artifact-reader fuzz: the session of a JournaledSession (it died in
-// the optimizer, after sampling) with its manifest.json or sampling.json
-// cut at every byte offset, each number replaced with 1e999 and -0, each
-// array and object swapped for the other shape, and each key removed.
-// After each corruption the resume either reproduces the uninterrupted
-// run bit for bit or fails with a util::Error subtype. A file that does
-// not parse fails the resume at its read, so corruptions that fail to
-// parse with a message already seen for that file are resumed once.
+// Artifact-reader fuzz: the sessions of a JournaledSession with a JSON
+// artifact cut at every byte offset, each number replaced with 1e999
+// and -0, each array and object swapped for the other shape, and each
+// key removed: manifest.json and sampling.json of the one that died in
+// the optimizer, and the optimization.json, refinement.json and
+// harvest.json of the finished one. After each corruption the resume
+// either reproduces the uninterrupted run bit for bit or fails with a
+// util::Error subtype. A file that does not parse fails the resume at
+// its read, so corruptions that fail to parse with a message already
+// seen for that file are resumed once.
 TEST(SessionedRun, CorruptArtifactsResumeBitIdenticallyOrFailTyped) {
   JournaledSession s("artifact_fuzz", /*sample_templates=*/3);
   const fs::path dir = scratch_dir("artifact_fuzz");
   std::set<std::string> parse_errors;
   std::size_t matched = 0;
-  for (const char* file : {"manifest.json", "sampling.json"}) {
-    std::ifstream in(s.pristine / file, std::ios::binary);
+  const std::vector<std::pair<const fs::path*, const char*>> artifacts{
+      {&s.pristine, "manifest.json"},    {&s.pristine, "sampling.json"},
+      {&s.complete, "optimization.json"}, {&s.complete, "refinement.json"},
+      {&s.complete, "harvest.json"}};
+  for (const auto& [source, file] : artifacts) {
+    std::ifstream in(*source / file, std::ios::binary);
     const std::string text{std::istreambuf_iterator<char>(in), {}};
     ASSERT_FALSE(text.empty()) << file;
     const auto resume_with = [&](const std::string& bytes,
@@ -941,7 +996,7 @@ TEST(SessionedRun, CorruptArtifactsResumeBitIdenticallyOrFailTyped) {
         }
       }
       try {
-        s.expect_reference(s.resume_with(dir, bytes, file),
+        s.expect_reference(s.resume_copy(*source, dir, bytes, file),
                            std::string(file) + ": " + what);
         ++matched;
         return true;
@@ -979,8 +1034,120 @@ TEST(SessionedRun, CorruptArtifactsResumeBitIdenticallyOrFailTyped) {
                         "key at " + std::to_string(begin) + " removed");
     }
   }
-  // The cut of the trailing newline resumes, in both files.
-  EXPECT_GE(matched, 2u);
+  // The cut of the trailing newline resumes, in every file.
+  EXPECT_GE(matched, artifacts.size());
+}
+
+// The input the artifact fuzz first failed on once it covered
+// refinement.json: the first best_point coordinate set to -0 still
+// parses, and the resume harvested a template with that weight at 0.
+// The artifact's digest now rejects it.
+TEST(SessionedRun, RefinementWithANegativeZeroCoordinateIsRejected) {
+  JournaledSession s("refine_negative_zero");
+  std::ifstream in(s.complete / "refinement.json", std::ios::binary);
+  std::string text{std::istreambuf_iterator<char>(in), {}};
+  const std::string key = "\"best_point\":[";
+  const std::size_t begin = text.find(key);
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t first = begin + key.size();
+  text.replace(first, text.find_first_of(",]", first) - first, "-0");
+  const fs::path dir = scratch_dir("refine_negative_zero");
+  EXPECT_THROW((void)s.resume_copy(s.complete, dir, text, "refinement.json"),
+               Error);
+}
+
+/// The sampling.json layout sessions held before the phase kept only
+/// scores: every sample's point, value against `target` and stats,
+/// regenerated from `session`'s skeleton as the phase draws them, with
+/// `session`'s current phase record.
+util::JsonObject per_sample_sampling(const fs::path& session,
+                                     const FlowConfig& config,
+                                     const duv::Duv& duv, exec::Backend& farm,
+                                     const neighbors::ApproximatedTarget& target) {
+  const tgen::Skeleton skeleton =
+      tgen::load_skeleton(session / "skeleton.skel");
+  const std::uint64_t seed = config.seed ^ 0x5A4D91E5ULL;  // the stage's mix
+  util::Xoshiro256 rng(seed);
+  util::SeedStream job_seeds(seed ^ 0x5A3B1E5EEDULL);
+  std::vector<opt::Point> points(config.sample_templates);
+  std::vector<std::uint64_t> seeds;
+  for (auto& point : points) {
+    point.resize(skeleton.mark_count());
+    for (double& w : point) w = rng.uniform();
+    seeds.push_back(job_seeds.next());
+  }
+  cdg::CdgObjective objective(duv, farm, skeleton, target, config.sample_sims);
+  const auto evals = objective.evaluate_batch_full(points, seeds);
+  std::string samples = "[";
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < evals.size(); ++i) {
+    if (i != 0) samples += ',';
+    samples += util::JsonObject{}
+                   .add_raw("point", json_double_array(points[i]))
+                   .add("target_value", evals[i].value)
+                   .add_raw("stats", to_json(evals[i].stats))
+                   .str();
+    if (evals[i].value > evals[best].value) best = i;
+  }
+  samples += ']';
+  const util::JsonValue current =
+      read_digested_json_file(session / "sampling.json");
+  return util::JsonObject{}
+      .add_raw("sampling", util::JsonObject{}
+                               .add_raw("samples", samples)
+                               .add("best_index", best)
+                               .add_raw("combined", to_json(objective.combined()))
+                               .add("simulations", objective.simulations())
+                               .str())
+      .add_raw("phase", to_json(phase_outcome_from_json(current.at("phase"))));
+}
+
+// A session whose sampling.json holds the per-sample layout, with or
+// without a digest, re-scores it on resume: with the optimizer's
+// journal gone the optimization restarts from the re-scored best
+// sample, and the flow matches the uninterrupted one bit for bit.
+TEST(SessionedRun, PerSampleSamplingLayoutResumesBitIdentically) {
+  JournaledSession s("per_sample_layout");
+  const util::JsonObject layout =
+      per_sample_sampling(s.pristine, s.config, s.io, s.farm, s.target);
+  for (const bool digested : {false, true}) {
+    const fs::path dir = scratch_dir("per_sample_layout");
+    fs::copy(s.pristine, dir, fs::copy_options::recursive);
+    fs::remove(dir / JournaledSession::kJournal);
+    if (digested) {
+      write_digested_json_file(dir / "sampling.json", layout);
+    } else {
+      std::ofstream(dir / "sampling.json", std::ios::trunc)
+          << layout.str() << '\n';
+    }
+    s.expect_reference(s.resume(dir),
+                       digested ? "with a digest" : "without a digest");
+  }
+}
+
+// The session of a tiny flow is the same size at 50 and 1000 sampled
+// templates: sampling.json holds a score, not every sample.
+TEST(SessionedRun, SamplingArtifactDoesNotGrowWithTheSampleCount) {
+  const duv::IoUnit io;
+  const auto target = neighbors::family_target(
+      io.space(), "crc", coverage::SimStats(io.space().size()));
+  exec::ThreadFarm farm(2);
+  std::vector<std::uintmax_t> bytes;
+  for (const std::size_t templates : {std::size_t{50}, std::size_t{1000}}) {
+    const fs::path dir =
+        scratch_dir("sampling_size_" + std::to_string(templates));
+    FlowConfig config = small_config();
+    config.sample_templates = templates;
+    config.sample_sims = 2;
+    config.opt_max_iterations = 1;
+    config.session_dir = dir.string();
+    (void)CdgRunner(io, farm, config)
+        .run_from_template(target, io.suite().front());
+    bytes.push_back(fs::file_size(dir / "sampling.json"));
+  }
+  EXPECT_LT(bytes[1], 64u << 10);
+  EXPECT_LT(bytes[1] > bytes[0] ? bytes[1] - bytes[0] : bytes[0] - bytes[1],
+            1024u);
 }
 
 // The dedupe regression for the monolith split: run() is coarse search
@@ -1016,9 +1183,8 @@ TEST(SessionedRun, RunMatchesRunFromTemplateOnSameSeed) {
 
   EXPECT_EQ(via_template.seed_template, via_run.seed_template);
   EXPECT_EQ(via_template.skeleton.mark_count(), via_run.skeleton.mark_count());
-  ASSERT_EQ(via_template.sampling.samples.size(),
-            via_run.sampling.samples.size());
-  EXPECT_EQ(via_template.sampling.best_index, via_run.sampling.best_index);
+  EXPECT_EQ(via_template.sampling.templates, via_run.sampling.templates);
+  EXPECT_EQ(via_template.sampling.best.front().index, via_run.sampling.best.front().index);
   EXPECT_EQ(via_template.sampling.combined, via_run.sampling.combined);
   EXPECT_EQ(via_template.optimization.best_value,
             via_run.optimization.best_value);
@@ -1153,7 +1319,7 @@ TEST(Campaign, SessionResumesWithZeroSimulations) {
       run_multi_target(io, farm2, config, targets, suite.front());
   EXPECT_EQ(farm2.total_simulations(), 0u);
   EXPECT_EQ(second.sims_saved, first.sims_saved);
-  EXPECT_EQ(second.sampling.best_index, first.sampling.best_index);
+  EXPECT_EQ(second.sampling.best.front().index, first.sampling.best.front().index);
   EXPECT_EQ(second.sampling.combined, first.sampling.combined);
   ASSERT_EQ(second.per_target.size(), first.per_target.size());
   for (std::size_t t = 0; t < first.per_target.size(); ++t) {
@@ -1167,6 +1333,81 @@ TEST(Campaign, SessionResumesWithZeroSimulations) {
   for (const auto& session : second.sessions) {
     EXPECT_EQ(session.resumes, 1u);
   }
+}
+
+// A campaign's shared sampling.json records the targets it scored: a
+// resume with as many targets but other ones is refused, not optimized
+// from the other targets' best samples.
+TEST(Campaign, ResumeRejectsOtherTargetsOfTheSameCount) {
+  const duv::IoUnit io;
+  const fs::path dir = scratch_dir("campaign_pinned");
+  const auto family = io.crc_family();
+  const std::vector<neighbors::ApproximatedTarget> two{
+      neighbors::ApproximatedTarget({family[0]}, {{family[0], 1.0}}),
+      neighbors::ApproximatedTarget({family[1]}, {{family[1], 1.0}}),
+  };
+  const auto suite = io.suite();
+  FlowConfig config = small_config();
+  config.session_dir = dir.string();
+  exec::ThreadFarm farm(2);
+  (void)run_multi_target(io, farm, config, two, suite.front());
+
+  config.resume = true;
+  const std::vector<neighbors::ApproximatedTarget> other{
+      two[0], neighbors::ApproximatedTarget({family[1]}, {{family[1], 2.0}})};
+  exec::ThreadFarm farm2(2);
+  EXPECT_THROW((void)run_multi_target(io, farm2, config, other, suite.front()),
+               ConfigError);
+  // The same targets still resume, without simulating.
+  exec::ThreadFarm farm3(2);
+  (void)run_multi_target(io, farm3, config, two, suite.front());
+  EXPECT_EQ(farm3.total_simulations(), 0u);
+}
+
+// A campaign's shared session whose sampling.json holds the per-sample
+// layout re-scores it against every target: with the per-target
+// sessions gone, each target re-optimizes from its re-scored best
+// sample and matches the uninterrupted campaign bit for bit.
+TEST(Campaign, PerSampleSharedSamplingResumesBitIdentically) {
+  const duv::IoUnit io;
+  const fs::path dir = scratch_dir("campaign_per_sample");
+  const auto family = io.crc_family();
+  const std::vector<neighbors::ApproximatedTarget> targets{
+      neighbors::ApproximatedTarget({family[2]},
+                                    {{family[0], 0.5}, {family[2], 2.0}}),
+      neighbors::ApproximatedTarget({family[3]},
+                                    {{family[1], 0.5}, {family[3], 2.0}}),
+  };
+  const auto suite = io.suite();
+  FlowConfig config = small_config();
+  config.session_dir = dir.string();
+  exec::ThreadFarm farm(2);
+  const auto first = run_multi_target(io, farm, config, targets, suite.front());
+
+  write_digested_json_file(
+      dir / "shared" / "sampling.json",
+      per_sample_sampling(dir / "shared", config, io, farm, targets[0]));
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    fs::remove_all(dir / ("target_0" + std::to_string(t)));
+  }
+  config.resume = true;
+  exec::ThreadFarm farm2(2);
+  const auto second =
+      run_multi_target(io, farm2, config, targets, suite.front());
+  ASSERT_EQ(second.per_target.size(), first.per_target.size());
+  for (std::size_t t = 0; t < first.per_target.size(); ++t) {
+    EXPECT_EQ(second.sampling.best[t].index, first.sampling.best[t].index);
+    EXPECT_EQ(second.sampling.best[t].point, first.sampling.best[t].point);
+    EXPECT_EQ(second.per_target[t].optimization.best_point,
+              first.per_target[t].optimization.best_point);
+    EXPECT_EQ(second.per_target[t].optimization_phase.stats,
+              first.per_target[t].optimization_phase.stats);
+    EXPECT_EQ(second.per_target[t].harvest_phase.stats,
+              first.per_target[t].harvest_phase.stats);
+  }
+  EXPECT_EQ(second.total_sims(), first.total_sims());
+  EXPECT_EQ(farm2.total_simulations(),
+            first.total_sims() - first.sampling.simulations);
 }
 
 TEST(Campaign, ResumeRejectsDifferentTargetSet) {

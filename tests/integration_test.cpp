@@ -85,7 +85,7 @@ TEST_F(IntegrationFlow, IoUnitFlowHitsUncoveredCrcEvents) {
   EXPECT_GT(harvest_rate, sampling_rate);
   // The sampling phase's best template beats the sampling average (it
   // is the point the optimizer starts from).
-  EXPECT_GE(result.sampling.best().target_value, sampling_rate);
+  EXPECT_GE(result.sampling.best.front().value, sampling_rate);
 
   // At least one previously-uncovered family event is now hit by the
   // harvested template.
@@ -213,7 +213,7 @@ TEST_F(IntegrationFlow, FlowIsDeterministicEndToEnd) {
   const auto b = runner_b.run_from_template(target, *seed_tmpl);
 
   // Identical results regardless of farm thread count.
-  EXPECT_EQ(a.sampling.best_index, b.sampling.best_index);
+  EXPECT_EQ(a.sampling.best.front().index, b.sampling.best.front().index);
   EXPECT_EQ(a.optimization.best_point, b.optimization.best_point);
   EXPECT_EQ(a.optimization.best_value, b.optimization.best_value);
   EXPECT_EQ(a.harvest_phase.stats, b.harvest_phase.stats);
@@ -271,7 +271,7 @@ TEST_P(FlowContract, MiniFlowSatisfiesInvariants) {
   // The optimizer's best value is at least the sampling start (noise
   // slack 10%).
   EXPECT_GE(result.optimization.best_value,
-            result.sampling.best().target_value * 0.9);
+            result.sampling.best.front().value * 0.9);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllUnits, FlowContract,

@@ -920,7 +920,8 @@ void merge_hits(std::vector<unsigned char>& hit_flags,
 std::optional<flow::PhaseOutcome> read_phase_artifact(
     const std::filesystem::path& file) {
   if (!std::filesystem::exists(file)) return std::nullopt;
-  return flow::phase_outcome_from_json(flow::read_json_file(file).at("phase"));
+  return flow::phase_outcome_from_json(
+      flow::read_digested_json_file(file).at("phase"));
 }
 
 /// Folds one session directory's manifest + phase artifacts into
@@ -929,7 +930,7 @@ void gather_session(const std::filesystem::path& dir,
                     const std::string& session_label, InspectData& data,
                     std::vector<unsigned char>& hit_flags) {
   const util::JsonValue manifest =
-      flow::read_json_file(dir / "manifest.json");
+      flow::read_digested_json_file(dir / "manifest.json");
   if (manifest.at("schema").as_string() != flow::kSessionSchema) {
     throw util::Error("'" + dir.string() + "' has unknown manifest schema '" +
                       manifest.at("schema").as_string() + "'");
@@ -973,14 +974,14 @@ void gather_session(const std::filesystem::path& dir,
   const std::filesystem::path optimization = dir / "optimization.json";
   if (std::filesystem::exists(refinement)) {
     add_point(flow::phase_outcome_from_json(
-        flow::read_json_file(refinement).at("phase")));
+        flow::read_digested_json_file(refinement).at("phase")));
   } else if (const auto phase = read_phase_artifact(optimization)) {
     add_point(*phase);
   }
   if (!data.optimization.has_value() &&
       std::filesystem::exists(optimization)) {
     data.optimization = flow::opt_result_from_json(
-        flow::read_json_file(optimization).at("optimization"));
+        flow::read_digested_json_file(optimization).at("optimization"));
   }
   if (const auto phase = read_phase_artifact(dir / "harvest.json")) {
     add_point(*phase);
@@ -1026,7 +1027,7 @@ InspectData inspect_dir(const std::filesystem::path& dir) {
     gather_session(dir, "", data, hit_flags);
   } else if (std::filesystem::exists(dir / "campaign.json")) {
     data.campaign = true;
-    const util::JsonValue doc = flow::read_json_file(dir / "campaign.json");
+    const util::JsonValue doc = flow::read_digested_json_file(dir / "campaign.json");
     data.seed = flow::parse_hex_u64(doc.at("seed"));
     std::vector<std::filesystem::path> subs;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
