@@ -1,6 +1,7 @@
 // Benchmarks for the batched-evaluation protocol (google-benchmark):
 // farm saturation as a function of dispatched batch size and worker
-// count, plus the headline comparison — implicit filtering driving the
+// count, the cost of one fine-grained optimizer iteration on each
+// backend, plus the headline comparison — implicit filtering driving the
 // CDG objective through scalar vs batched dispatch. With sims_per_point
 // equal to one farm chunk, a scalar evaluation occupies a single worker
 // no matter how many exist; batching a whole stencil is what lets the
@@ -9,17 +10,21 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "exec/thread_farm.hpp"
 #include "cdg/cdg_objective.hpp"
 #include "cdg/skeletonizer.hpp"
+#include "duv/ifu.hpp"
 #include "duv/io_unit.hpp"
+#include "exec/process_farm.hpp"
+#include "exec/thread_farm.hpp"
 #include "neighbors/neighbors.hpp"
 #include "opt/implicit_filtering.hpp"
 #include "opt/synthetic.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -157,6 +162,47 @@ BENCHMARK(BM_ImplicitFilteringBatchedDispatch)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One ifu-fine optimizer iteration: one evaluate_batch of 61 points
+// (60 stencil directions and the center) x 4 ifu sims on 4 workers, in
+// real time. Every point is a (base, weights) job, so this times the
+// per-point path end to end: weight vectors on the caller, a compile
+// per base and a reweight per point on the workers, and on the process
+// backend the frame with the base's text and each point's weights.
+void BM_EvalBatchFine(benchmark::State& state, bool process) {
+  constexpr std::size_t kPoints = 61;
+  constexpr std::size_t kSims = 4;
+  constexpr std::size_t kWorkers = 4;
+  const duv::Ifu ifu;
+  const tgen::Skeleton skeleton =
+      cdg::Skeletonizer().skeletonize(ifu.defaults());
+  const auto target = neighbors::family_target(
+      ifu.space(), "ifu", coverage::SimStats(ifu.space().size()));
+  const std::unique_ptr<exec::Backend> farm =
+      process ? std::unique_ptr<exec::Backend>(
+                    std::make_unique<exec::ProcessFarm>(kWorkers))
+              : std::make_unique<exec::ThreadFarm>(kWorkers);
+  cdg::CdgObjective objective(ifu, *farm, skeleton, target, kSims);
+  util::Xoshiro256 rng(0xF1E);
+  std::vector<opt::Point> xs(kPoints, opt::Point(objective.dimension()));
+  for (auto& x : xs) {
+    for (double& w : x) w = rng.uniform();
+  }
+  std::vector<std::uint64_t> seeds(kPoints);
+  std::uint64_t next_seed = 1;
+  for (auto _ : state) {
+    for (auto& seed : seeds) seed = next_seed++;
+    benchmark::DoNotOptimize(objective.evaluate_batch(xs, seeds));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPoints * kSims));
+}
+BENCHMARK_CAPTURE(BM_EvalBatchFine, thread, false)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_EvalBatchFine, process, true)
+    ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 }  // namespace

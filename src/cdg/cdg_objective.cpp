@@ -1,38 +1,21 @@
 #include "cdg/cdg_objective.hpp"
 
-#include <atomic>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace ascdg::cdg {
 
-namespace {
-
-/// Per-process objective instance counter: makes every objective's
-/// template-name prefix unique, so two objectives over the same
-/// skeleton never emit colliding probe names in traces/reports.
-std::uint64_t next_objective_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
 CdgObjective::CdgObjective(const duv::Duv& duv, exec::Backend& farm,
                            const tgen::Skeleton& skeleton,
                            const neighbors::ApproximatedTarget& target,
-                           std::size_t sims_per_point, obs::Tracer* trace,
-                           std::string probe_label)
+                           std::size_t sims_per_point, obs::Tracer* trace)
     : duv_(&duv),
       farm_(&farm),
       skeleton_(&skeleton),
       target_(&target),
       sims_per_point_(sims_per_point),
       trace_(trace),
-      probe_prefix_(skeleton.name() + "_o" +
-                    std::to_string(next_objective_id())),
-      probe_label_(std::move(probe_label)),
       combined_(duv.space().size()),
       m_batch_size_(&obs::registry().histogram("ascdg_eval_batch_size")) {
   if (sims_per_point_ == 0) {
@@ -41,6 +24,7 @@ CdgObjective::CdgObjective(const duv::Duv& duv, exec::Backend& farm,
   if (skeleton_->mark_count() == 0) {
     throw util::ConfigError("CdgObjective over a skeleton with no marks");
   }
+  base_ = skeleton_->base(skeleton_->name());
 }
 
 double CdgObjective::evaluate(std::span<const double> x,
@@ -78,18 +62,17 @@ std::vector<CdgObjective::PointEval> CdgObjective::evaluate_batch_full(
   m_batch_size_->observe(n);
   obs::Span span = obs::make_span(trace_, "eval_batch");
 
-  // One template and one backend job per point, all in a single
-  // dispatch; the point's eval seed is the job's seed root, so each
-  // point's stats match a scalar evaluate() of the same (point, seed).
-  std::vector<tgen::TestTemplate> templates;
-  templates.reserve(n);
+  // One weight vector and one backend job per point over the shared
+  // base, all in a single dispatch; the point's eval seed is the job's
+  // seed root, so each point's stats match a scalar evaluate() of the
+  // same (point, seed).
+  std::vector<std::vector<double>> weights;
+  weights.reserve(n);
   std::vector<exec::Job> jobs;
   jobs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    templates.push_back(skeleton_->instantiate(
-        probe_prefix_ + "_" + probe_label_ + std::to_string(evals_ + i),
-        xs[i]));
-    jobs.push_back({&templates.back(), sims_per_point_, seeds[i]});
+    weights.push_back(skeleton_->weights(xs[i]));
+    jobs.emplace_back(&base_, sims_per_point_, seeds[i], weights.back());
   }
   std::vector<coverage::SimStats> results = farm_->run_all(*duv_, jobs);
 
@@ -103,7 +86,6 @@ std::vector<CdgObjective::PointEval> CdgObjective::evaluate_batch_full(
     PointEval eval{target_->value(results[i]), std::move(results[i])};
     sims_ += eval.stats.sims();
     batch_sims += eval.stats.sims();
-    ++evals_;
     combined_.merge(eval.stats);
     if (!has_best() || eval.value > best_value_) {
       best_value_ = eval.value;

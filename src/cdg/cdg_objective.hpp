@@ -1,15 +1,23 @@
 // Adapter that exposes the CDG problem as an opt::Objective: a point in
 // [0,1]^d is a weight assignment for the skeleton's marks; evaluating it
-// instantiates a test-template, simulates it N times on the execution
-// backend, and returns the empirical approximated-target value T_N(t).
+// simulates the skeleton's template with those weights N times on the
+// execution backend and returns the empirical approximated-target value
+// T_N(t).
 //
-// Evaluation is batched: evaluate_batch() instantiates one template per
-// point up front and submits a single Backend::run_all covering every
-// point's sims_per_point simulations, so the backend's workers stay
-// saturated across a whole optimizer stencil / population instead of a
-// single point. Per-point statistics are separated by job (seed_root =
-// the point's eval seed), preserving the per-(point, seed) determinism
-// of the scalar path — scalar evaluate() is just a batch of one.
+// A point costs a weight copy, not a template: the objective builds the
+// skeleton's base template once (tgen::Skeleton::base) and hands each
+// point to the backend as that base plus the point's weight vector
+// (tgen::Skeleton::weights, exec::Job::weights). Backend workers compile
+// the base once per dispatch and reweight the compiled tables per
+// point, which simulates exactly what instantiate(point) would.
+//
+// Evaluation is batched: evaluate_batch() submits a single
+// Backend::run_all covering every point's sims_per_point simulations,
+// so the backend's workers stay saturated across a whole optimizer
+// stencil / population instead of a single point. Per-point statistics
+// are separated by job (seed_root = the point's eval seed), preserving
+// the per-(point, seed) determinism of the scalar path — scalar
+// evaluate() is just a batch of one.
 //
 // Every evaluation simulates: the optimizers draw a fresh eval seed for
 // each point (util::SeedStream), so a repeated (point, seed) pair does
@@ -21,7 +29,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "exec/backend.hpp"
@@ -36,15 +43,14 @@ namespace ascdg::cdg {
 class CdgObjective final : public opt::Objective {
  public:
   /// All referenced objects (including `trace`, when given) must
-  /// outlive the objective. `probe_label` names the instantiated
-  /// templates: "<skeleton>_o<id>_<probe_label><ordinal>", where <id>
-  /// is unique per objective instance so concurrent objectives over the
-  /// same skeleton never emit colliding template names.
+  /// outlive the objective. Throws util::ConfigError for a zero
+  /// sims_per_point or a skeleton without marks, and
+  /// util::ValidationError when the skeleton's base template is
+  /// invalid.
   CdgObjective(const duv::Duv& duv, exec::Backend& farm,
                const tgen::Skeleton& skeleton,
                const neighbors::ApproximatedTarget& target,
-               std::size_t sims_per_point, obs::Tracer* trace = nullptr,
-               std::string probe_label = "probe");
+               std::size_t sims_per_point, obs::Tracer* trace = nullptr);
 
   [[nodiscard]] std::size_t dimension() const noexcept override {
     return skeleton_->mark_count();
@@ -87,12 +93,6 @@ class CdgObjective final : public opt::Objective {
   [[nodiscard]] double best_value() const noexcept { return best_value_; }
   [[nodiscard]] bool has_best() const noexcept { return !best_point_.empty(); }
 
-  /// The per-objective template-name prefix ("<skeleton>_o<id>"), for
-  /// collision checks.
-  [[nodiscard]] const std::string& probe_prefix() const noexcept {
-    return probe_prefix_;
-  }
-
  private:
   const duv::Duv* duv_;
   exec::Backend* farm_;
@@ -100,10 +100,9 @@ class CdgObjective final : public opt::Objective {
   const neighbors::ApproximatedTarget* target_;
   std::size_t sims_per_point_;
   obs::Tracer* trace_;
-  std::string probe_prefix_;
-  std::string probe_label_;
+  /// The skeleton's base template: every job's tmpl.
+  tgen::TestTemplate base_;
   std::size_t sims_ = 0;
-  std::size_t evals_ = 0;
   coverage::SimStats combined_;
   std::vector<double> best_point_;
   double best_value_ = 0.0;

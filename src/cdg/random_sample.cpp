@@ -49,7 +49,7 @@ RandomSampleResult random_sample(
   // One rng and seed stream draw the points in generation order, a
   // slice per farm dispatch; the objective's totals span every slice.
   CdgObjective objective(duv, farm, skeleton, targets.front(),
-                         options.sims_per_template, nullptr, "rand");
+                         options.sims_per_template);
   std::vector<SampleBest> best;
   std::vector<opt::Point> points;
   std::vector<std::uint64_t> seeds;

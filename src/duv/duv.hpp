@@ -15,7 +15,8 @@
 //
 // simulate_batch() is the farm's hot entry point: it advances a whole
 // span of seeds through one call, letting a unit reuse the distribution
-// tables compile() resolved once per job. The default implementation is
+// tables compile() resolved once per base template (and reweighted per
+// tuned point, Compiled::reweight). The default implementation is
 // a scalar loop over simulate(), so an external RTL wrapper implements
 // only the scalar method and still works everywhere (see
 // docs/porting.md). Whatever the implementation, out[i] of a batch must
@@ -61,14 +62,28 @@ class Duv {
       const tgen::TestTemplate& tmpl, std::uint64_t seed) const = 0;
 
   /// Opaque per-template precomputation (resolved parameter tables,
-  /// precompiled distributions, ...). A thread-farm worker compiles a
-  /// job's template once per job it visits and passes the result to
-  /// each of its simulate_batch() calls for that job.
+  /// precompiled distributions, ...). A farm worker compiles a job's
+  /// template once per base template it visits in a run, reweights the
+  /// result for each tuned point of that base, and passes it to each of
+  /// its simulate_batch() calls for the job.
   class Compiled {
    public:
     virtual ~Compiled() = default;
     Compiled(const Compiled&) = delete;
     Compiled& operator=(const Compiled&) = delete;
+
+    /// Turns these tables into those of the compiled template with the
+    /// weight of its i-th weight or subrange entry (in template order,
+    /// tgen::TestTemplate::set_weights) set to weights[i]: afterwards
+    /// simulate_batch() must simulate exactly what the tables of that
+    /// reweighted template would. Returns false when the tables cannot
+    /// be reweighted, which is the default; the farm then compiles a
+    /// copy of the template with the weights written in. A worker calls
+    /// it between its own simulate_batch() calls, never concurrently.
+    virtual bool reweight(std::span<const double> weights) {
+      (void)weights;
+      return false;
+    }
 
    protected:
     Compiled() = default;
@@ -77,9 +92,9 @@ class Duv {
   /// Precompiles `tmpl` for simulate_batch(). The default returns
   /// nullptr — "no precomputation" — which every simulate_batch()
   /// implementation must accept. Like simulate(), it must be
-  /// thread-safe: farm workers call it concurrently. The result is
-  /// immutable and safe to share across threads; it borrows `tmpl`,
-  /// which must outlive it.
+  /// thread-safe: farm workers call it concurrently. The result belongs
+  /// to the worker that compiled it (only reweight() changes it); it
+  /// borrows `tmpl`, which must outlive it.
   [[nodiscard]] virtual std::unique_ptr<Compiled> compile(
       const tgen::TestTemplate& tmpl) const {
     (void)tmpl;
@@ -90,9 +105,10 @@ class Duv {
   /// match; each out[i] is overwritten, whatever it held). `compiled`
   /// is either nullptr or this unit's compile() result for `tmpl`.
   /// Contract: out[i] must equal simulate(tmpl, seeds[i]) bit for bit,
-  /// at any batch width. The default is exactly that scalar loop, so a
-  /// wrapper around a real RTL simulator opts out of batching by simply
-  /// not overriding this.
+  /// at any batch width — where a reweighted `compiled` stands for
+  /// `tmpl` with the weights it was given. The default is exactly that
+  /// scalar loop, so a wrapper around a real RTL simulator opts out of
+  /// batching by simply not overriding this.
   virtual void simulate_batch(const tgen::TestTemplate& tmpl,
                               const Compiled* compiled,
                               std::span<const std::uint64_t> seeds,

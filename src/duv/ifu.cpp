@@ -108,8 +108,7 @@ Ifu::Ifu() : defaults_("ifu_defaults") {
 // symbol comparisons into integer compares: code 0 means the
 // "interesting" symbol ("taken" / "miss" / "on"), anything else falls
 // through like an unmatched symbol.
-struct IfuTables final : Duv::Compiled {
-  stimgen::CompiledTemplate table;
+struct IfuTables final : KernelTables {
   const stimgen::CompiledParam* num_fetches;
   const stimgen::CompiledParam* fetch_gap;
   const stimgen::CompiledParam* thread_sel;
@@ -125,7 +124,7 @@ struct IfuTables final : Duv::Compiled {
 
   IfuTables(const tgen::TestTemplate* overrides,
             const tgen::TestTemplate& defaults)
-      : table(overrides, defaults),
+      : KernelTables(overrides, defaults),
         num_fetches(table.find("NumFetches")),
         fetch_gap(table.find("FetchGap")),
         thread_sel(table.find("ThreadSel")),

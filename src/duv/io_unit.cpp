@@ -162,8 +162,7 @@ IoUnit::IoUnit() : defaults_("io_unit_defaults") {
 // into ev_cmd_ (unmatched symbols decay to read); ErrInject codes are
 // 0 off / 1 crc_err / 2 any-other-symbol; AddrMode codes are 0 seq /
 // 1 rand / 2 wrap-or-unknown.
-struct IoUnitTables final : Duv::Compiled {
-  stimgen::CompiledTemplate table;
+struct IoUnitTables final : KernelTables {
   const stimgen::CompiledParam* num_ops;
   const stimgen::CompiledParam* credit_limit;
   const stimgen::CompiledParam* gap_delay;
@@ -179,7 +178,7 @@ struct IoUnitTables final : Duv::Compiled {
 
   IoUnitTables(const tgen::TestTemplate* overrides,
                const tgen::TestTemplate& defaults)
-      : table(overrides, defaults),
+      : KernelTables(overrides, defaults),
         num_ops(table.find("NumOps")),
         credit_limit(table.find("CreditLimit")),
         gap_delay(table.find("GapDelay")),

@@ -9,10 +9,11 @@
 //   * simulate()       builds them and runs the kernel for one seed;
 //   * simulate_batch() runs the kernel seed by seed over the given
 //                      tables, compiling its own when handed nullptr.
-// A unit supplies `Tables` (constructible from (overrides*, defaults))
-// and run(). Tables types live in the unit's .cpp, so each unit header
-// declares `extern template class KernelDuv<Tables>;` and its .cpp
-// instantiates it once the type is complete.
+// A unit supplies `Tables` (a KernelTables constructible from
+// (overrides*, defaults)) and run(). Tables types live in the unit's
+// .cpp, so each unit header declares `extern template class
+// KernelDuv<Tables>;` and its .cpp instantiates it once the type is
+// complete.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +21,27 @@
 #include <span>
 
 #include "duv/duv.hpp"
+#include "stimgen/compiled.hpp"
 #include "util/error.hpp"
 
 namespace ascdg::duv {
+
+/// The base of a bundled unit's Tables: the resolved draw tables, which
+/// reweight() updates in place. A unit's precomputed entry codes and
+/// parameter pointers stay valid, since a reweight changes only the
+/// weights, never an entry's value.
+struct KernelTables : Duv::Compiled {
+  stimgen::CompiledTemplate table;
+
+  KernelTables(const tgen::TestTemplate* overrides,
+               const tgen::TestTemplate& defaults)
+      : table(overrides, defaults) {}
+
+  bool reweight(std::span<const double> weights) override {
+    table.set_weights(weights);
+    return true;
+  }
+};
 
 template <class Tables>
 class KernelDuv : public Duv {

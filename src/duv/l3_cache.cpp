@@ -146,8 +146,7 @@ L3Cache::L3Cache() : defaults_("l3_defaults") {
 // entries onto kReqNames indices (unmatched symbols fall back to "read"),
 // AddrLocality onto {line=0, page=1, other=2}, and BypassHint onto
 // {on=0, other=1}.
-struct L3CacheTables final : Duv::Compiled {
-  stimgen::CompiledTemplate table;
+struct L3CacheTables final : KernelTables {
   const stimgen::CompiledParam* num_reqs;
   const stimgen::CompiledParam* inter_arrival;
   const stimgen::CompiledParam* req_type;
@@ -162,7 +161,7 @@ struct L3CacheTables final : Duv::Compiled {
 
   L3CacheTables(const tgen::TestTemplate* overrides,
                 const tgen::TestTemplate& defaults)
-      : table(overrides, defaults),
+      : KernelTables(overrides, defaults),
         num_reqs(table.find("NumReqs")),
         inter_arrival(table.find("InterArrival")),
         req_type(table.find("ReqType")),

@@ -110,8 +110,7 @@ Lsu::Lsu() : defaults_("lsu_defaults") {
 // Compiled per-template distribution tables. Mnemonic codes index
 // straight into ev_mnemonic_ (unmatched symbols decay to load);
 // address-pattern codes are 0 same_line / 1 stride / 2 random-or-unknown.
-struct LsuTables final : Duv::Compiled {
-  stimgen::CompiledTemplate table;
+struct LsuTables final : KernelTables {
   const stimgen::CompiledParam* num_instr;
   const stimgen::CompiledParam* mnemonic;
   const stimgen::CompiledParam* addr_pattern;
@@ -122,7 +121,7 @@ struct LsuTables final : Duv::Compiled {
 
   LsuTables(const tgen::TestTemplate* overrides,
             const tgen::TestTemplate& defaults)
-      : table(overrides, defaults),
+      : KernelTables(overrides, defaults),
         num_instr(table.find("NumInstr")),
         mnemonic(table.find("Mnemonic")),
         addr_pattern(table.find("AddrPattern")),

@@ -16,6 +16,33 @@ coverage::SimStats Backend::run(const duv::Duv& duv,
   return std::move(results.front());
 }
 
+const tgen::TestTemplate& JobTables::load(const duv::Duv& duv,
+                                          const tgen::TestTemplate& tmpl,
+                                          std::span<const double> weights) {
+  if (&tmpl != base_ || (weights.empty() && reweighted_)) {
+    compiled_ = duv.compile(tmpl);
+    base_ = &tmpl;
+    reweighted_ = false;
+  }
+  if (weights.empty()) return tmpl;
+  if (compiled_ != nullptr && compiled_->reweight(weights)) {
+    reweighted_ = true;
+    return tmpl;
+  }
+  materialized_.emplace(tmpl);
+  materialized_->set_weights(weights);
+  compiled_ = duv.compile(*materialized_);
+  base_ = nullptr;
+  return *materialized_;
+}
+
+void JobTables::clear() noexcept {
+  compiled_.reset();
+  materialized_.reset();
+  base_ = nullptr;
+  reweighted_ = false;
+}
+
 BackendConfig parse_backend_spec(std::string_view spec) {
   static constexpr std::string_view kHint =
       " (expected thread|process[:N], e.g. --backend=process:8)";

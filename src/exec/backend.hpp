@@ -23,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,10 +43,55 @@ inline constexpr std::size_t kMaxWorkers = 1024;
 
 /// A unit of backend work: one template simulated `count` times with
 /// instance seeds derived from `seed_root`.
+///
+/// A tuned point is a job over a shared base template plus its own
+/// weights: `weights` holds one value per weight or subrange entry of
+/// `tmpl`, in template order (tgen::TestTemplate::weight_count), and
+/// the job simulates `tmpl` with its entry weights replaced by them, as
+/// tgen::TestTemplate::set_weights would write them. An empty span
+/// means the template as is. Workers compile a base once per run and
+/// reweight the compiled tables per job (Duv::Compiled::reweight), so
+/// a point costs a weight copy, not a template. Both `tmpl` and the
+/// weights must outlive run_all.
 struct Job {
+  Job() = default;
+  Job(const tgen::TestTemplate* base, std::size_t sims, std::uint64_t seed,
+      std::span<const double> point_weights = {}) noexcept
+      : tmpl(base), count(sims), seed_root(seed), weights(point_weights) {}
+
   const tgen::TestTemplate* tmpl = nullptr;
   std::size_t count = 0;
   std::uint64_t seed_root = 0;
+  std::span<const double> weights;
+};
+
+/// A farm worker's compiled tables for the job it is on. Jobs of one
+/// base template compile it once and reweight the tables per job; a
+/// unit whose compile() returns nullptr, or whose tables do not
+/// reweight, simulates a copy of the template with the weights written
+/// in. Owned by one worker; clear() it before the run's templates die.
+class JobTables {
+ public:
+  /// Loads the tables of `tmpl` with `weights` (Job's meaning) and
+  /// returns the template to pass to Duv::simulate_batch with
+  /// compiled(). Throws what compile() or a weight-count check throws.
+  const tgen::TestTemplate& load(const duv::Duv& duv,
+                                 const tgen::TestTemplate& tmpl,
+                                 std::span<const double> weights);
+
+  [[nodiscard]] const duv::Duv::Compiled* compiled() const noexcept {
+    return compiled_.get();
+  }
+
+  void clear() noexcept;
+
+ private:
+  /// The template compiled_ holds the tables of (nullptr when they are
+  /// a materialized copy's), and whether they were reweighted since.
+  const tgen::TestTemplate* base_ = nullptr;
+  bool reweighted_ = false;
+  std::unique_ptr<duv::Duv::Compiled> compiled_;
+  std::optional<tgen::TestTemplate> materialized_;
 };
 
 /// Point-in-time copy of one farm's run counters, safe to pass around.

@@ -2,9 +2,13 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
+#include <cmath>
+#include <optional>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace ascdg::exec::frame {
 
@@ -14,10 +18,11 @@ namespace {
 static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
 
 constexpr std::size_t kU64 = sizeof(std::uint64_t);
-/// Smallest encodings, for bounding counts by the bytes left: a job is
-/// id, seed_root, template length and chunk count; a chunk is two
-/// u64s; a partial is id, sims and event count.
-constexpr std::size_t kMinJobBytes = 4 * kU64;
+/// Smallest encodings, for bounding counts by the bytes left: a base is
+/// its length; a job is id, seed_root, base, weight count and chunk
+/// count; a chunk is two u64s; a partial is id, sims and event count.
+constexpr std::size_t kMinBaseBytes = kU64;
+constexpr std::size_t kMinJobBytes = 5 * kU64;
 constexpr std::size_t kChunkBytes = 2 * kU64;
 constexpr std::size_t kMinPartialBytes = 3 * kU64;
 
@@ -53,6 +58,8 @@ class Reader {
   }
 
   std::string_view string() { return take(u64()); }
+
+  double f64() { return std::bit_cast<double>(u64()); }
 
   /// A count of items at least `item_bytes` long each; rejected unless
   /// that many items fit in the bytes left, so a caller may reserve by
@@ -130,19 +137,28 @@ bool write_exact(int fd, const void* buf, std::size_t n) {
 }  // namespace
 
 std::string encode_request(const Request& request) {
-  std::size_t size = kU64 + request.unit.size() + kU64;
+  std::size_t size = kU64 + request.unit.size() + 2 * kU64;
+  for (const std::string_view base : request.bases) {
+    size += kMinBaseBytes + base.size();
+  }
   for (const JobRequest& job : request.jobs) {
-    size += kMinJobBytes + job.tmpl_text.size() +
+    size += kMinJobBytes + job.weights.size() * kU64 +
             job.chunks.size() * kChunkBytes;
   }
   std::string out;
   out.reserve(size);
   put_string(out, request.unit);
+  put_u64(out, request.bases.size());
+  for (const std::string_view base : request.bases) put_string(out, base);
   put_u64(out, request.jobs.size());
   for (const JobRequest& job : request.jobs) {
     put_u64(out, job.id);
     put_u64(out, job.seed_root);
-    put_string(out, job.tmpl_text);
+    put_u64(out, job.base);
+    put_u64(out, job.weights.size());
+    for (const double w : job.weights) {
+      put_u64(out, std::bit_cast<std::uint64_t>(w));
+    }
     put_u64(out, job.chunks.size());
     for (const auto& [begin, end] : job.chunks) {
       put_u64(out, begin);
@@ -156,11 +172,24 @@ Request decode_request(std::string_view payload) {
   Reader in(payload);
   Request request;
   request.unit = in.string();
+  request.bases.resize(in.count(kMinBaseBytes, "base"));
+  for (std::string_view& base : request.bases) base = in.string();
   request.jobs.resize(in.count(kMinJobBytes, "job"));
   for (JobRequest& job : request.jobs) {
     job.id = in.u64();
     job.seed_root = in.u64();
-    job.tmpl_text = in.string();
+    job.base = in.u64();
+    if (job.base >= request.bases.size()) {
+      throw util::Error("malformed frame: base " + std::to_string(job.base) +
+                        " of " + std::to_string(request.bases.size()));
+    }
+    job.weights.resize(in.count(kU64, "weight"));
+    for (double& w : job.weights) {
+      w = in.f64();
+      if (!std::isfinite(w)) {
+        throw util::Error("malformed frame: a non-finite weight");
+      }
+    }
     job.chunks.resize(in.count(kChunkBytes, "chunk"));
     for (auto& [begin, end] : job.chunks) {
       begin = in.u64();
@@ -174,6 +203,16 @@ Request decode_request(std::string_view payload) {
   }
   in.finish();
   return request;
+}
+
+double text_rounded_weight(double weight) {
+  const std::optional<double> rounded =
+      util::parse_double(util::format_number(weight));
+  if (!rounded.has_value()) {
+    throw util::Error("weight " + util::format_number(weight) +
+                      " has no template text");
+  }
+  return *rounded;
 }
 
 std::string encode_response(const Response& response) {

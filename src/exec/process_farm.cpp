@@ -10,6 +10,7 @@
 #include <cstring>
 #include <map>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "duv/registry.hpp"
@@ -203,29 +204,46 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
                                            coverage::SimStats(event_count));
   }
 
-  // Template text is serialized once per job; every worker's request
-  // views the same bytes.
-  std::vector<std::string> tmpl_text(job_n);
+  // Each distinct template is serialized once; a worker's request
+  // carries the texts of the bases its jobs use, viewing these bytes.
+  std::unordered_map<const tgen::TestTemplate*, std::size_t> base_of;
+  std::vector<std::string> base_text;
+  std::vector<std::size_t> job_base(job_n);
   for (std::size_t j = 0; j < job_n; ++j) {
-    tmpl_text[j] = tgen::to_text(*jobs[j].tmpl);
+    const auto [it, fresh] = base_of.try_emplace(jobs[j].tmpl, base_text.size());
+    if (fresh) base_text.push_back(tgen::to_text(*jobs[j].tmpl));
+    job_base[j] = it->second;
   }
 
   // Round-robin the chunks across workers. Jobs are visited in order,
   // so a worker's entry for job j, if it has one, is its last.
   const std::size_t worker_n = workers_.size();
-  std::vector<frame::Request> plan(worker_n, frame::Request{unit_name, {}});
+  std::vector<frame::Request> plan(worker_n, frame::Request{unit_name, {}, {}});
+  // local_base[w][b]: base b's index in worker w's request, or kAbsent.
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  std::vector<std::vector<std::size_t>> local_base(
+      worker_n, std::vector<std::size_t>(base_text.size(), kAbsent));
   std::size_t next_worker = 0;
   for (std::size_t j = 0; j < job_n; ++j) {
     for (std::size_t begin = 0; begin < jobs[j].count;
          begin += frame::kChunk) {
       const std::size_t end = std::min(begin + frame::kChunk, jobs[j].count);
-      std::vector<frame::JobRequest>& share =
-          plan[next_worker++ % worker_n].jobs;
-      if (share.empty() || share.back().id != j) {
-        share.push_back(
-            frame::JobRequest{j, jobs[j].seed_root, tmpl_text[j], {}});
+      const std::size_t w = next_worker++ % worker_n;
+      frame::Request& request = plan[w];
+      if (request.jobs.empty() || request.jobs.back().id != j) {
+        std::size_t& base = local_base[w][job_base[j]];
+        if (base == kAbsent) {
+          base = request.bases.size();
+          request.bases.push_back(base_text[job_base[j]]);
+        }
+        request.jobs.push_back(frame::JobRequest{
+            j,
+            jobs[j].seed_root,
+            base,
+            {jobs[j].weights.begin(), jobs[j].weights.end()},
+            {}});
       }
-      share.back().chunks.emplace_back(begin, end);
+      request.jobs.back().chunks.emplace_back(begin, end);
     }
   }
 
@@ -305,12 +323,15 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
 }
 
 void ProcessFarm::worker_main(int request_fd, int response_fd) {
-  // Units are rebuilt by name once and cached; compiled tables are
-  // per-job, exactly like the thread farm.
+  // Units are rebuilt by name once and cached. A request's bases are
+  // parsed once and each is compiled once; a job with weights only
+  // reweights its base's tables, exactly like the thread farm.
   std::map<std::string, std::unique_ptr<duv::Duv>, std::less<>> units;
   std::string payload;
   std::vector<std::uint64_t> seeds;
   std::vector<coverage::CoverageVector> vectors;
+  std::vector<double> weights;
+  JobTables tables;
   for (;;) {
     bool got_request = false;
     try {
@@ -335,10 +356,19 @@ void ProcessFarm::worker_main(int request_fd, int response_fd) {
       }
       const duv::Duv& duv = *it->second;
       const std::size_t event_count = duv.space().size();
+      std::vector<tgen::TestTemplate> bases;
+      bases.reserve(request.bases.size());
+      for (const std::string_view text : request.bases) {
+        bases.push_back(tgen::parse_template(text));
+      }
       response.partials.reserve(request.jobs.size());
       for (const frame::JobRequest& job : request.jobs) {
-        const tgen::TestTemplate tmpl = tgen::parse_template(job.tmpl_text);
-        const auto compiled = duv.compile(tmpl);
+        weights.resize(job.weights.size());
+        for (std::size_t i = 0; i < weights.size(); ++i) {
+          weights[i] = frame::text_rounded_weight(job.weights[i]);
+        }
+        const tgen::TestTemplate& tmpl =
+            tables.load(duv, bases[job.base], weights);
         coverage::SimStats stats(event_count);
         const util::SeedStream stream(job.seed_root);
         for (const auto& [begin, end] : job.chunks) {
@@ -352,7 +382,7 @@ void ProcessFarm::worker_main(int request_fd, int response_fd) {
             vectors.resize(n, coverage::CoverageVector(0));
           }
           duv.simulate_batch(
-              tmpl, compiled.get(),
+              tmpl, tables.compiled(),
               std::span<const std::uint64_t>(seeds.data(), n),
               std::span<coverage::CoverageVector>(vectors.data(), n));
           for (std::size_t i = 0; i < n; ++i) stats.record(vectors[i]);
@@ -363,6 +393,8 @@ void ProcessFarm::worker_main(int request_fd, int response_fd) {
     } catch (const std::exception& e) {
       response = frame::Response{false, e.what(), {}};
     }
+    // The tables borrow this request's bases, which die here.
+    tables.clear();
     if (!frame::write_frame(response_fd, frame::encode_response(response))) {
       ::_exit(1);  // parent gone mid-response
     }

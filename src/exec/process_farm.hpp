@@ -2,11 +2,15 @@
 //
 // ProcessFarm forks N worker processes at construction and ships work
 // over per-worker pipe pairs using length-prefixed binary frames
-// (exec/frame.hpp). Each worker re-executes the job locally —
-// duv::make_unit(name) to rebuild the unit, tgen::parse_template on the
-// shipped DSL text, Duv::compile once per job, then simulate_batch over
-// each assigned chunk's seeds — and replies with per-job raw hit-count
-// partials. The parent merges the partials with SimStats::merge, which
+// (exec/frame.hpp). A request carries the DSL text of each base
+// template its jobs use once, and each job as a base index plus its raw
+// weights. Each worker re-executes the jobs locally —
+// duv::make_unit(name) to rebuild the unit, tgen::parse_template once
+// per base, Duv::compile once per base and a reweight per weighted job
+// (exec::JobTables), then simulate_batch over each assigned chunk's
+// seeds — and replies with per-job raw hit-count partials. Shipped
+// weights pass through frame::text_rounded_weight first, so a tuned
+// point draws what its template text would have carried. The parent merges the partials with SimStats::merge, which
 // is commutative, so results are bit-identical to the thread backend
 // for any worker count and any chunk assignment.
 //

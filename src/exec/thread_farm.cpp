@@ -38,11 +38,12 @@ struct JobPartial {
 struct Workspace {
   std::vector<std::uint64_t> seeds;
   std::vector<coverage::CoverageVector> vectors;
-  /// compile() of the job in `job` (nullptr for units that do not
-  /// override Duv::compile — their simulate_batch falls back to the
-  /// scalar loop). Released before the worker checks out.
-  std::unique_ptr<duv::Duv::Compiled> compiled;
-  /// Index of the job `compiled` belongs to; kNoJob between runs.
+  /// The tables of the job in `job`, kept across the run's jobs of one
+  /// base template. Cleared before the worker checks out.
+  JobTables tables;
+  /// The template `tables` simulates.
+  const tgen::TestTemplate* tmpl = nullptr;
+  /// Index of the job `tables` is loaded with; kNoJob between runs.
   std::size_t job = kNoJob;
 
   static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
@@ -137,9 +138,9 @@ void ThreadFarm::worker_loop(std::size_t index) {
         const Job& job = run->jobs[chunk.job];
         if (chunk.job != ws.job) {
           // The cursor only moves forward over job-major chunks, so this
-          // worker never sees ws.job again: compile the next job's
-          // template and open its partial.
-          ws.compiled = run->duv->compile(*job.tmpl);
+          // worker never sees ws.job again: load the next job's tables
+          // and open its partial.
+          ws.tmpl = &ws.tables.load(*run->duv, *job.tmpl, job.weights);
           ws.job = chunk.job;
           mine.push_back({chunk.job, coverage::SimStats(run->event_count)});
         }
@@ -153,7 +154,7 @@ void ThreadFarm::worker_loop(std::size_t index) {
           ws.vectors.resize(n, coverage::CoverageVector(0));
         }
         run->duv->simulate_batch(
-            *job.tmpl, ws.compiled.get(),
+            *ws.tmpl, ws.tables.compiled(),
             std::span<const std::uint64_t>(ws.seeds.data(), n),
             std::span<coverage::CoverageVector>(ws.vectors.data(), n));
         coverage::SimStats& acc = mine.back().stats;
@@ -173,8 +174,9 @@ void ThreadFarm::worker_loop(std::size_t index) {
         run->failed.store(true, std::memory_order_relaxed);
       }
     }
-    // The tables borrow the run's template, which dies with the run.
-    ws.compiled.reset();
+    // The tables borrow the run's templates, which die with the run.
+    ws.tables.clear();
+    ws.tmpl = nullptr;
     ws.job = Workspace::kNoJob;
     // Checkout is this worker's last touch of *run: once the count is
     // complete the caller may return and destroy it.

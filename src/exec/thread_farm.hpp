@@ -6,10 +6,14 @@
 // Scheduling: run_all only lays the run out, as one job-major list of
 // (job, begin, end) chunks of at most kChunk seeds, publishes it under
 // a new generation and wakes the pool; workers do all per-job work.
-// Workers claim chunks through one atomic cursor. A worker compiles a
-// job's template (Duv::compile) the first time it claims one of that
-// job's chunks and keeps the tables while it claims further chunks of
-// the same job; it hands each chunk to Duv::simulate_batch over
+// Workers claim chunks through one atomic cursor. A worker loads a
+// job's tables (JobTables) the first time it claims one of that job's
+// chunks and keeps them while it claims further chunks of the same
+// job: it compiles a base template (Duv::compile) once per run and,
+// for each tuned point of that base (a job with weights), only
+// reweights the compiled tables (Duv::Compiled::reweight), so an
+// optimizer stencil of 61 points costs each worker one compile. It
+// hands each chunk to Duv::simulate_batch over
 // per-worker seed and coverage arenas and accumulates into one running
 // partial per job it visits. The cursor only moves forward, so a worker
 // visits jobs in increasing order, each at most once: partial storage
@@ -25,8 +29,8 @@
 // accumulation is commutative, so results are bit-identical for any
 // worker count and any claim order.
 //
-// Failure semantics: if a compile, a simulation or stats accumulation
-// throws, the first exception is captured, workers stop claiming the
+// Failure semantics: if a compile, a reweight, a simulation or stats
+// accumulation throws, the first exception is captured, workers stop claiming the
 // run's remaining chunks, and run_all rethrows once every worker has
 // checked out — the farm never hangs and stays usable afterwards.
 //

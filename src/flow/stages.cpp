@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -50,6 +51,21 @@ void remove_if_exists(const std::filesystem::path& path) {
   std::filesystem::remove(path, ec);
 }
 
+/// Throws util::Error naming `file` unless each of `loaded` counts hits
+/// over exactly the unit's `events`: statistics read back from a
+/// session must fit the unit before anything indexes them.
+void check_event_counts(
+    std::initializer_list<const coverage::SimStats*> loaded,
+    std::size_t events, const std::filesystem::path& file) {
+  for (const coverage::SimStats* stats : loaded) {
+    if (stats->event_count() != events) {
+      throw util::Error("artifact '" + file.string() + "' holds hit counts of " +
+                        std::to_string(stats->event_count()) +
+                        " events; the unit has " + std::to_string(events));
+    }
+  }
+}
+
 /// An optimizer stage's checkpoint journal in the session
 /// (`<stage>.ckpt.jsonl`, one OptStageCheckpoint record per completed
 /// iteration). Each record carries a "digest" key, the FNV-1a of the
@@ -64,7 +80,8 @@ class StageJournal {
   /// or a journal from before record digests is deleted instead of
   /// read, so its stage restarts from iteration 0; that is
   /// deterministic, so the result is the same.
-  StageJournal(const Session& session, std::string_view stage)
+  StageJournal(const Session& session, std::string_view stage,
+               std::size_t events)
       : path_(session.artifact_path(checkpoint_journal_name(stage))) {
     const std::filesystem::path old =
         session.artifact_path(std::string(stage) + ".ckpt.json");
@@ -96,6 +113,7 @@ class StageJournal {
             fnv1a(to_json(*resume_))) {
           throw util::Error("record does not match its digest");
         }
+        check_event_counts({&resume_->stats}, events, path_);
       } catch (const util::Error& e) {
         throw util::ParseError(
             "journal '" + path_.string() + "': " + e.what(), i + 1);
@@ -255,10 +273,14 @@ void SampleStage::save(StageContext& ctx) const {
 }
 
 void SampleStage::load(StageContext& ctx) const {
-  const util::JsonValue doc =
-      read_digested_json_file(ctx.session->artifact_path("sampling.json"));
+  const std::filesystem::path file =
+      ctx.session->artifact_path("sampling.json");
+  const util::JsonValue doc = read_digested_json_file(file);
   ctx.result->sampling = sampling_from_json(doc.at("sampling"), targets_);
   ctx.result->sampling_phase = phase_outcome_from_json(doc.at("phase"));
+  check_event_counts(
+      {&ctx.result->sampling.combined, &ctx.result->sampling_phase.stats},
+      ctx.duv->space().size(), file);
 }
 
 // ------------------------------------------------------- optimization --
@@ -278,7 +300,7 @@ void OptimizeStage::run(StageContext& ctx) {
   OptStageCheckpoint prefix;
   std::optional<StageJournal> journal;
   if (ctx.session != nullptr) {
-    journal.emplace(*ctx.session, name());
+    journal.emplace(*ctx.session, name(), ctx.duv->space().size());
     if (journal->resume().has_value()) {
       prefix = *journal->resume();
       if_options.resume = &prefix.ifc;
@@ -324,11 +346,14 @@ void OptimizeStage::save(StageContext& ctx) const {
 }
 
 void OptimizeStage::load(StageContext& ctx) const {
-  const util::JsonValue doc =
-      read_digested_json_file(ctx.session->artifact_path("optimization.json"));
+  const std::filesystem::path file =
+      ctx.session->artifact_path("optimization.json");
+  const util::JsonValue doc = read_digested_json_file(file);
   FlowResult& result = *ctx.result;
   result.optimization = opt_result_from_json(doc.at("optimization"));
   result.optimization_phase = phase_outcome_from_json(doc.at("phase"));
+  check_event_counts({&result.optimization_phase.stats},
+                     ctx.duv->space().size(), file);
   ctx.best_point = result.optimization.best_point;
 }
 
@@ -344,7 +369,9 @@ void RefineStage::run(StageContext& ctx) {
     const neighbors::ApproximatedTarget& target = *ctx.target;
     OptStageCheckpoint prefix;
     std::optional<StageJournal> journal;
-    if (ctx.session != nullptr) journal.emplace(*ctx.session, name());
+    if (ctx.session != nullptr) {
+      journal.emplace(*ctx.session, name(), ctx.duv->space().size());
+    }
     const bool mid_refine_resume =
         journal.has_value() && journal->resume().has_value();
     if (mid_refine_resume) {
@@ -439,8 +466,9 @@ void RefineStage::save(StageContext& ctx) const {
 }
 
 void RefineStage::load(StageContext& ctx) const {
-  const util::JsonValue doc =
-      read_digested_json_file(ctx.session->artifact_path("refinement.json"));
+  const std::filesystem::path file =
+      ctx.session->artifact_path("refinement.json");
+  const util::JsonValue doc = read_digested_json_file(file);
   FlowResult& result = *ctx.result;
   if (doc.at("refined").as_bool()) {
     result.refinement = opt_result_from_json(doc.at("refinement"));
@@ -448,6 +476,8 @@ void RefineStage::load(StageContext& ctx) const {
     result.refinement.reset();
   }
   result.optimization_phase = phase_outcome_from_json(doc.at("phase"));
+  check_event_counts({&result.optimization_phase.stats},
+                     ctx.duv->space().size(), file);
   ctx.best_point = double_array_from_json(doc.at("best_point"));
 }
 
@@ -488,9 +518,11 @@ void HarvestStage::save(StageContext& ctx) const {
 void HarvestStage::load(StageContext& ctx) const {
   ctx.result->best_template =
       tgen::load_template(ctx.session->artifact_path("best_template.tmpl"));
-  const util::JsonValue doc =
-      read_digested_json_file(ctx.session->artifact_path("harvest.json"));
+  const std::filesystem::path file = ctx.session->artifact_path("harvest.json");
+  const util::JsonValue doc = read_digested_json_file(file);
   ctx.result->harvest_phase = phase_outcome_from_json(doc.at("phase"));
+  check_event_counts({&ctx.result->harvest_phase.stats},
+                     ctx.duv->space().size(), file);
 }
 
 }  // namespace ascdg::flow

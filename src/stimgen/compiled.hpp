@@ -165,8 +165,27 @@ class CompiledTemplate {
   /// Pointers stay valid for the CompiledTemplate's lifetime.
   [[nodiscard]] const CompiledParam* find(std::string_view name) const noexcept;
 
+  /// Recompiles the tables as if the override template's weight and
+  /// subrange entries had weights[i] (in template order, see
+  /// tgen::TestTemplate::set_weights): each weight of a parameter the
+  /// overrides resolved is clamped and its total summed in entry order,
+  /// exactly as the constructor does; entries the tables do not use
+  /// (a parameter the defaults do not declare) are skipped. Throws
+  /// util::ValidationError, changing nothing, when weights.size() is
+  /// not the overrides' weight_count().
+  void set_weights(std::span<const double> weights);
+
  private:
+  /// A resolved override parameter whose entry weights start at
+  /// `first` in a set_weights() vector.
+  struct WeightSlot {
+    std::size_t param = 0;
+    std::size_t first = 0;
+  };
+
   std::vector<CompiledParam> params_;
+  std::vector<WeightSlot> slots_;
+  std::size_t weight_count_ = 0;  ///< overrides' weight_count()
 };
 
 /// Sentinel code for a weight entry whose value is an integer where a

@@ -84,6 +84,18 @@ using Parameter = std::variant<WeightParameter, RangeParameter, SubrangeParamete
                     p);
 }
 
+/// Number of weighted entries: a weight or subrange parameter's entry
+/// count, 0 for a range parameter.
+[[nodiscard]] inline std::size_t weight_count(const Parameter& p) noexcept {
+  if (const auto* wp = std::get_if<WeightParameter>(&p)) {
+    return wp->entries.size();
+  }
+  if (const auto* sp = std::get_if<SubrangeParameter>(&p)) {
+    return sp->entries.size();
+  }
+  return 0;
+}
+
 /// Validates a parameter: non-empty identifier name, at least one entry,
 /// non-negative finite weights, ordered non-overlapping ranges.
 /// Throws util::ValidationError on violation.

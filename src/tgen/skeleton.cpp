@@ -92,56 +92,69 @@ std::vector<MarkInfo> Skeleton::marks() const {
   return out;
 }
 
-TestTemplate Skeleton::instantiate(std::string instance_name,
-                                   std::span<const double> weights) const {
-  if (weights.size() != mark_count()) {
-    throw ValidationError(
-        "skeleton '" + name_ + "' has " + std::to_string(mark_count()) +
-        " marks but " + std::to_string(weights.size()) + " weights given");
-  }
-  TestTemplate out(std::move(instance_name));
-  std::size_t next_mark = 0;
-
-  const auto take_weight = [&](const std::optional<double>& fixed) -> double {
-    if (fixed.has_value()) return *fixed;
-    const double w = weights[next_mark++];
-    return w > 0.0 ? w : 0.0;
-  };
-
+TestTemplate Skeleton::base(std::string name) const {
+  TestTemplate out(std::move(name));
   for (const auto& p : params_) {
     if (const auto* wp = std::get_if<SkeletonWeightParameter>(&p)) {
       WeightParameter concrete{wp->name, {}};
-      std::vector<std::size_t> marked_slots;
       concrete.entries.reserve(wp->entries.size());
       for (const auto& entry : wp->entries) {
-        if (!entry.weight.has_value()) marked_slots.push_back(concrete.entries.size());
-        concrete.entries.push_back({entry.value, take_weight(entry.weight)});
-      }
-      if (concrete.total_weight() <= 0.0) {
-        // Uniform fallback keeps the instantiated template generatable.
-        for (const std::size_t slot : marked_slots) {
-          concrete.entries[slot].weight = 1.0;
-        }
+        concrete.entries.push_back({entry.value, entry.weight.value_or(1.0)});
       }
       out.add(std::move(concrete));
     } else if (const auto* sp = std::get_if<SkeletonSubrangeParameter>(&p)) {
       SubrangeParameter concrete{sp->name, {}};
-      std::vector<std::size_t> marked_slots;
       concrete.entries.reserve(sp->entries.size());
       for (const auto& entry : sp->entries) {
-        if (!entry.weight.has_value()) marked_slots.push_back(concrete.entries.size());
-        concrete.entries.push_back({entry.lo, entry.hi, take_weight(entry.weight)});
-      }
-      if (concrete.total_weight() <= 0.0) {
-        for (const std::size_t slot : marked_slots) {
-          concrete.entries[slot].weight = 1.0;
-        }
+        concrete.entries.push_back(
+            {entry.lo, entry.hi, entry.weight.value_or(1.0)});
       }
       out.add(std::move(concrete));
     } else {
       out.add(std::get<RangeParameter>(p));
     }
   }
+  return out;
+}
+
+std::vector<double> Skeleton::weights(std::span<const double> point) const {
+  if (point.size() != mark_count()) {
+    throw ValidationError(
+        "skeleton '" + name_ + "' has " + std::to_string(mark_count()) +
+        " marks but " + std::to_string(point.size()) + " weights given");
+  }
+  std::vector<double> out;
+  std::size_t next_mark = 0;
+  const auto add_entries = [&](const auto& entries) {
+    const std::size_t first = out.size();
+    double total = 0.0;
+    for (const auto& entry : entries) {
+      const double mark = entry.weight.has_value() ? 0.0 : point[next_mark++];
+      const double w = entry.weight.value_or(mark > 0.0 ? mark : 0.0);
+      out.push_back(w);
+      total += w > 0.0 ? w : 0.0;
+    }
+    if (total <= 0.0) {
+      // Uniform fallback keeps the template generatable.
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (!entries[i].weight.has_value()) out[first + i] = 1.0;
+      }
+    }
+  };
+  for (const auto& p : params_) {
+    if (const auto* wp = std::get_if<SkeletonWeightParameter>(&p)) {
+      add_entries(wp->entries);
+    } else if (const auto* sp = std::get_if<SkeletonSubrangeParameter>(&p)) {
+      add_entries(sp->entries);
+    }
+  }
+  return out;
+}
+
+TestTemplate Skeleton::instantiate(std::string instance_name,
+                                   std::span<const double> point) const {
+  TestTemplate out = base(std::move(instance_name));
+  out.set_weights(weights(point));
   return out;
 }
 

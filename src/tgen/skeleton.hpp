@@ -88,13 +88,24 @@ class Skeleton {
   /// Description of each mark, in instantiation order.
   [[nodiscard]] std::vector<MarkInfo> marks() const;
 
-  /// Builds a concrete test-template named `instance_name` by assigning
-  /// `weights[i]` to the i-th mark. Negative weights clamp to zero. If a
-  /// parameter ends up with zero total weight, all of its marked entries
-  /// fall back to 1.0 (uniform) so the template stays generatable.
-  /// Throws util::ValidationError when weights.size() != mark_count().
+  /// The template every point instantiates, named `name`: the fixed
+  /// weights as given and every mark at weight 1. Throws
+  /// util::ValidationError when a fixed weight makes it invalid.
+  [[nodiscard]] TestTemplate base(std::string name) const;
+
+  /// The weights of point `point` for base(): one per weight or
+  /// subrange entry, in template order (tgen::TestTemplate::set_weights,
+  /// exec::Job::weights). The i-th mark takes point[i], negative
+  /// values clamped to zero; a fixed entry keeps its weight. If a
+  /// parameter ends up with zero total weight, all of its marks fall
+  /// back to 1.0 (uniform) so the template stays generatable. Throws
+  /// util::ValidationError when point.size() != mark_count().
+  [[nodiscard]] std::vector<double> weights(std::span<const double> point) const;
+
+  /// base(instance_name) with weights(point): the concrete template of
+  /// `point`.
   [[nodiscard]] TestTemplate instantiate(std::string instance_name,
-                                         std::span<const double> weights) const;
+                                         std::span<const double> point) const;
 
   friend bool operator==(const Skeleton& a, const Skeleton& b) {
     return a.name_ == b.name_ && a.params_ == b.params_;

@@ -59,6 +59,32 @@ std::vector<std::string> TestTemplate::parameter_names() const {
   return names;
 }
 
+std::size_t TestTemplate::weight_count() const noexcept {
+  std::size_t count = 0;
+  for (const auto& p : params_) count += tgen::weight_count(p);
+  return count;
+}
+
+void TestTemplate::set_weights(std::span<const double> weights) {
+  if (weights.size() != weight_count()) {
+    throw util::ValidationError(
+        "template '" + name_ + "' has " + std::to_string(weight_count()) +
+        " weights but " + std::to_string(weights.size()) + " given");
+  }
+  std::size_t next = 0;
+  for (auto& p : params_) {
+    std::visit(
+        [&](auto& alt) {
+          if constexpr (!std::is_same_v<std::decay_t<decltype(alt)>,
+                                        RangeParameter>) {
+            for (auto& entry : alt.entries) entry.weight = weights[next++];
+          }
+        },
+        p);
+    validate(p);
+  }
+}
+
 namespace {
 
 void print(std::ostream& os, const WeightParameter& p) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -54,6 +55,16 @@ class TestTemplate {
 
   /// Names of all parameters, in declaration order.
   [[nodiscard]] std::vector<std::string> parameter_names() const;
+
+  /// Number of weight and subrange entries over all parameters: the
+  /// length of a weight vector for set_weights() (and exec::Job).
+  [[nodiscard]] std::size_t weight_count() const noexcept;
+
+  /// Sets the weight of the i-th weight or subrange entry, counted in
+  /// declaration order, to weights[i], then validates as add() does.
+  /// Throws util::ValidationError when weights.size() != weight_count()
+  /// (the template is then unchanged) or a parameter ends up invalid.
+  void set_weights(std::span<const double> weights);
 
   friend bool operator==(const TestTemplate& a, const TestTemplate& b) {
     return a.name_ == b.name_ && a.params_ == b.params_;

@@ -85,15 +85,17 @@ std::string join(const std::vector<std::string>& items, std::string_view sep) {
 }
 
 std::string format_number(double value, int precision) {
-  if (std::isfinite(value) && value == std::floor(value) &&
-      std::fabs(value) < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.0f", value);
-    return buffer;
-  }
+  // The bytes of "%.0f" for integral values and "%.<precision>g" for
+  // the rest: to_chars with a precision formats as printf does.
   char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
-  return buffer;
+  const bool integral = std::isfinite(value) && value == std::floor(value) &&
+                        std::fabs(value) < 1e15;
+  const std::to_chars_result printed =
+      integral ? std::to_chars(buffer, buffer + sizeof buffer, value,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buffer, buffer + sizeof buffer, value,
+                               std::chars_format::general, precision);
+  return std::string(buffer, printed.ptr);
 }
 
 std::string format_percent(double fraction) {

@@ -392,20 +392,6 @@ TEST_F(CdgObjectiveTest, RepeatedPointAndSeedResimulatesBitIdentically) {
   EXPECT_EQ(objective.combined().sims(), 4 * kSims);
 }
 
-// Regression: each objective instance must emit globally unique template
-// names. Two objectives over the same skeleton used to both name their
-// probes "<skeleton>_probe<ordinal>", colliding in shared telemetry and
-// coverage-by-template attribution.
-TEST_F(CdgObjectiveTest, ProbeNamePrefixUniquePerObjective) {
-  const auto skel = crc_skeleton();
-  const auto target = crc_target();
-  CdgObjective a(io_, farm_, skel, target, 10);
-  CdgObjective b(io_, farm_, skel, target, 10);
-  EXPECT_NE(a.probe_prefix(), b.probe_prefix());
-  EXPECT_TRUE(a.probe_prefix().starts_with(skel.name()));
-  EXPECT_TRUE(b.probe_prefix().starts_with(skel.name()));
-}
-
 // ------------------------------------- optimizer x dispatch equivalence --
 //
 // Satellite guarantee of the batched-evaluation protocol: for every

@@ -13,11 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "cdg/skeletonizer.hpp"
 #include "coverage/repository.hpp"
 #include "duv/duv.hpp"
 #include "duv/registry.hpp"
 #include "exec/thread_farm.hpp"
 #include "tgen/parser.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace ascdg::duv {
@@ -172,6 +174,91 @@ TEST_P(BatchEquivalence, FarmRunAllMatchesScalarReferencePerJob) {
     }
     EXPECT_EQ(results[j], reference) << "job " << j;
   }
+}
+
+/// Points that exercise every branch of Skeleton::weights: random
+/// interior points, the all-zero point (every marked parameter falls
+/// back to uniform), and points with -0 and negative coordinates
+/// (clamped to zero).
+std::vector<std::vector<double>> points_under_test(std::size_t dim,
+                                                   std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::vector<double>> points;
+  for (int i = 0; i < 4; ++i) {
+    std::vector<double> point(dim);
+    for (double& x : point) x = rng.uniform();
+    points.push_back(std::move(point));
+  }
+  points.emplace_back(dim, 0.0);
+  points.emplace_back(dim, -0.0);
+  std::vector<double> signs(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    signs[i] = i % 3 == 0 ? -rng.uniform() : i % 3 == 1 ? -0.0 : rng.uniform();
+  }
+  points.push_back(std::move(signs));
+  return points;
+}
+
+// A tuned point's job is the skeleton's base template plus the point's
+// weights: compiling the base once and reweighting the tables must
+// simulate exactly what compiling the instantiated template does, for
+// every point in a row over the same tables, and again after the
+// worker's tables moved to a job of another base (exec::JobTables, the
+// farms' per-worker cache).
+TEST_P(BatchEquivalence, ReweightedTablesMatchTheInstantiatedTemplate) {
+  const auto duv = make_unit(GetParam());
+  ASSERT_NE(duv, nullptr);
+  const cdg::Skeletonizer skeletonizer;
+  const std::vector<tgen::Skeleton> skeletons{
+      skeletonizer.skeletonize(duv->defaults()),
+      skeletonizer.skeletonize(duv->suite().front())};
+  std::vector<tgen::TestTemplate> bases;
+  for (const tgen::Skeleton& skel : skeletons) {
+    ASSERT_GT(skel.mark_count(), 0u) << skel.name();
+    bases.push_back(skel.base(skel.name()));
+  }
+  const auto seeds = make_seeds(64);
+  const auto expect_instantiated = [&](std::size_t b,
+                                       const std::vector<double>& point,
+                                       const tgen::TestTemplate& tmpl,
+                                       const Duv::Compiled* tables) {
+    const tgen::TestTemplate concrete =
+        skeletons[b].instantiate("concrete", point);
+    const auto want =
+        run_batch(*duv, concrete, duv->compile(concrete).get(), seeds);
+    EXPECT_EQ(run_batch(*duv, tmpl, tables, seeds), want)
+        << duv->name() << "/" << skeletons[b].name();
+  };
+
+  // One compiled base, reweighted point after point.
+  for (std::size_t b = 0; b < skeletons.size(); ++b) {
+    const auto compiled = duv->compile(bases[b]);
+    ASSERT_NE(compiled, nullptr);
+    for (const auto& point :
+         points_under_test(skeletons[b].mark_count(), 7 + b)) {
+      ASSERT_TRUE(compiled->reweight(skeletons[b].weights(point)));
+      expect_instantiated(b, point, bases[b], compiled.get());
+    }
+  }
+
+  // A worker's tables alternating between the two bases' jobs.
+  exec::JobTables tables;
+  const auto points0 = points_under_test(skeletons[0].mark_count(), 21);
+  const auto points1 = points_under_test(skeletons[1].mark_count(), 22);
+  for (std::size_t i = 0; i < points0.size(); ++i) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      const auto& point = b == 0 ? points0[i] : points1[i];
+      const std::vector<double> weights = skeletons[b].weights(point);
+      const tgen::TestTemplate& tmpl = tables.load(*duv, bases[b], weights);
+      EXPECT_EQ(&tmpl, &bases[b]);
+      expect_instantiated(b, point, tmpl, tables.compiled());
+    }
+  }
+  // A weight vector of the wrong length is a ValidationError.
+  const auto compiled = duv->compile(bases[0]);
+  EXPECT_THROW(
+      (void)compiled->reweight(std::vector<double>(bases[0].weight_count() + 1)),
+      util::ValidationError);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllUnits, BatchEquivalence,

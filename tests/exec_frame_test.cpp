@@ -1,22 +1,28 @@
 // The process backend's binary frames (exec/frame.hpp): encode/decode
 // round trips, and decoder robustness. Both decoders read data from
 // another process, so every malformed payload — truncated at any byte,
-// a count larger than the bytes left, a job id or hit array that does
-// not fit the batch, a bad chunk range, trailing bytes, an oversized
-// length prefix — must throw util::Error (never an assertion's
-// LogicError, never std::length_error from allocating by a bogus
-// count).
+// a count larger than the bytes left, a base index past the bases, a
+// non-finite weight, a job id or hit array that does not fit the batch,
+// a bad chunk range, trailing bytes, an oversized length prefix — must
+// throw util::Error (never an assertion's LogicError, never
+// std::length_error from allocating by a bogus count). Also pins the
+// workers' weight rounding to the template text it stands in for.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "exec/frame.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace ascdg::exec::frame {
 namespace {
@@ -45,11 +51,16 @@ const std::string kTmplB = "template b {\n  range Delay [0, 7]\n}\n";
 Request sample_request() {
   Request request;
   request.unit = "io_unit";
-  request.jobs.push_back(JobRequest{3, 0xFFFFFFFFFFFFFFFFULL, kTmplA,
+  request.bases = {kTmplA, kTmplB};
+  request.jobs.push_back(JobRequest{3, 0xFFFFFFFFFFFFFFFFULL, 0, {0.25, -0.0},
                                     {{0, 64}, {256, 300}}});
-  request.jobs.push_back(JobRequest{8, 42, kTmplB, {{64, 128}}});
+  request.jobs.push_back(JobRequest{8, 42, 1, {}, {{64, 128}}});
+  request.jobs.push_back(JobRequest{9, 7, 0, {}, {{0, 1}}});
   return request;
 }
+
+/// A request header: unit "io_unit" and one base "t".
+std::string one_base() { return str("io_unit") + u64(1) + str("t"); }
 
 Response sample_response() {
   Response response;
@@ -61,11 +72,18 @@ Response sample_response() {
 
 void expect_same(const Request& got, const Request& want) {
   EXPECT_EQ(got.unit, want.unit);
+  EXPECT_EQ(got.bases, want.bases);
   ASSERT_EQ(got.jobs.size(), want.jobs.size());
   for (std::size_t j = 0; j < got.jobs.size(); ++j) {
     EXPECT_EQ(got.jobs[j].id, want.jobs[j].id);
     EXPECT_EQ(got.jobs[j].seed_root, want.jobs[j].seed_root);
-    EXPECT_EQ(got.jobs[j].tmpl_text, want.jobs[j].tmpl_text);
+    EXPECT_EQ(got.jobs[j].base, want.jobs[j].base);
+    ASSERT_EQ(got.jobs[j].weights.size(), want.jobs[j].weights.size());
+    for (std::size_t i = 0; i < got.jobs[j].weights.size(); ++i) {
+      // Bit for bit: -0 stays -0.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.jobs[j].weights[i]),
+                std::bit_cast<std::uint64_t>(want.jobs[j].weights[i]));
+    }
     EXPECT_EQ(got.jobs[j].chunks, want.jobs[j].chunks);
   }
 }
@@ -116,7 +134,9 @@ TEST(FrameRoundTrip, Response) {
 
 TEST(FrameRoundTrip, ChunkOfExactlyKChunkSeedsIsAccepted) {
   Request request;
-  request.jobs.push_back(JobRequest{0, 1, "", {{100, 100 + kChunk}, {7, 7}}});
+  request.bases = {""};
+  request.jobs.push_back(
+      JobRequest{0, 1, 0, {}, {{100, 100 + kChunk}, {7, 7}}});
   expect_same(decode_request(encode_request(request)), request);
 }
 
@@ -158,25 +178,40 @@ TEST(FrameDecode, TrailingBytesThrow) {
 // --- Counts beyond the bytes left ------------------------------------
 
 TEST(FrameDecode, JobCountBeyondTheBytesLeftThrows) {
-  expect_error([&] { (void)decode_request(str("io_unit") + u64(kHuge)); },
+  expect_error([&] { (void)decode_request(one_base() + u64(kHuge)); },
                "job count");
   // Two jobs declared, one present.
-  const std::string one_job = u64(0) + u64(1) + str("t") + u64(0);
-  expect_error(
-      [&] { (void)decode_request(str("io_unit") + u64(2) + one_job); },
-      "job count");
+  const std::string one_job = u64(0) + u64(1) + u64(0) + u64(0) + u64(0);
+  expect_error([&] { (void)decode_request(one_base() + u64(2) + one_job); },
+               "job count");
+}
+
+TEST(FrameDecode, BaseCountBeyondTheBytesLeftThrows) {
+  expect_error([&] { (void)decode_request(str("io_unit") + u64(kHuge)); },
+               "base count");
 }
 
 TEST(FrameDecode, ChunkCountBeyondTheBytesLeftThrows) {
-  const std::string payload =
-      str("io_unit") + u64(1) + u64(0) + u64(1) + str("t") + u64(kHuge) +
-      u64(0) + u64(64);
+  const std::string payload = one_base() + u64(1) + u64(0) + u64(1) + u64(0) +
+                              u64(0) + u64(kHuge) + u64(0) + u64(64);
   expect_error([&] { (void)decode_request(payload); }, "chunk count");
+}
+
+TEST(FrameDecode, WeightCountBeyondTheBytesLeftThrows) {
+  // Three weights declared, two present and no chunk count after them.
+  const std::string two_weights =
+      u64(std::bit_cast<std::uint64_t>(0.5)) +
+      u64(std::bit_cast<std::uint64_t>(1.0));
+  for (const std::uint64_t count : {std::uint64_t{3}, kHuge}) {
+    const std::string payload = one_base() + u64(1) + u64(0) + u64(1) +
+                                u64(0) + u64(count) + two_weights;
+    expect_error([&] { (void)decode_request(payload); }, "weight count");
+  }
 }
 
 TEST(FrameDecode, TemplateLengthBeyondTheBytesLeftThrows) {
   const std::string payload =
-      str("io_unit") + u64(1) + u64(0) + u64(1) + u64(kHuge) + u64(0);
+      str("io_unit") + u64(1) + u64(kHuge) + u64(0);
   expect_error([&] { (void)decode_request(payload); }, "truncated");
 }
 
@@ -225,9 +260,37 @@ TEST(FrameDecode, ChunkRangesAreValidated) {
        std::vector<std::pair<std::uint64_t, std::uint64_t>>{
            {10, 9}, {0, kChunk + 1}, {kHuge, 0}, {0, kHuge}}) {
     Request request;
-    request.jobs.push_back(JobRequest{0, 1, "t", {{begin, end}}});
+    request.bases = {"t"};
+    request.jobs.push_back(JobRequest{0, 1, 0, {}, {{begin, end}}});
     const std::string payload = encode_request(request);
     expect_error([&] { (void)decode_request(payload); }, "chunk range");
+  }
+}
+
+TEST(FrameDecode, BaseIndexPastTheBasesThrows) {
+  for (const std::uint64_t base : {std::uint64_t{2}, kHuge}) {
+    Request request = sample_request();
+    request.jobs[1].base = base;
+    const std::string payload = encode_request(request);
+    expect_error([&] { (void)decode_request(payload); },
+                 "base " + std::to_string(base) + " of 2");
+  }
+  // No base at all: even index 0 is past the end.
+  Request request;
+  request.jobs.push_back(JobRequest{0, 1, 0, {}, {{0, 1}}});
+  const std::string payload = encode_request(request);
+  expect_error([&] { (void)decode_request(payload); }, "base 0 of 0");
+}
+
+TEST(FrameDecode, NonFiniteWeightThrows) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Request request = sample_request();
+    request.jobs[0].weights[1] = bad;
+    const std::string payload = encode_request(request);
+    expect_error([&] { (void)decode_request(payload); }, "non-finite weight");
   }
 }
 
@@ -236,6 +299,43 @@ TEST(FrameDecode, OkFlagIsZeroOrOne) {
   payload[0] = '\2';
   expect_error([&] { (void)decode_response(payload, kJobs, kEvents); },
                "ok flag");
+}
+
+// --- Weight rounding ---------------------------------------------------
+
+/// What a worker drew from when jobs travelled as template text.
+double via_text(double weight) {
+  return *util::parse_double(util::format_number(weight));
+}
+
+void expect_rounds_as_text(double weight) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(text_rounded_weight(weight)),
+            std::bit_cast<std::uint64_t>(via_text(weight)))
+      << util::format_number(weight, 17);
+}
+
+TEST(FrameWeights, TextRoundedWeightIsTheTemplateTextRoundTrip) {
+  using limits = std::numeric_limits<double>;
+  for (const double edge :
+       {0.0, -0.0, 1.0, -1.0, 0.5, 1.0 / 3.0, 2.0 / 3.0, 0.1, 1e-5, 1e-7,
+        0.999999, 0.9999995, 0.99999949999999, 123456.5, 1234567.0,
+        999999.5, 1e15 - 1.0, 1e15, 1e15 + 2.0, 1e16, 1e300, -1e300,
+        limits::max(), limits::lowest(), limits::min(), limits::denorm_min(),
+        -limits::denorm_min(), limits::epsilon()}) {
+    expect_rounds_as_text(edge);
+  }
+  // Optimizer points live in [0, 1]; random bit patterns cover every
+  // exponent.
+  util::Xoshiro256 rng(0xF64);
+  for (int i = 0; i < 500'000; ++i) expect_rounds_as_text(rng.uniform());
+  for (int i = 0; i < 500'000; ++i) {
+    const double w = std::bit_cast<double>(rng());
+    if (std::isfinite(w)) {
+      expect_rounds_as_text(w);
+    } else {
+      EXPECT_THROW((void)text_rounded_weight(w), util::Error);
+    }
+  }
 }
 
 // --- Length-prefixed frame I/O ---------------------------------------

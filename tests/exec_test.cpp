@@ -167,6 +167,48 @@ TEST_P(BackendEquivalence, ProcessOnTunedTemplateMatchesThreadOnItsText) {
   }
 }
 
+/// The same pin for tuned points as the fine-grained phase ships them:
+/// (base, weights) jobs of the skeleton's base template, mixed with a
+/// concrete job of the base. The process backend sends the base's text
+/// once and each point's raw weights, and its workers round them as
+/// the text did; the thread reference runs on each point's re-parsed
+/// instantiated text.
+TEST_P(BackendEquivalence, ProcessOnWeightedJobsMatchesThreadOnTheirText) {
+  const auto duv = duv::make_unit(GetParam());
+  ASSERT_NE(duv, nullptr);
+  const tgen::Skeleton skel =
+      cdg::Skeletonizer().skeletonize(duv->defaults());
+  const tgen::TestTemplate base = skel.base("base");
+  util::Xoshiro256 rng(0x5EED);
+  std::vector<std::vector<double>> weights;
+  std::vector<tgen::TestTemplate> reparsed;
+  weights.reserve(6);
+  reparsed.reserve(6);
+  std::vector<Job> on_weights;
+  std::vector<Job> on_text;
+  for (std::size_t j = 0; j < 6; ++j) {
+    std::vector<double> point(skel.mark_count());
+    for (double& x : point) x = rng.uniform() - (j == 5 ? 0.5 : 0.0);
+    weights.push_back(skel.weights(point));
+    reparsed.push_back(
+        tgen::parse_template(tgen::to_text(skel.instantiate("tuned", point))));
+    on_weights.emplace_back(&base, 20 + 30 * j, 0xC0 + j, weights.back());
+    on_text.emplace_back(&reparsed.back(), 20 + 30 * j, 0xC0 + j);
+  }
+  const tgen::TestTemplate base_text =
+      tgen::parse_template(tgen::to_text(base));
+  on_weights.emplace_back(&base, 70, 0xD0);
+  on_text.emplace_back(&base_text, 70, 0xD0);
+
+  ThreadFarm thread_farm(2);
+  const auto expected = thread_farm.run_all(*duv, on_text);
+  for (const std::size_t workers : {1u, 3u}) {
+    ProcessFarm process_farm(workers);
+    EXPECT_EQ(process_farm.run_all(*duv, on_weights), expected)
+        << duv->name() << " with " << workers << " workers";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllUnits, BackendEquivalence,
                          ::testing::Values("ifu", "lsu", "io_unit",
                                            "l3_cache"));

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <sstream>
@@ -1054,6 +1055,62 @@ TEST(SessionedRun, RefinementWithANegativeZeroCoordinateIsRejected) {
   const fs::path dir = scratch_dir("refine_negative_zero");
   EXPECT_THROW((void)s.resume_copy(s.complete, dir, text, "refinement.json"),
                Error);
+}
+
+/// Expects resuming to fail with a util::Error whose message names
+/// `file` (an indexing assertion is a util::LogicError, not an Error).
+void expect_rejected_naming(const std::function<void()>& resume,
+                            const std::string& file) {
+  try {
+    resume();
+    ADD_FAILURE() << file << ": the resume did not fail";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(file), std::string::npos) << e.what();
+  }
+}
+
+// A stage artifact without its digest is read as is; one whose stats
+// hold hit counts for another number of events than the unit has used
+// to die on an assertion downstream (`"hits":[0]` in harvest.json
+// indexed past the stats in compute_first_hits). Every loaded stats
+// object is now checked against the unit, in each stage artifact and
+// in a journal record whose digest matches.
+TEST(SessionedRun, StatsOverAnotherEventCountAreRejectedNamingTheFile) {
+  JournaledSession s("event_count");
+  const fs::path dir = scratch_dir("event_count");
+  for (const char* file : {"sampling.json", "optimization.json",
+                           "refinement.json", "harvest.json"}) {
+    std::ifstream in(s.complete / file, std::ios::binary);
+    std::string text{std::istreambuf_iterator<char>(in), {}};
+    const std::size_t digest = text.rfind(",\"digest\":");
+    ASSERT_NE(digest, std::string::npos) << file;
+    text.erase(digest, text.rfind('}') - digest);
+    for (std::size_t at = text.find("\"hits\":["); at != std::string::npos;
+         at = text.find("\"hits\":[", at + 1)) {
+      const std::size_t first = at + std::string_view("\"hits\":[").size();
+      text.replace(first, text.find(']', first) - first, 1, '0');
+    }
+    expect_rejected_naming(
+        [&] { (void)s.resume_copy(s.complete, dir, text, file); }, file);
+  }
+  // The journal's last record, re-digested so that only the event
+  // count is wrong.
+  const util::Journal journal =
+      util::read_journal(s.pristine / JournaledSession::kJournal);
+  ASSERT_FALSE(journal.records.empty());
+  std::string bytes;
+  for (std::size_t i = 0; i < journal.records.size(); ++i) {
+    OptStageCheckpoint ckpt = opt_stage_checkpoint_from_json(journal.records[i]);
+    if (i + 1 == journal.records.size()) {
+      ckpt.stats = coverage::SimStats::from_counts(ckpt.stats.sims(), {0});
+    }
+    std::string record = to_json(ckpt);
+    record.insert(record.size() - 1,
+                  ",\"digest\":\"" + hex_u64(fnv1a(record)) + "\"");
+    bytes += record + '\n';
+  }
+  expect_rejected_naming([&] { (void)s.resume_with(dir, bytes); },
+                         JournaledSession::kJournal);
 }
 
 /// The sampling.json layout sessions held before the phase kept only

@@ -230,6 +230,47 @@ TEST(DrawFrom, RedeclaredKindThrowsAtDrawTimeNotCompileTime) {
   EXPECT_EQ(sampler.draw_int_value("Delay"), 1);
 }
 
+// set_weights takes one weight per weight or subrange entry of the
+// override template in template order, skips what the tables do not
+// use (an undeclared parameter), clamps as compile does, and then draws
+// exactly as the tables of the reweighted template.
+TEST(DrawFrom, SetWeightsDrawsAsTheReweightedTemplate) {
+  const auto defaults = defaults_template();
+  const auto overrides = parse_template(R"(
+    template o {
+      weight Unknown { x: 1 }
+      subrange Size { [1, 2]: 1, [3, 8]: 1 }
+      range Delay [2, 3]
+      weight Cmd { read: 1, write: 2 }
+    }
+  )");
+  ASSERT_EQ(overrides.weight_count(), 5u);
+  const std::vector<double> weights{9.0, 0.25, -1.0, 3.0, 0.5};
+  TestTemplate reweighted = overrides;
+  reweighted.set_weights(std::vector<double>{9.0, 0.25, 0.0, 3.0, 0.5});
+
+  CompiledTemplate table(&overrides, defaults);
+  EXPECT_THROW(table.set_weights(std::vector<double>(4, 1.0)), ValidationError);
+  table.set_weights(weights);
+  const CompiledTemplate want(&reweighted, defaults);
+  util::Xoshiro256 got_rng(5);
+  util::Xoshiro256 want_rng(5);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(table.find("Cmd")->draw_index(got_rng),
+              want.find("Cmd")->draw_index(want_rng));
+    ASSERT_EQ(table.find("Size")->draw_range(got_rng),
+              want.find("Size")->draw_range(want_rng));
+    ASSERT_EQ(table.find("Delay")->draw_range(got_rng),
+              want.find("Delay")->draw_range(want_rng));
+    ASSERT_EQ(table.find("Thr")->draw_index(got_rng),
+              want.find("Thr")->draw_index(want_rng));
+  }
+  // The clamped subrange entry, [3, 8], is never drawn.
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_LE(table.find("Size")->draw_range(got_rng), 2);
+  }
+}
+
 TEST(DrawFrom, DefaultsOrderHandlesMatchNames) {
   const auto defaults = defaults_template();
   const CompiledTemplate table(nullptr, defaults);

@@ -391,6 +391,40 @@ TEST(Skeleton, MixedMarkedAndFixedWeights) {
   EXPECT_DOUBLE_EQ(wp->entries[2].weight, 0.0);
 }
 
+// A tuned point is the skeleton's base plus the point's weight vector,
+// one weight per entry in template order: marks clamped, fixed entries
+// as written, a zero-total parameter's marks at 1.
+TEST(Skeleton, InstantiateIsTheBaseWithThePointsWeights) {
+  const auto skel = fig1_skeleton();
+  const TestTemplate base = skel.base("b");
+  EXPECT_EQ(base.weight_count(), 7u);
+  EXPECT_DOUBLE_EQ(base.find_weight("Mnemonic")->entries[0].weight, 1.0);
+  EXPECT_DOUBLE_EQ(base.find_weight("Mnemonic")->entries[2].weight, 0.0);
+  const std::vector<double> point{0.5, -1.0, 0.25, 0.0, -0.0, -2.0};
+  const std::vector<double> weights = skel.weights(point);
+  EXPECT_EQ(weights, (std::vector<double>{0.5, 0.0, 0.0, 0.25, 1.0, 1.0, 1.0}));
+  TestTemplate manual = base;
+  manual.set_weights(weights);
+  EXPECT_EQ(skel.instantiate("b", point), manual);
+  EXPECT_THROW((void)skel.weights(std::vector<double>(5, 0.5)), ValidationError);
+}
+
+TEST(TestTemplate, SetWeightsChecksTheCountAndValidates) {
+  TestTemplate t = parse_template(
+      "template t { weight W { a: 1, b: 2 } range R [0, 3] "
+      "subrange S { [0, 1]: 1 } }");
+  const TestTemplate before = t;
+  EXPECT_THROW(t.set_weights(std::vector<double>{1.0, 2.0}), ValidationError);
+  EXPECT_EQ(t, before);
+  t.set_weights(std::vector<double>{0.0, 4.0, 0.5});
+  EXPECT_DOUBLE_EQ(t.find_weight("W")->entries[1].weight, 4.0);
+  EXPECT_DOUBLE_EQ(t.find_subrange("S")->entries[0].weight, 0.5);
+  EXPECT_THROW(t.set_weights(std::vector<double>{-1.0, 1.0, 1.0}),
+               ValidationError);
+  EXPECT_THROW(t.set_weights(std::vector<double>{0.0, 0.0, 1.0}),
+               ValidationError);
+}
+
 // Robustness: random token soup must either parse or throw a typed
 // ascdg error — never crash, hang, or throw anything else.
 TEST(Parser, RandomTokenSoupNeverCrashes) {

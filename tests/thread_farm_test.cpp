@@ -660,5 +660,124 @@ TEST(ThreadFarm, MixedJobShapesMatchSerialReference) {
   }
 }
 
+/// Forwards only the scalar entry points: compile() returns the
+/// default nullptr and simulate_batch() is the default scalar loop, as
+/// for a wrapper around an external simulator (docs/porting.md).
+class ScalarOnlyDuv final : public duv::Duv {
+ public:
+  explicit ScalarOnlyDuv(const duv::Duv& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_->name();
+  }
+  [[nodiscard]] const coverage::CoverageSpace& space() const noexcept override {
+    return inner_->space();
+  }
+  [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
+    return inner_->defaults();
+  }
+  [[nodiscard]] coverage::CoverageVector simulate(
+      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override {
+    return inner_->simulate(tmpl, seed);
+  }
+  [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override {
+    return inner_->suite();
+  }
+
+ private:
+  const duv::Duv* inner_;
+};
+
+// Tuned points travel as (base, weights) jobs. One run mixing weighted
+// and concrete jobs of two bases, plus a concrete job of an unrelated
+// template, must match the serial simulation of each job's instantiated
+// (or plain) template: workers reweight one base's tables job after
+// job, switch bases, and recompile a base for a concrete job after
+// reweighting it. Once over the unit's compiled tables, once over a
+// unit without compile(), whose workers simulate a materialized copy.
+TEST(ThreadFarm, WeightedAndConcreteJobsOfTwoBasesMatchSerialReference) {
+  const duv::L3Cache l3;
+  const auto suite = l3.suite();
+  const cdg::Skeletonizer skeletonizer;
+  const tgen::Skeleton skel_a = skeletonizer.skeletonize(l3.defaults());
+  const tgen::Skeleton skel_b = skeletonizer.skeletonize(suite[0]);
+  const tgen::TestTemplate base_a = skel_a.base("a");
+  const tgen::TestTemplate base_b = skel_b.base("b");
+
+  util::Xoshiro256 rng(0xBA5E);
+  const auto random_point = [&](const tgen::Skeleton& skel) {
+    std::vector<double> point(skel.mark_count());
+    for (double& x : point) x = rng.uniform() * 1.2 - 0.1;  // some < 0
+    return point;
+  };
+  struct Spec {
+    const tgen::Skeleton* skel;  // nullptr: a concrete job
+    const tgen::TestTemplate* tmpl;
+    std::size_t count;
+  };
+  const std::vector<Spec> specs{
+      {&skel_a, &base_a, 70}, {&skel_a, &base_a, 4},  {nullptr, &base_a, 65},
+      {&skel_b, &base_b, 3},  {&skel_a, &base_a, 64}, {nullptr, &suite[1], 9},
+      {&skel_b, &base_b, 130}, {nullptr, &base_b, 1}, {&skel_b, &base_b, 0},
+      {&skel_a, &base_a, 1},  {&skel_b, &base_b, 17}};
+  std::vector<std::vector<double>> weights;
+  weights.reserve(specs.size());
+  std::vector<Job> jobs;
+  std::vector<coverage::SimStats> expected;
+  for (std::size_t j = 0; j < specs.size(); ++j) {
+    const Spec& spec = specs[j];
+    if (spec.skel == nullptr) {
+      weights.emplace_back();
+      expected.push_back(
+          serial_reference(l3, *spec.tmpl, spec.count, 300 + j));
+    } else {
+      const std::vector<double> point = random_point(*spec.skel);
+      weights.push_back(spec.skel->weights(point));
+      expected.push_back(serial_reference(
+          l3, spec.skel->instantiate("concrete", point), spec.count, 300 + j));
+    }
+    jobs.emplace_back(spec.tmpl, spec.count, 300 + j, weights.back());
+  }
+
+  const ScalarOnlyDuv scalar_only(l3);
+  for (const duv::Duv* unit : {static_cast<const duv::Duv*>(&l3),
+                               static_cast<const duv::Duv*>(&scalar_only)}) {
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      ThreadFarm farm(workers);
+      const auto results = farm.run_all(*unit, jobs);
+      ASSERT_EQ(results.size(), jobs.size());
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        EXPECT_EQ(results[j], expected[j])
+            << (unit == &l3 ? "compiled" : "scalar-only")
+            << " workers=" << workers << " job " << j;
+      }
+    }
+  }
+}
+
+// Weighted jobs of one base cost each visiting worker one compile of
+// the base per run, not one per job.
+TEST(ThreadFarm, WeightedJobsCompileTheirBaseOncePerWorker) {
+  const duv::L3Cache l3;
+  const CompileCountingDuv counting(l3);
+  const tgen::Skeleton skel = cdg::Skeletonizer().skeletonize(l3.defaults());
+  const tgen::TestTemplate base = skel.base("base");
+  std::vector<std::vector<double>> weights;
+  std::vector<Job> jobs;
+  weights.reserve(60);
+  for (std::size_t j = 0; j < 60; ++j) {
+    weights.push_back(skel.weights(std::vector<double>(
+        skel.mark_count(), static_cast<double>(j + 1) / 61.0)));
+    jobs.emplace_back(&base, 4, j, weights.back());
+  }
+  constexpr std::size_t kWorkers = 3;
+  ThreadFarm farm(kWorkers);
+  for (std::size_t run = 1; run <= 2; ++run) {
+    (void)farm.run_all(counting, jobs);
+    EXPECT_GE(counting.compiles(base), 1u);
+    EXPECT_LE(counting.compiles(base), run * kWorkers) << "run " << run;
+  }
+}
+
 }  // namespace
 }  // namespace ascdg::exec

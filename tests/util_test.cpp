@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -317,6 +319,43 @@ TEST(Strings, FormatNumber) {
   EXPECT_EQ(format_number(-3.0), "-3");
   EXPECT_EQ(format_number(2.5), "2.5");
   EXPECT_EQ(format_number(0.0), "0");
+}
+
+/// The printf bytes format_number has always produced: "%.0f" for an
+/// integral value below 1e15 in magnitude, "%.<precision>g" otherwise.
+std::string printf_number(double value, int precision) {
+  char buffer[64];
+  if (std::isfinite(value) && value == std::floor(value) &&
+      std::fabs(value) < 1e15) {
+    std::snprintf(buffer, sizeof buffer, "%.0f", value);
+  } else {
+    std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
+  }
+  return buffer;
+}
+
+// format_number prints through std::to_chars; template text and
+// reports depend on its bytes staying printf's.
+TEST(Strings, FormatNumberMatchesPrintfBytes) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values{
+      0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1.0 / 3.0, 1e-5, 1e-7, 0.9999995,
+      999999.5, 1234567.0, 1e15 - 1.0, 1e15, -1e15, 1e15 + 2.0, 1e16,
+      4.5e15 + 0.5, 1e300, limits::max(), limits::lowest(), limits::min(),
+      limits::denorm_min(), limits::epsilon(), limits::infinity(),
+      -limits::infinity(), limits::quiet_NaN()};
+  util::Xoshiro256 rng(0x5EC5);
+  for (int i = 0; i < 20'000; ++i) {
+    values.push_back(rng.uniform());
+    values.push_back(std::bit_cast<double>(rng()));
+    values.push_back(std::round(rng.uniform() * 1e6) / 1e3);
+  }
+  for (const double value : values) {
+    for (const int precision : {3, 4, 6, 17}) {
+      EXPECT_EQ(format_number(value, precision), printf_number(value, precision))
+          << "precision " << precision;
+    }
+  }
 }
 
 TEST(Strings, FormatPercent) {

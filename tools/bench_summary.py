@@ -12,6 +12,9 @@ dashboard) actually tracks per commit:
     the pipe-protocol overhead is the price of crash isolation, and its
     cost profile is workload-shaped rather than code-shaped;
   * the --timeline sampling cost (BM_TimeSeriesSample);
+  * one fine-grained optimizer iteration per backend (BM_EvalBatchFine:
+    61 ifu points x 4 sims on 4 workers, microseconds of real time) —
+    informational, when bench_eval_batch ran;
   * per-benchmark medians (real time + items/sec) across every input
     file, so repeated or re-run benches aggregate instead of clobbering.
 
@@ -107,6 +110,11 @@ def main(argv):
         entries = by_name.get("BM_ProcessFarmRunAll/%d/real_time" % workers)
         return median_of(entries, "items_per_second") if entries else None
 
+    # Optional: BM_EvalBatchFine rides along when bench_eval_batch ran.
+    def eval_batch_fine(backend):
+        entries = by_name.get("BM_EvalBatchFine/%s/real_time" % backend)
+        return median_of(entries, "real_time") if entries else None
+
     summary = {
         "schema": SCHEMA,
         "inputs": args.inputs,
@@ -122,6 +130,12 @@ def main(argv):
         "timeline_sample_ns": median_of(
             by_name["BM_TimeSeriesSample"], "real_time"
         ),
+        # One ifu-fine optimizer iteration's evaluate_batch, per backend
+        # (None when the bench did not run). Never gated.
+        "eval_batch_fine_us": {
+            "thread": eval_batch_fine("thread"),
+            "process": eval_batch_fine("process"),
+        },
         "medians": medians,
     }
 
