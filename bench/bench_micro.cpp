@@ -178,6 +178,32 @@ BENCHMARK_CAPTURE(BM_DuvStep, io_unit, "io_unit")->UseRealTime();
 BENCHMARK_CAPTURE(BM_DuvStep, l3_cache, "l3_cache")->UseRealTime();
 BENCHMARK_CAPTURE(BM_DuvStep, lsu, "lsu")->UseRealTime();
 
+// One Compiled::reweight of a unit's tables, compiled from its
+// skeletonized defaults' base, to the weights of a random point (the
+// per-tuned-point cost on a worker, cut points included). Cycles
+// through a few precomputed points so no iteration repeats the last.
+void BM_CompiledReweight(benchmark::State& state, const char* unit_name) {
+  const auto unit = duv::make_unit(unit_name);
+  const auto skel = cdg::Skeletonizer().skeletonize(unit->defaults());
+  const tgen::TestTemplate base = skel.base("base");
+  const auto compiled = unit->compile(base);
+  util::Xoshiro256 rng(0x7E58);
+  std::vector<std::vector<double>> weights(16);
+  for (auto& w : weights) {
+    std::vector<double> point(skel.mark_count());
+    for (double& x : point) x = rng.uniform();
+    w = skel.weights(point);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compiled->reweight(weights[next]));
+    next = (next + 1) % weights.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_CompiledReweight, ifu, "ifu");
+BENCHMARK_CAPTURE(BM_CompiledReweight, l3_cache, "l3_cache");
+
 void BM_TacBestTemplates(benchmark::State& state) {
   const duv::IoUnit io;
   exec::ThreadFarm farm(2);

@@ -14,6 +14,9 @@ namespace ascdg::duv {
 
 namespace {
 
+/// A raw uniform cache line, as uniform_i64(0, kLineCount - 1) draws it.
+constexpr util::UniformIntRange kAnyLine(0, Lsu::kLineCount - 1);
+
 enum Mnemonic : std::size_t { kLoad = 0, kStore, kAdd, kSync, kMnemonicCount };
 constexpr const char* kMnemonicNames[kMnemonicCount] = {"load", "store", "add",
                                                         "sync"};
@@ -160,7 +163,7 @@ void Lsu::run(const LsuTables& t, std::uint64_t seed,
       stride_cursor = (stride_cursor + t.stride_size->draw_range(rng)) % kLineCount;
       line = stride_cursor;
     } else if (pattern != 0) {
-      line = rng.uniform_i64(0, kLineCount - 1);
+      line = kAnyLine.draw(rng);
     }
     if (last_line >= 0 && line != last_line && line % 4 == last_line % 4) {
       vec.hit(ev_bank_conflict_);

@@ -118,6 +118,9 @@ void TimeSeriesRecorder::open_sink() {
 }
 
 void TimeSeriesRecorder::run() {
+  // First sample on start, before the first wait: a process that dies
+  // inside its first interval still leaves one line of history.
+  sample_now();
   std::unique_lock lock(stop_mutex_);
   while (!stopping_) {
     stop_cv_.wait_for(lock, config_.sample_interval,

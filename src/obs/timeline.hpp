@@ -18,13 +18,14 @@
 // layer's crash-hook wrapper — so telemetry never shifts
 // ASCDG_CRASH_AFTER_WRITES kill counts in durability tests.
 //
-// The sampler thread waits on a condition variable with a stopping
-// flag; `start_thread = false` leaves it off for tests that drive
-// sample_now() manually. All file IO is best-effort and never throws
-// into the flow (a throw from the sampler thread would terminate the
-// process): a failed sample append degrades the recorder to
-// memory-only, and a failed index write warns once and is rewritten
-// whole by the next sample and by stop().
+// The sampler thread samples once as it starts, then waits on a
+// condition variable with a stopping flag between samples, so every
+// process that runs one leaves at least one line; `start_thread = false`
+// leaves it off for tests that drive sample_now() manually. All file
+// IO is best-effort and never throws into the flow (a throw from the
+// sampler thread would terminate the process): a failed sample append
+// degrades the recorder to memory-only, and a failed index write warns
+// once and is rewritten whole by the next sample and by stop().
 #pragma once
 
 #include <chrono>

@@ -1,5 +1,6 @@
 #include "stimgen/compiled.hpp"
 
+#include <algorithm>
 #include <string>
 #include <variant>
 
@@ -8,14 +9,6 @@
 namespace ascdg::stimgen {
 
 using util::ValidationError;
-
-std::size_t CompiledParam::pick_slack() const noexcept {
-  // Floating-point slack: return the last positive-weight index.
-  for (std::size_t i = weights_.size(); i-- > 0;) {
-    if (weights_[i] > 0.0) return i;
-  }
-  return weights_.size();
-}
 
 void CompiledParam::throw_wrong_kind(const char* expected) const {
   throw ValidationError("parameter '" + std::string(name_) + "' is not a " +
@@ -36,21 +29,95 @@ void CompiledParam::throw_non_integer(std::size_t index) const {
 
 namespace {
 
-/// Clamps entry weights into `weights` (w > 0 ? w : 0) and returns
-/// their sum, added in entry order: the one place compile and
-/// set_weights turn template weights into draw tables.
-template <class WeightAt>
-double clamp_weights(const WeightAt& weight_at, std::span<double> weights) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weight_at(i);
-    weights[i] = w > 0.0 ? w : 0.0;
-    total += weights[i];
+/// One past the largest k = rng() >> 11: a cut no draw reaches.
+constexpr std::uint64_t kNoDraw = std::uint64_t{1} << 53;
+
+/// The least k in [lo, kNoDraw) for which the walk over the clamped
+/// weights weight(0..last) gets past entry `last`, or kNoDraw when none
+/// does; every k below `lo` must fail. Gallops from `estimate` to
+/// bracket the cut, then bisects: the walk's rounding keeps the cut
+/// within a few units of the estimate, so a cut costs a handful of
+/// walks rather than 53.
+template <class Weight>
+std::uint64_t find_cut(const Weight& weight, double total, std::size_t last,
+                       std::uint64_t lo, std::uint64_t estimate) {
+  // The same floating-point operations in the same order as the walk
+  // the pick stands for (compiled.hpp).
+  const auto passes = [&](std::uint64_t k) {
+    double p = static_cast<double>(k) * 0x1.0p-53 * total;
+    for (std::size_t i = 0; i <= last; ++i) {
+      const double w = weight(i);
+      if (p < w) return false;
+      p -= w;
+    }
+    return true;
+  };
+  // Invariant: the cut is in [lo, hi], every k < lo fails, and hi
+  // passes (kNoDraw by convention).
+  std::uint64_t hi = kNoDraw;
+  const std::uint64_t start = std::clamp(estimate, lo, hi);
+  if (start < hi && passes(start)) {
+    hi = start;
+    for (std::uint64_t step = 1; lo < hi; step <<= 1) {
+      const std::uint64_t probe = hi - std::min(step, hi - lo);
+      if (!passes(probe)) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+    }
+  } else if (start < hi) {
+    lo = start + 1;
+    for (std::uint64_t step = 1; lo < hi; step <<= 1) {
+      const std::uint64_t probe = std::min(lo - 1 + step, hi - 1);
+      if (passes(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+    }
   }
-  return total;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (passes(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return hi;
 }
 
 }  // namespace
+
+template <class WeightAt>
+void CompiledParam::set_table(const WeightAt& weight_at) {
+  const auto weight = [&](std::size_t i) {
+    const double w = weight_at(i);
+    return w > 0.0 ? w : 0.0;
+  };
+  // One cut per entry before the last positive one, L: cut_count_ = L.
+  total_ = 0.0;
+  cut_count_ = 0;
+  for (std::size_t i = 0; i < cuts_.size(); ++i) {
+    total_ += weight(i);
+    if (weight(i) > 0.0) cut_count_ = i;
+  }
+  if (total_ <= 0.0) return;
+  // The cuts are non-decreasing, so each search starts at the previous
+  // cut.
+  double cumulative = 0.0;
+  std::uint64_t cut = 0;
+  for (std::size_t i = 0; i < cut_count_; ++i) {
+    cumulative += weight(i);
+    // A NaN share (inf / inf) starts the search at the previous cut.
+    const double share = std::clamp(cumulative / total_, 0.0, 1.0);
+    const double estimate = share == share ? share * 0x1.0p53 : 0.0;
+    cut = find_cut(weight, total_, i, cut,
+                   static_cast<std::uint64_t>(estimate));
+    cuts_[i] = cut;
+  }
+}
 
 CompiledTemplate::CompiledTemplate(const tgen::TestTemplate* overrides,
                                    const tgen::TestTemplate& defaults) {
@@ -85,9 +152,8 @@ CompiledTemplate::CompiledTemplate(const tgen::TestTemplate* overrides,
     if (const auto* wp = std::get_if<tgen::WeightParameter>(resolved)) {
       cp.kind_ = CompiledParam::Kind::kWeight;
       cp.weight_ = wp;
-      cp.weights_.resize(wp->entries.size());
-      cp.total_ = clamp_weights(
-          [wp](std::size_t i) { return wp->entries[i].weight; }, cp.weights_);
+      cp.cuts_.resize(wp->entries.size());
+      cp.set_table([wp](std::size_t i) { return wp->entries[i].weight; });
       cp.int_values_.reserve(wp->entries.size());
       cp.entry_is_int_.reserve(wp->entries.size());
       for (const auto& entry : wp->entries) {
@@ -97,15 +163,16 @@ CompiledTemplate::CompiledTemplate(const tgen::TestTemplate* overrides,
       }
     } else if (const auto* rp = std::get_if<tgen::RangeParameter>(resolved)) {
       cp.kind_ = CompiledParam::Kind::kRange;
-      cp.lo_ = rp->lo;
-      cp.hi_ = rp->hi;
+      cp.range_ = util::UniformIntRange(rp->lo, rp->hi);
     } else {
       const auto& sp = std::get<tgen::SubrangeParameter>(*resolved);
       cp.kind_ = CompiledParam::Kind::kSubrange;
-      cp.subrange_ = &sp;
-      cp.weights_.resize(sp.entries.size());
-      cp.total_ = clamp_weights(
-          [&sp](std::size_t i) { return sp.entries[i].weight; }, cp.weights_);
+      cp.cuts_.resize(sp.entries.size());
+      cp.set_table([&sp](std::size_t i) { return sp.entries[i].weight; });
+      cp.ranges_.reserve(sp.entries.size());
+      for (const auto& entry : sp.entries) {
+        cp.ranges_.emplace_back(entry.lo, entry.hi);
+      }
     }
     params_.push_back(std::move(cp));
   }
@@ -118,9 +185,8 @@ void CompiledTemplate::set_weights(std::span<const double> weights) {
                           std::to_string(weights.size()) + " given");
   }
   for (const WeightSlot& slot : slots_) {
-    CompiledParam& cp = params_[slot.param];
-    cp.total_ = clamp_weights(
-        [&](std::size_t i) { return weights[slot.first + i]; }, cp.weights_);
+    params_[slot.param].set_table(
+        [&](std::size_t i) { return weights[slot.first + i]; });
   }
 }
 

@@ -9,15 +9,43 @@
 // through them; ParameterSampler (sampler.hpp) is a by-name view over
 // the same tables for generators that look parameters up by name.
 //
-// Draw semantics: one uniform() per weighted pick, Lemire rejection per
-// range pick, nothing consumed on a zero-total weight; kind mismatches
-// and zero total weights throw util::ValidationError at draw time, not
-// compile time. Every draw counts once on the active ScopedDrawProfiler.
+// Draw semantics: one generator output per weighted pick, threshold-
+// modulo rejection per range pick (util::UniformIntRange, the same
+// draws as Xoshiro256::uniform_i64), nothing consumed on a zero-total
+// weight; kind mismatches and zero total weights throw
+// util::ValidationError at draw time, not compile time. Every draw
+// counts once on the active ScopedDrawProfiler.
+//
+// The weighted pick is defined by the sequential walk
+//
+//   p = uniform() * total;              // uniform() = k * 2^-53
+//   for i: if (p < w[i]) return i; p -= w[i];
+//   return the last positive-weight index;   // floating-point slack
+//
+// over the clamped weights w (w > 0 ? w : 0) and their entry-order sum
+// total, but it does not run that walk. IEEE rounding is monotone, so
+// for a finite total the first p is a non-decreasing function of
+// k = rng() >> 11 and every later p a non-decreasing function of the
+// one before; a total that overflowed to inf makes every p NaN or inf,
+// which passes every entry. So whether the walk gets past entries
+// 0..i is a monotone predicate of the integer k. Compile (and
+// set_weights) store cuts_[i], the least k for which it holds, found
+// by evaluating that same walk (same operations, same order): a gallop
+// from the cumulative-share estimate 2^53 * (w[0] + ... + w[i]) / total
+// brackets it, and a bisection closes it. The cuts are non-decreasing,
+// so the number of cuts at or below k is the number of entries the walk
+// gets past, which is the index it returns. Only the cuts of the
+// entries before the last positive one, L, are counted: a k past them
+// all reaches L, and the walk returns L whether it stops there or
+// slides past L and the zero weights after it into the slack. The pick
+// therefore equals the walk for every k, by construction. The clamped
+// weights are read from the template (or the set_weights vector) while
+// the cuts are computed and not kept: the cuts and the total are the
+// whole table.
 //
 // The draw fast path is inline, so a unit kernel's per-request loop
-// makes no calls. Only the throws, pick()'s floating-point-slack
-// fallback and the active profiler's record_draw are out of line
-// (compiled.cpp, profile.cpp).
+// makes no calls. Only the throws and the active profiler's
+// record_draw are out of line (compiled.cpp, profile.cpp).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +74,7 @@ class CompiledParam {
     return weight_;
   }
   [[nodiscard]] std::size_t entry_count() const noexcept {
-    return weights_.size();
+    return cuts_.size();
   }
 
   /// Draws the entry index of a weight parameter. Throws
@@ -73,48 +101,56 @@ class CompiledParam {
  private:
   friend class CompiledTemplate;
 
-  /// Weighted pick over weights_ with total_ precomputed: returns
-  /// entry_count() on zero total, and falls back to the last positive
-  /// weight on floating-point slack.
+  /// Weighted pick through cuts_ (see the file comment): returns
+  /// entry_count() on zero total, consuming nothing.
   [[nodiscard]] std::size_t pick(util::Xoshiro256& rng) const noexcept;
 
+  /// Sums the clamped weight_at(i) (w > 0 ? w : 0) into total_ in
+  /// entry order and recomputes cuts_: the one place compile and
+  /// set_weights turn template weights into draw tables (compiled.cpp).
+  template <class WeightAt>
+  void set_table(const WeightAt& weight_at);
+
   // Cold paths, out of line in compiled.cpp.
-  [[nodiscard]] std::size_t pick_slack() const noexcept;
   [[noreturn]] void throw_wrong_kind(const char* expected) const;
   [[noreturn]] void throw_zero_total() const;
   [[noreturn]] void throw_non_integer(std::size_t index) const;
 
   std::string_view name_;
   Kind kind_ = Kind::kRange;
-  // kWeight / kSubrange: entry weights in entry order, clamped at
-  // compile time (w > 0 ? w : 0), and their sum, added in entry order.
-  std::vector<double> weights_;
+  // kWeight / kSubrange: one slot per entry, holding the pick's cuts
+  // in its first cut_count_ slots (the entries before the last positive
+  // one; none on zero total), and the clamped weights' sum, added in
+  // entry order.
+  std::vector<std::uint64_t> cuts_;
+  std::size_t cut_count_ = 0;
   double total_ = 0.0;
   const tgen::WeightParameter* weight_ = nullptr;
-  const tgen::SubrangeParameter* subrange_ = nullptr;
   // kWeight: per-entry integer payloads for draw_int.
   std::vector<std::int64_t> int_values_;
   std::vector<std::uint8_t> entry_is_int_;
-  // kRange bounds.
-  std::int64_t lo_ = 0;
-  std::int64_t hi_ = 0;
+  // kRange: its range; kSubrange: one range per entry.
+  util::UniformIntRange range_{0, 0};
+  std::vector<util::UniformIntRange> ranges_;
 };
 
 inline std::size_t CompiledParam::pick(util::Xoshiro256& rng) const noexcept {
-  if (total_ <= 0.0) return weights_.size();
-  double p = rng.uniform() * total_;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    if (p < weights_[i]) return i;
-    p -= weights_[i];
+  if (total_ <= 0.0) return cuts_.size();
+  // The 53 bits behind uniform(); counting is branch-free and has no
+  // chain through the entries, unlike the walk it replaces.
+  const std::uint64_t k = rng() >> 11;
+  std::size_t index = 0;
+  for (std::size_t i = 0; i < cut_count_; ++i) {
+    index += static_cast<std::size_t>(k >= cuts_[i]);
   }
-  return pick_slack();
+  return index;
 }
 
 inline std::size_t CompiledParam::draw_index(util::Xoshiro256& rng) const {
   note_draw(name_);
   if (kind_ != Kind::kWeight) [[unlikely]] throw_wrong_kind("weight");
   const std::size_t index = pick(rng);
-  if (index >= weights_.size()) [[unlikely]] throw_zero_total();
+  if (index >= cuts_.size()) [[unlikely]] throw_zero_total();
   return index;
 }
 
@@ -124,24 +160,22 @@ inline std::int64_t CompiledParam::draw_int(util::Xoshiro256& rng) const {
   return int_values_[index];
 }
 
-// always_inline: a weighted pick plus a Lemire loop is past GCC's -O2
-// inlining limits, which would leave draw_range out of line in the
+// always_inline: a weighted pick plus a rejection loop is past GCC's
+// -O2 inlining limits, which would leave draw_range out of line in the
 // unit kernels.
 [[gnu::always_inline]] inline std::int64_t CompiledParam::draw_range(
     util::Xoshiro256& rng) const {
   note_draw(name_);
-  std::int64_t lo = lo_;
-  std::int64_t hi = hi_;
+  const util::UniformIntRange* range = &range_;
   if (kind_ != Kind::kRange) {
     if (kind_ != Kind::kSubrange) [[unlikely]] {
       throw_wrong_kind("range or subrange");
     }
     const std::size_t index = pick(rng);
-    if (index >= weights_.size()) [[unlikely]] throw_zero_total();
-    lo = subrange_->entries[index].lo;
-    hi = subrange_->entries[index].hi;
+    if (index >= cuts_.size()) [[unlikely]] throw_zero_total();
+    range = &ranges_[index];
   }
-  return rng.uniform_i64(lo, hi);
+  return range->draw(rng);
 }
 
 /// All of a DUV's parameters resolved against one override template,

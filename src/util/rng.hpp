@@ -66,12 +66,13 @@ class Xoshiro256 {
   }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
-  /// Uses Lemire-style rejection to avoid modulo bias.
+  /// Threshold-modulo rejection: outputs below (2^64 - bound) % bound
+  /// are redrawn, so `r % bound` carries no modulo bias.
   constexpr std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi) noexcept {
     const std::uint64_t span = hi - lo;
     if (span == std::numeric_limits<std::uint64_t>::max()) return (*this)();
     const std::uint64_t bound = span + 1;
-    // Rejection sampling on the top of the range.
+    // Rejection sampling on the bottom of the range.
     const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {
       const std::uint64_t r = (*this)();
@@ -106,6 +107,55 @@ class Xoshiro256 {
     return (x << k) | (x >> (64 - k));
   }
   std::array<std::uint64_t, 4> state_{};
+};
+
+/// uniform_i64(lo, hi) with its divisions done once: the same draws
+/// from the same generator outputs, and the same number of outputs
+/// consumed, for a range fixed ahead of many draws.
+///
+/// Precomputes uniform_u64's rejection threshold (2^64 - bound) % bound
+/// and the reciprocal m = floor((2^64 - 1) / bound), and reduces an
+/// accepted output r by q = mulhi(r, m), r - q * bound, minus one more
+/// bound when that is still >= bound. Exact for every bound in
+/// [1, 2^64 - 1]: writing 2^64 - 1 = m * bound + s with s < bound,
+/// r * m / 2^64 = r / bound - r * (1 + s) / (bound * 2^64), and the
+/// subtracted term lies in [0, 1) because r < 2^64 and 1 + s <= bound,
+/// so q is floor(r / bound) or one less. The full 2^64 range offsets
+/// the raw output, as uniform_i64 does.
+class UniformIntRange {
+ public:
+  /// Requires lo <= hi.
+  constexpr UniformIntRange(std::int64_t lo, std::int64_t hi) noexcept
+      : lo_(static_cast<std::uint64_t>(lo)),
+        bound_(static_cast<std::uint64_t>(hi) - lo_ + 1) {
+    if (bound_ == 0) return;  // the full 2^64 range: no reduction
+    threshold_ = (0 - bound_) % bound_;
+    reciprocal_ = std::numeric_limits<std::uint64_t>::max() / bound_;
+  }
+
+  [[nodiscard]] constexpr std::int64_t draw(Xoshiro256& rng) const noexcept {
+    if (bound_ == 0) return static_cast<std::int64_t>(lo_ + rng());
+    for (;;) {
+      const std::uint64_t r = rng();
+      if (r >= threshold_) {
+        std::uint64_t rem = r - mulhi(r, reciprocal_) * bound_;
+        if (rem >= bound_) rem -= bound_;
+        return static_cast<std::int64_t>(lo_ + rem);
+      }
+    }
+  }
+
+ private:
+  /// High 64 bits of the 128-bit product a * b.
+  static constexpr std::uint64_t mulhi(std::uint64_t a, std::uint64_t b) noexcept {
+    __extension__ typedef unsigned __int128 wide;
+    return static_cast<std::uint64_t>((static_cast<wide>(a) * b) >> 64);
+  }
+
+  std::uint64_t lo_;
+  std::uint64_t bound_;  ///< hi - lo + 1; 0 for the full 2^64 range
+  std::uint64_t threshold_ = 0;
+  std::uint64_t reciprocal_ = 0;
 };
 
 /// Derives reproducible, statistically independent child seeds from a

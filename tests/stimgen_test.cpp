@@ -4,6 +4,9 @@
 // (chi-square goodness of fit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -269,6 +272,214 @@ TEST(DrawFrom, SetWeightsDrawsAsTheReweightedTemplate) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_LE(table.find("Size")->draw_range(got_rng), 2);
   }
+}
+
+// ----------------------------------------------------- cut-point pick --
+
+// The sequential walk the cut-point pick replaces, kept here as the
+// reference: p = uniform() * total, one compare and subtract per entry,
+// and the last positive weight on floating-point slack.
+std::size_t reference_walk(const std::vector<double>& clamped, double total,
+                           std::uint64_t k) {
+  double p = static_cast<double>(k) * 0x1.0p-53 * total;
+  for (std::size_t i = 0; i < clamped.size(); ++i) {
+    if (p < clamped[i]) return i;
+    p -= clamped[i];
+  }
+  return clamped.size();
+}
+
+std::size_t reference_pick(const std::vector<double>& clamped, double total,
+                           std::uint64_t k) {
+  const std::size_t index = reference_walk(clamped, total, k);
+  if (index < clamped.size()) return index;
+  for (std::size_t i = clamped.size(); i-- > 0;) {
+    if (clamped[i] > 0.0) return i;
+  }
+  return clamped.size();
+}
+
+// Inverse of an odd number modulo 2^64 (Newton's iteration).
+constexpr std::uint64_t odd_inverse(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+  return x;
+}
+
+// A generator whose next output is `r`: xoshiro256**'s output is
+// rotl(s[1] * 5, 7) * 9, so s[1] inverts it.
+util::Xoshiro256 generator_yielding(std::uint64_t r) {
+  const std::uint64_t t = r * odd_inverse(9);
+  const std::uint64_t s1 = ((t >> 7) | (t << 57)) * odd_inverse(5);
+  util::Xoshiro256 rng;
+  rng.restore({0x0123456789abcdefULL, s1, 0xfedcba9876543210ULL, 42});
+  return rng;
+}
+
+constexpr std::uint64_t kDraws53 = std::uint64_t{1} << 53;
+
+// Checks `param`'s pick against the reference walk over `raw` weights,
+// clamped and summed as compile does: at both ends of the k range, at
+// every entry's cut (found here by plain bisection over the walk) and
+// one either side of it, and at random k with random low bits.
+void expect_pick_matches_reference(const CompiledParam& param,
+                                   const std::vector<double>& raw,
+                                   util::Xoshiro256& noise) {
+  std::vector<double> clamped;
+  double total = 0.0;
+  for (const double w : raw) {
+    clamped.push_back(w > 0.0 ? w : 0.0);
+    total += clamped.back();
+  }
+  ASSERT_EQ(param.entry_count(), raw.size());
+  if (total <= 0.0) {
+    util::Xoshiro256 rng = generator_yielding(7);
+    const auto before = rng.state();
+    EXPECT_THROW((void)param.draw_index(rng), ValidationError);
+    EXPECT_EQ(rng.state(), before);  // nothing consumed
+    return;
+  }
+  std::vector<std::uint64_t> ks{0, 1, kDraws53 - 2, kDraws53 - 1};
+  for (std::size_t i = 0; i < clamped.size(); ++i) {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = kDraws53;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (reference_walk(clamped, total, mid) > i) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    for (const std::uint64_t k : {lo - 1, lo, lo + 1}) {
+      if (k < kDraws53) ks.push_back(k);
+    }
+  }
+  for (int i = 0; i < 64; ++i) ks.push_back(noise() >> 11);
+  for (const std::uint64_t k : ks) {
+    util::Xoshiro256 rng = generator_yielding((k << 11) | (noise() >> 53));
+    util::Xoshiro256 after = rng;
+    (void)after();
+    ASSERT_EQ(param.draw_index(rng), reference_pick(clamped, total, k))
+        << "k=" << k;
+    ASSERT_EQ(rng.state(), after.state());  // one output per pick
+  }
+}
+
+TEST(CutPointPick, GeneratorYieldingReturnsTheRequestedOutput) {
+  const std::uint64_t outputs[] = {0, 1, std::uint64_t{1} << 63,
+                                   ~std::uint64_t{0}, 0x0123456789abcdefULL};
+  for (const std::uint64_t r : outputs) {
+    util::Xoshiro256 rng = generator_yielding(r);
+    EXPECT_EQ(rng(), r);
+  }
+}
+
+// Edge weight vectors: single entry, all but one zero, subnormals,
+// 1e300-scale weights, totals that overflow to inf, weights absorbed by
+// a much larger total, and negatives (clamped to zero).
+std::vector<std::vector<double>> edge_weight_vectors() {
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  return {
+      {1.0},
+      {1e-300},
+      {0.0, 0.0, 3.0, 0.0},
+      {5.0, 0.0, 0.0, 0.0},
+      {0.0, 0.0, 0.0, 0.25},
+      {kSub},
+      {kSub, kSub, kSub},
+      {kSub, 1.0, kSub, 2.2e-308},
+      {1e300, 1e300, 1.0},
+      {1e308, 1e308, 1.0},  // total overflows to inf
+      {1.7e308, 0.0, 1.7e308},
+      {1.0, 1e-300, 1e-300},
+      {1e16, 1.0, 1.0, 1.0},
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7},
+      {-1.0, 2.0, -0.0, 3.0},
+      {1.0, 1.0, 1.0},
+  };
+}
+
+std::vector<double> random_weights(util::Xoshiro256& rng) {
+  const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_u64(0, 11));
+  std::vector<double> weights(n);
+  for (double& w : weights) {
+    switch (rng.uniform_u64(0, 4)) {
+      case 0: w = 0.0; break;
+      case 1: w = rng.uniform(); break;
+      case 2: w = std::ldexp(rng.uniform(), static_cast<int>(
+                  rng.uniform_i64(-60, 60))); break;
+      case 3: w = static_cast<double>(rng.uniform_i64(-2, 100)); break;
+      default: w = rng.uniform(-1.0, 1.0); break;
+    }
+  }
+  return weights;
+}
+
+// A template of one weight parameter with `n` entries of weight 1.
+TestTemplate uniform_weight_template(std::size_t n) {
+  tgen::WeightParameter param{"W", {}};
+  param.entries.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    param.entries[i].value = Value{static_cast<std::int64_t>(i)};
+    param.entries[i].weight = 1.0;
+  }
+  return one_param(std::move(param));
+}
+
+TEST(CutPointPick, CompiledEdgeWeightsMatchTheSequentialWalk) {
+  util::Xoshiro256 noise(0xC07);
+  for (const auto& weights : edge_weight_vectors()) {
+    SCOPED_TRACE(::testing::PrintToString(weights));
+    bool valid = false;
+    for (const double w : weights) valid = valid || w > 0.0;
+    if (!valid || *std::min_element(weights.begin(), weights.end()) < 0.0) {
+      continue;  // not a template: set_weights covers these below
+    }
+    TestTemplate tmpl = uniform_weight_template(weights.size());
+    tmpl.set_weights(weights);
+    const CompiledTemplate table(nullptr, tmpl);
+    expect_pick_matches_reference(table.param(0), weights, noise);
+  }
+}
+
+TEST(CutPointPick, SetWeightsAndReweightBackMatchTheSequentialWalk) {
+  util::Xoshiro256 noise(0xC08);
+  std::vector<std::vector<double>> vectors = edge_weight_vectors();
+  for (int i = 0; i < 300; ++i) vectors.push_back(random_weights(noise));
+  for (const auto& weights : vectors) {
+    SCOPED_TRACE(::testing::PrintToString(weights));
+    const TestTemplate tmpl = uniform_weight_template(weights.size());
+    CompiledTemplate table(&tmpl, tmpl);
+    table.set_weights(weights);
+    expect_pick_matches_reference(table.param(0), weights, noise);
+    // Back to the template's own weights, and the tables pick as
+    // compiled.
+    const std::vector<double> ones(weights.size(), 1.0);
+    table.set_weights(ones);
+    expect_pick_matches_reference(table.param(0), ones, noise);
+  }
+}
+
+TEST(CutPointPick, ZeroTotalAfterSetWeightsStillThrows) {
+  util::Xoshiro256 noise(0xC09);
+  const TestTemplate tmpl = uniform_weight_template(3);
+  CompiledTemplate table(&tmpl, tmpl);
+  for (const auto& weights :
+       {std::vector<double>{0.0, 0.0, 0.0}, std::vector<double>{-1.0, -0.0, 0.0},
+        std::vector<double>{-1e300, -2.0, -3.0}}) {
+    table.set_weights(weights);
+    expect_pick_matches_reference(table.param(0), weights, noise);
+  }
+  // A subrange parameter's zero total throws from draw_range as well.
+  const auto subranges = parse_template(
+      "template s { subrange S { [0, 9]: 1, [10, 19]: 1 } }");
+  CompiledTemplate sub(&subranges, subranges);
+  sub.set_weights(std::vector<double>{0.0, -2.0});
+  util::Xoshiro256 rng(3);
+  const auto before = rng.state();
+  EXPECT_THROW((void)sub.param(0).draw_range(rng), ValidationError);
+  EXPECT_EQ(rng.state(), before);
 }
 
 TEST(DrawFrom, DefaultsOrderHandlesMatchNames) {

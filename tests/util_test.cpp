@@ -92,6 +92,62 @@ TEST(Xoshiro, UniformU64IsUnbiasedAcrossBuckets) {
   EXPECT_LT(stat, chi_square_critical(9, 0.001));
 }
 
+// UniformIntRange is uniform_i64 with its divisions hoisted: the same
+// value from the same generator, which is left in the same state.
+void expect_range_matches_uniform_i64(std::int64_t lo, std::int64_t hi,
+                                      std::uint64_t seed, int draws) {
+  const UniformIntRange range(lo, hi);
+  Xoshiro256 got(seed);
+  Xoshiro256 want(seed);
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(range.draw(got), want.uniform_i64(lo, hi))
+        << "[" << lo << ", " << hi << "] draw " << i;
+    ASSERT_EQ(got.state(), want.state());
+  }
+}
+
+TEST(UniformIntRange, EdgeBoundsMatchUniformI64) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0},                 // bound 1
+      {17, 17},               // bound 1 away from zero
+      {-5, -5},
+      {0, 1},                 // bound 2
+      {-3, 3},                // negative lo
+      {0, 255},
+      {-1000000007, 999999937},
+      {kMin, kMax},           // the full 2^64 range
+      {kMin, kMax - 1},       // bound 2^64 - 1
+      {kMin + 1, kMax},
+      {kMin, 0},              // bound 2^63 + 1
+      {-1, kMax},             // bound 2^63 + 1
+      {kMin / 2, kMax / 2 + 7},  // just above 2^63
+      {kMin, kMin + 2},
+      {kMax - 2, kMax},
+      {0, (std::int64_t{1} << 62) + 1},  // high rejection rate
+  };
+  std::uint64_t seed = 1;
+  for (const auto& [lo, hi] : ranges) {
+    expect_range_matches_uniform_i64(lo, hi, seed++, 20000);
+  }
+}
+
+TEST(UniformIntRange, RandomBoundsMatchUniformI64) {
+  Xoshiro256 rng(0x5EED);
+  for (int i = 0; i < 2000; ++i) {
+    // Spans from 1 to the full range, at every magnitude.
+    const auto lo = static_cast<std::int64_t>(rng());
+    const auto ulo = static_cast<std::uint64_t>(lo);
+    const std::uint64_t room =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) -
+        ulo;
+    const std::uint64_t span = rng() >> rng.uniform_u64(0, 63);
+    const auto hi = static_cast<std::int64_t>(ulo + std::min(span, room));
+    expect_range_matches_uniform_i64(lo, hi, rng(), 100);
+  }
+}
+
 TEST(Xoshiro, BernoulliMatchesProbability) {
   Xoshiro256 rng(17);
   int hits = 0;

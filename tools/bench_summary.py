@@ -15,6 +15,8 @@ dashboard) actually tracks per commit:
   * one fine-grained optimizer iteration per backend (BM_EvalBatchFine:
     61 ifu points x 4 sims on 4 workers, microseconds of real time) —
     informational, when bench_eval_batch ran;
+  * each unit kernel's microseconds of real time per simulation, from
+    BM_DuvStep/<unit>'s items/sec — informational, when it ran;
   * per-benchmark medians (real time + items/sec) across every input
     file, so repeated or re-run benches aggregate instead of clobbering.
 
@@ -45,6 +47,9 @@ REQUIRED = [
 # google-benchmark appends aggregate suffixes when repetitions are on;
 # fold them into the base name and let the median handle the rest.
 AGGREGATE_RE = re.compile(r"_(mean|median|stddev|cv|min|max)$")
+
+# BM_DuvStep/<unit>/real_time: one 64-sim simulate_batch of a unit.
+DUV_STEP_RE = re.compile(r"^BM_DuvStep/([^/]+)/real_time$")
 
 
 def load_entries(paths):
@@ -115,6 +120,14 @@ def main(argv):
         entries = by_name.get("BM_EvalBatchFine/%s/real_time" % backend)
         return median_of(entries, "real_time") if entries else None
 
+    # Optional: kernel µs per simulation, per unit BM_DuvStep ran on.
+    duv_us_per_sim = {}
+    for name, entries in by_name.items():
+        match = DUV_STEP_RE.match(name)
+        sims_per_s = median_of(entries, "items_per_second") if match else None
+        if sims_per_s:
+            duv_us_per_sim[match.group(1)] = 1e6 / sims_per_s
+
     summary = {
         "schema": SCHEMA,
         "inputs": args.inputs,
@@ -136,6 +149,9 @@ def main(argv):
             "thread": eval_batch_fine("thread"),
             "process": eval_batch_fine("process"),
         },
+        # Unit kernel µs per simulation (BM_DuvStep/<unit>; empty when
+        # the bench did not run). Never gated.
+        "duv_us_per_sim": dict(sorted(duv_us_per_sim.items())),
         "medians": medians,
     }
 
