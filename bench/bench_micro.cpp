@@ -382,14 +382,10 @@ void BM_FarmRunAllServeOn(benchmark::State& state) {
 }
 BENCHMARK(BM_FarmRunAllServeOn)->Arg(1)->Arg(8)->UseRealTime();
 
-// One durable optimizer-iteration checkpoint: serialize one journal
-// record (a dim-wide center and best point, one trace entry and
-// 260-event stats, the size of an ifu stage's) and append it. Each
-// append joins the previous record's fdatasync, so an iteration here
-// pays the whole write + sync, where in a flow the sync overlaps the
-// next optimizer iteration. Real time, since the sync blocks.
-void BM_CheckpointJournalAppend(benchmark::State& state) {
-  const std::size_t dim = static_cast<std::size_t>(state.range(0));
+// One optimizer-iteration checkpoint record of a dim-wide stage: a
+// center and best point, one trace entry and 260-event stats, the size
+// of an ifu stage's.
+flow::OptStageCheckpoint bench_checkpoint(std::size_t dim) {
   constexpr std::size_t kEvents = 260;
   flow::OptStageCheckpoint ckpt;
   ckpt.ifc.next_iteration = 10;
@@ -414,10 +410,27 @@ void BM_CheckpointJournalAppend(benchmark::State& state) {
   for (std::size_t e = 0; e < kEvents; ++e) hits[e] = (e * 7919) % kSims;
   ckpt.stats = coverage::SimStats::from_counts(kSims, std::move(hits));
   ckpt.sims = kSims;
+  return ckpt;
+}
+
+/// A fresh scratch directory for one journal bench.
+std::filesystem::path bench_journal_dir() {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "ascdg_bench_journal";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// What an optimizer iteration pays for its checkpoint: serialize one
+// journal record and append it. The journal thread writes and syncs it
+// behind the caller. A fixed 256 iterations, about one ifu flow's
+// records, bound the queue the thread has not synced yet; the close
+// that drains it is outside the timing. Real time.
+void BM_CheckpointJournalAppendCaller(benchmark::State& state) {
+  const flow::OptStageCheckpoint ckpt =
+      bench_checkpoint(static_cast<std::size_t>(state.range(0)));
+  const std::filesystem::path dir = bench_journal_dir();
   {
     flow::JournalWriter journal(dir / "optimization.ckpt.jsonl", 0);
     for (auto _ : state) journal.append(flow::to_json(ckpt));
@@ -426,7 +439,37 @@ void BM_CheckpointJournalAppend(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_CheckpointJournalAppend)->Arg(20)->Arg(100)->UseRealTime();
+BENCHMARK(BM_CheckpointJournalAppendCaller)
+    ->Name("BM_CheckpointJournalAppend/caller")
+    ->Arg(20)
+    ->Arg(100)
+    ->Iterations(256)
+    ->UseRealTime();
+
+// What one record costs until it is durable: open the journal where the
+// last record ended, append the serialized record and close, which
+// waits for its write and fdatasync on the journal thread (and starts
+// and joins that thread). Real time, since the sync blocks.
+void BM_CheckpointJournalAppendDurable(benchmark::State& state) {
+  const std::string record = flow::to_json(
+      bench_checkpoint(static_cast<std::size_t>(state.range(0))));
+  const std::filesystem::path dir = bench_journal_dir();
+  const std::filesystem::path file = dir / "optimization.ckpt.jsonl";
+  std::uintmax_t bytes = 0;
+  for (auto _ : state) {
+    flow::JournalWriter journal(file, bytes);
+    journal.append(record);
+    journal.close();
+    bytes += record.size() + 1;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointJournalAppendDurable)
+    ->Name("BM_CheckpointJournalAppend/durable")
+    ->Arg(20)
+    ->Arg(100)
+    ->UseRealTime();
 
 // The disarmed fast path of a failure point: one relaxed atomic load.
 // Injection sites sit on every write/fsync/rename and inside the HTTP

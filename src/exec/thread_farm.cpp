@@ -18,6 +18,38 @@ namespace {
 /// kernel call and bookkeeping, small enough to balance across workers.
 constexpr std::size_t kChunk = 64;
 
+/// How long a thread that just finished a run polls for the next step
+/// before it sleeps: long enough to bridge an optimizer's serial work
+/// between two evaluate_batch calls, short enough that an idle farm
+/// stops burning cores at once.
+constexpr std::chrono::microseconds kSpin{100};
+
+/// Tells the core this is a spin-wait (frees the sibling hyperthread).
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Polls `ready` for up to kSpin; true as soon as it holds. Every 16
+/// polls it yields the core, so on a core with more runnable threads
+/// than it can run (a farm wider than the machine) the spinner gives
+/// way to a thread that still has chunks to simulate.
+template <class Ready>
+bool spin_until(const Ready& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  do {
+    for (int i = 0; i < 16; ++i) {
+      if (ready()) return true;
+      cpu_relax();
+    }
+    std::this_thread::yield();
+  } while (std::chrono::steady_clock::now() < deadline);
+  return ready();
+}
+
 /// Instances [begin, end) of job `job`.
 struct Chunk {
   std::size_t job = 0;
@@ -31,11 +63,13 @@ struct JobPartial {
   coverage::SimStats stats;
 };
 
+}  // namespace
+
 /// Per-worker batch arena: seed and coverage-vector storage reused
 /// across chunks, so the steady-state hot path performs no heap
 /// allocation (simulate_batch overwrites the vectors in place), plus
 /// the compiled tables of the job the worker is on.
-struct Workspace {
+struct ThreadFarm::Workspace {
   std::vector<std::uint64_t> seeds;
   std::vector<coverage::CoverageVector> vectors;
   /// The tables of the job in `job`, kept across the run's jobs of one
@@ -48,7 +82,6 @@ struct Workspace {
 
   static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 };
-}  // namespace
 
 struct ThreadFarm::Run {
   const duv::Duv* duv = nullptr;
@@ -59,7 +92,8 @@ struct ThreadFarm::Run {
   /// Next unclaimed chunk; each worker overshoots the end at most once.
   std::atomic<std::size_t> cursor{0};
   /// partials[w]: worker w's partials in increasing job order, one per
-  /// job it visited (written by worker w alone until it checks out).
+  /// job it visited (written by worker w alone until it checks out;
+  /// worker 0 is the caller).
   std::vector<std::vector<JobPartial>> partials;
   std::atomic<bool> failed{false};
   /// First captured exception; written under the farm's mutex_.
@@ -90,99 +124,116 @@ ThreadFarm::ThreadFarm(std::size_t num_workers)
       &reg.histogram("ascdg_farm_chunk_latency_us", labels);
   created_ns_ = util::monotonic_ns();
 
-  workers_.reserve(worker_n_);
+  caller_ws_ = std::make_unique<Workspace>();
+
+  pool_.reserve(worker_n_ - 1);
   try {
-    for (std::size_t i = 0; i < worker_n_; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
+    for (std::size_t i = 1; i < worker_n_; ++i) {
+      pool_.emplace_back([this, i] { pool_loop(i); });
     }
   } catch (...) {
-    stop_workers();  // the threads already started
+    stop_pool();  // the threads already started
     throw;
   }
 }
 
 ThreadFarm::~ThreadFarm() {
   const std::scoped_lock run_lock(run_mutex_);
-  stop_workers();
+  stop_pool();
 }
 
-void ThreadFarm::stop_workers() noexcept {
+void ThreadFarm::stop_pool() noexcept {
   {
     const std::scoped_lock lock(mutex_);
-    stopping_ = true;
+    stopping_.store(true, std::memory_order_release);
   }
   start_cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
+  for (auto& thread : pool_) thread.join();
 }
 
-void ThreadFarm::worker_loop(std::size_t index) {
+ThreadFarm::Run* ThreadFarm::await_run(std::uint64_t& seen) {
+  const auto ready = [&] {
+    return stopping_.load(std::memory_order_acquire) ||
+           generation_.load(std::memory_order_acquire) != seen;
+  };
+  if (!spin_until(ready)) {
+    std::unique_lock lock(mutex_);
+    start_cv_.wait(lock, ready);
+  }
+  if (stopping_.load(std::memory_order_acquire)) return nullptr;
+  // The caller publishes no further generation before this thread
+  // checks out of this one, so run_ is this generation's run.
+  seen = generation_.load(std::memory_order_acquire);
+  return run_;
+}
+
+void ThreadFarm::pool_loop(std::size_t index) {
   Workspace ws;
   std::uint64_t seen = 0;
-  for (;;) {
-    Run* run = nullptr;
-    {
-      std::unique_lock lock(mutex_);
-      start_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
-      if (stopping_) return;
-      seen = generation_;
-      run = run_;
-    }
-    std::vector<JobPartial>& mine = run->partials[index];
-    // Fail fast: once one chunk failed, the rest of the run is skipped.
-    while (!run->failed.load(std::memory_order_relaxed)) {
-      const std::size_t c = run->cursor.fetch_add(1, std::memory_order_relaxed);
-      if (c >= run->chunks.size()) break;
-      const Chunk& chunk = run->chunks[c];
-      try {
-        const auto start = std::chrono::steady_clock::now();
-        const Job& job = run->jobs[chunk.job];
-        if (chunk.job != ws.job) {
-          // The cursor only moves forward over job-major chunks, so this
-          // worker never sees ws.job again: load the next job's tables
-          // and open its partial.
-          ws.tmpl = &ws.tables.load(*run->duv, *job.tmpl, job.weights);
-          ws.job = chunk.job;
-          mine.push_back({chunk.job, coverage::SimStats(run->event_count)});
-        }
-        const std::size_t n = chunk.end - chunk.begin;
-        ws.seeds.resize(n);
-        const util::SeedStream stream(job.seed_root);
-        for (std::size_t i = 0; i < n; ++i) {
-          ws.seeds[i] = stream.at(chunk.begin + i);
-        }
-        if (ws.vectors.size() < n) {
-          ws.vectors.resize(n, coverage::CoverageVector(0));
-        }
-        run->duv->simulate_batch(
-            *ws.tmpl, ws.tables.compiled(),
-            std::span<const std::uint64_t>(ws.seeds.data(), n),
-            std::span<coverage::CoverageVector>(ws.vectors.data(), n));
-        coverage::SimStats& acc = mine.back().stats;
-        for (std::size_t i = 0; i < n; ++i) acc.record(ws.vectors[i]);
-        const auto wall_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-        metrics_.simulations->add(n);
-        metrics_.chunks->inc();
-        metrics_.busy_ns->add(wall_ns);
-        metrics_.chunk_latency_us->observe(wall_ns / 1000);
-      } catch (...) {
-        metrics_.exceptions->inc();
-        const std::scoped_lock lock(mutex_);
-        if (run->error == nullptr) run->error = std::current_exception();
-        run->failed.store(true, std::memory_order_relaxed);
-      }
-    }
-    // The tables borrow the run's templates, which die with the run.
-    ws.tables.clear();
-    ws.tmpl = nullptr;
-    ws.job = Workspace::kNoJob;
-    // Checkout is this worker's last touch of *run: once the count is
+  while (Run* run = await_run(seen)) {
+    work(*run, index, ws);
+    // Checkout is this thread's last touch of *run: once the count is
     // complete the caller may return and destroy it.
-    const std::scoped_lock lock(mutex_);
-    if (++checked_out_ == worker_n_) done_cv_.notify_one();
+    if (checked_out_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        worker_n_ - 1) {
+      const std::scoped_lock lock(mutex_);
+      done_cv_.notify_one();
+    }
   }
+}
+
+void ThreadFarm::work(Run& run, std::size_t index, Workspace& ws) {
+  std::vector<JobPartial>& mine = run.partials[index];
+  // Fail fast: once one chunk failed, the rest of the run is skipped.
+  while (!run.failed.load(std::memory_order_relaxed)) {
+    const std::size_t c = run.cursor.fetch_add(1, std::memory_order_relaxed);
+    if (c >= run.chunks.size()) break;
+    const Chunk& chunk = run.chunks[c];
+    try {
+      const auto start = std::chrono::steady_clock::now();
+      const Job& job = run.jobs[chunk.job];
+      if (chunk.job != ws.job) {
+        // The cursor only moves forward over job-major chunks, so this
+        // worker never sees ws.job again: load the next job's tables
+        // and open its partial.
+        ws.tmpl = &ws.tables.load(*run.duv, *job.tmpl, job.weights);
+        ws.job = chunk.job;
+        mine.push_back({chunk.job, coverage::SimStats(run.event_count)});
+      }
+      const std::size_t n = chunk.end - chunk.begin;
+      ws.seeds.resize(n);
+      const util::SeedStream stream(job.seed_root);
+      for (std::size_t i = 0; i < n; ++i) {
+        ws.seeds[i] = stream.at(chunk.begin + i);
+      }
+      if (ws.vectors.size() < n) {
+        ws.vectors.resize(n, coverage::CoverageVector(0));
+      }
+      run.duv->simulate_batch(
+          *ws.tmpl, ws.tables.compiled(),
+          std::span<const std::uint64_t>(ws.seeds.data(), n),
+          std::span<coverage::CoverageVector>(ws.vectors.data(), n));
+      coverage::SimStats& acc = mine.back().stats;
+      for (std::size_t i = 0; i < n; ++i) acc.record(ws.vectors[i]);
+      const auto wall_ns = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+      metrics_.simulations->add(n);
+      metrics_.chunks->inc();
+      metrics_.busy_ns->add(wall_ns);
+      metrics_.chunk_latency_us->observe(wall_ns / 1000);
+    } catch (...) {
+      metrics_.exceptions->inc();
+      const std::scoped_lock lock(mutex_);
+      if (run.error == nullptr) run.error = std::current_exception();
+      run.failed.store(true, std::memory_order_relaxed);
+    }
+  }
+  // The tables borrow the run's templates, which die with the run.
+  ws.tables.clear();
+  ws.tmpl = nullptr;
+  ws.job = Workspace::kNoJob;
 }
 
 std::vector<coverage::SimStats> ThreadFarm::run_all(const duv::Duv& duv,
@@ -203,13 +254,24 @@ std::vector<coverage::SimStats> ThreadFarm::run_all(const duv::Duv& duv,
   }
   if (!run.chunks.empty()) {
     run.partials.resize(worker_n_);
-    std::unique_lock lock(mutex_);
-    run_ = &run;
-    checked_out_ = 0;
-    ++generation_;
-    start_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return checked_out_ == worker_n_; });
-    run_ = nullptr;
+    const std::size_t pool_n = worker_n_ - 1;
+    if (pool_n > 0) {
+      {
+        const std::scoped_lock lock(mutex_);
+        run_ = &run;
+        checked_out_.store(0, std::memory_order_relaxed);
+        generation_.fetch_add(1, std::memory_order_release);
+      }
+      start_cv_.notify_all();
+    }
+    work(run, 0, *caller_ws_);
+    const auto all_out = [&] {
+      return checked_out_.load(std::memory_order_acquire) == pool_n;
+    };
+    if (pool_n > 0 && !spin_until(all_out)) {
+      std::unique_lock lock(mutex_);
+      done_cv_.wait(lock, all_out);
+    }
   }
   metrics_.runs->inc();
   // Refreshed at every run, so a live scrape sees a current number

@@ -39,6 +39,26 @@ opt::ImplicitFilteringOptions base_if_options(const FlowConfig& config) {
   return options;
 }
 
+/// A stage journal record of `ifc`: its state with only the iteration
+/// just completed as the trace, so checkpoint cost does not grow with
+/// the iteration count.
+OptStageCheckpoint stage_record(const opt::IfCheckpoint& ifc) {
+  OptStageCheckpoint ckpt;
+  ckpt.ifc.next_iteration = ifc.next_iteration;
+  ckpt.ifc.center = ifc.center;
+  ckpt.ifc.center_value = ifc.center_value;
+  ckpt.ifc.step = ifc.step;
+  ckpt.ifc.stale_rounds = ifc.stale_rounds;
+  ckpt.ifc.evaluations = ifc.evaluations;
+  ckpt.ifc.best_point = ifc.best_point;
+  ckpt.ifc.best_value = ifc.best_value;
+  ASCDG_ASSERT(!ifc.trace.empty(), "checkpoint before any iteration");
+  ckpt.ifc.trace.push_back(ifc.trace.back());
+  ckpt.ifc.rng_state = ifc.rng_state;
+  ckpt.ifc.eval_seed_counter = ifc.eval_seed_counter;
+  return ckpt;
+}
+
 coverage::SimStats merged(const coverage::SimStats& prefix,
                           const coverage::SimStats& suffix) {
   coverage::SimStats out = prefix;
@@ -129,10 +149,9 @@ class StageJournal {
     return resume_;
   }
 
-  /// Appends `ckpt` with its trace cut to the iteration just completed.
-  void append(OptStageCheckpoint ckpt) {
-    auto& trace = ckpt.ifc.trace;
-    if (trace.size() > 1) trace.erase(trace.begin(), trace.end() - 1);
+  /// Appends `ckpt`, a stage_record() whose trace is the iteration just
+  /// completed.
+  void append(const OptStageCheckpoint& ckpt) {
     std::string record = to_json(ckpt);
     record.insert(record.size() - 1,
                   ",\"digest\":\"" + hex_u64(fnv1a(record)) + "\"");
@@ -309,12 +328,11 @@ void OptimizeStage::run(StageContext& ctx) {
                      " sims already spent)");
     }
     if_options.on_checkpoint = [&](const opt::IfCheckpoint& ifc) {
-      OptStageCheckpoint ckpt;
-      ckpt.ifc = ifc;
+      OptStageCheckpoint ckpt = stage_record(ifc);
       ckpt.sims = prefix.sims + objective.simulations();
       ckpt.stats = merged(prefix.stats, objective.combined());
       ckpt.wall_ms = prefix.wall_ms + ctx.scope->elapsed_ms();
-      journal->append(std::move(ckpt));
+      journal->append(ckpt);
     };
   }
 
@@ -418,14 +436,13 @@ void RefineStage::run(StageContext& ctx) {
       if (mid_refine_resume) if_options.resume = &prefix.ifc;
       if (ctx.session != nullptr) {
         if_options.on_checkpoint = [&](const opt::IfCheckpoint& ifc) {
-          OptStageCheckpoint ckpt;
-          ckpt.ifc = ifc;
+          OptStageCheckpoint ckpt = stage_record(ifc);
           ckpt.sims = base_sims + refine_objective.simulations();
           ckpt.stats = merged(base_stats, refine_objective.combined());
           ckpt.wall_ms =
               result.optimization_phase.wall_ms + ctx.scope->elapsed_ms();
           ckpt.evidence = evidence;
-          journal->append(std::move(ckpt));
+          journal->append(ckpt);
         };
       }
       result.refinement = opt::implicit_filtering(refine_objective,

@@ -8,17 +8,43 @@
 
 namespace ascdg::neighbors {
 
+ApproximatedTarget::ApproximatedTarget(std::vector<coverage::EventId> targets,
+                                       std::vector<tac::WeightedEvent> events)
+    : targets_(std::move(targets)), events_(std::move(events)) {
+  for (const auto event : targets_) {
+    event_bound_ = std::max<std::size_t>(event_bound_, event.value + 1ULL);
+  }
+  for (const auto& [event, weight] : events_) {
+    event_bound_ = std::max<std::size_t>(event_bound_, event.value + 1ULL);
+  }
+}
+
+// Both objectives sum the terms SimStats::hit_rate gives, in the same
+// order and rounding; the range check and the sims == 0 case (every
+// rate 0, so the sum of finite weights times 0 is +0.0) are hoisted out
+// of the loop.
+
 double ApproximatedTarget::value(const coverage::SimStats& stats) const {
+  if (stats.sims() == 0) return 0.0;
+  const std::vector<std::size_t>& hits = stats.hit_counts();
+  ASCDG_ASSERT(event_bound_ <= hits.size(), "event id out of range");
+  const auto sims = static_cast<double>(stats.sims());
   double total = 0.0;
   for (const auto& [event, weight] : events_) {
-    total += weight * stats.hit_rate(event);
+    total += weight * (static_cast<double>(hits[event.value]) / sims);
   }
   return total;
 }
 
 double ApproximatedTarget::real_value(const coverage::SimStats& stats) const {
+  if (stats.sims() == 0) return 0.0;
+  const std::vector<std::size_t>& hits = stats.hit_counts();
+  ASCDG_ASSERT(event_bound_ <= hits.size(), "event id out of range");
+  const auto sims = static_cast<double>(stats.sims());
   double total = 0.0;
-  for (const auto event : targets_) total += stats.hit_rate(event);
+  for (const auto event : targets_) {
+    total += static_cast<double>(hits[event.value]) / sims;
+  }
   return total;
 }
 

@@ -34,8 +34,7 @@ class ApproximatedTarget {
  public:
   ApproximatedTarget() = default;
   ApproximatedTarget(std::vector<coverage::EventId> targets,
-                     std::vector<tac::WeightedEvent> events)
-      : targets_(std::move(targets)), events_(std::move(events)) {}
+                     std::vector<tac::WeightedEvent> events);
 
   [[nodiscard]] const std::vector<coverage::EventId>& targets() const noexcept {
     return targets_;
@@ -54,6 +53,9 @@ class ApproximatedTarget {
  private:
   std::vector<coverage::EventId> targets_;
   std::vector<tac::WeightedEvent> events_;
+  /// One past the largest event id of targets_ and events_: the least
+  /// event count a SimStats must have to be scored.
+  std::size_t event_bound_ = 0;
 };
 
 class NeighborStrategy {

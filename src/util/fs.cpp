@@ -200,10 +200,16 @@ JournalWriter::JournalWriter(const std::filesystem::path& path,
       fail("cannot truncate journal", path_, err);
     }
   }
+  try {
+    thread_ = std::thread([this] { sync_loop(); });
+  } catch (...) {
+    close_fd();
+    throw;
+  }
 }
 
 JournalWriter::~JournalWriter() {
-  if (sync_.valid()) sync_.wait();
+  stop_thread();
   close_fd();
 }
 
@@ -212,39 +218,71 @@ void JournalWriter::close_fd() noexcept {
   fd_ = -1;
 }
 
-void JournalWriter::join() {
-  if (!sync_.valid()) return;
-  const int err = sync_.get();
-  if (err != 0) {
-    close_fd();
-    fail("cannot fdatasync journal", path_, err);
+void JournalWriter::stop_thread() noexcept {
+  if (!thread_.joinable()) return;
+  {
+    const std::scoped_lock lock(mutex_);
+    closing_ = true;
   }
-  if (on_durable_) on_durable_();
+  wake_.notify_one();
+  thread_.join();
+}
+
+void JournalWriter::sync_loop() {
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    wake_.wait(lock, [this] { return !queue_.empty() || closing_; });
+    if (queue_.empty()) return;  // closing, and every record is durable
+    const std::string line = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      if (!write_all(fd_, line.data(), line.size(), Fp::Id::kJournalWrite)) {
+        const int err = errno;
+        fail("failed appending to journal", path_, err);
+      }
+      int err = Fp::check(Fp::Id::kJournalSync);
+      while (err == 0 && ::fdatasync(fd_) != 0) {
+        if (errno != EINTR) err = errno;
+      }
+      if (err != 0) fail("cannot fdatasync journal", path_, err);
+      if (on_durable_) on_durable_();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    if (error != nullptr) {
+      // Nothing after the failed record reaches the file.
+      error_ = error;
+      queue_.clear();
+      return;
+    }
+  }
 }
 
 void JournalWriter::append(std::string_view record) {
   ASCDG_ASSERT(record.find('\n') == std::string_view::npos,
                "journal record spans lines");
-  join();
-  if (fd_ < 0) throw Error("journal '" + path_ + "' is closed");
-  line_.assign(record);
-  line_ += '\n';
-  if (!write_all(fd_, line_.data(), line_.size(), Fp::Id::kJournalWrite)) {
-    const int err = errno;
-    close_fd();
-    fail("failed appending to journal", path_, err);
+  std::string line;
+  line.reserve(record.size() + 1);
+  line.assign(record);
+  line += '\n';
+  {
+    const std::scoped_lock lock(mutex_);
+    if (error_ != nullptr) std::rethrow_exception(error_);
+    if (closing_) throw Error("journal '" + path_ + "' is closed");
+    queue_.push_back(std::move(line));
   }
-  sync_ = std::async(std::launch::async, [fd = fd_]() noexcept {
-    if (const int e = Fp::check(Fp::Id::kJournalSync); e != 0) return e;
-    while (::fdatasync(fd) != 0) {
-      if (errno != EINTR) return errno;
-    }
-    return 0;
-  });
+  wake_.notify_one();
 }
 
 void JournalWriter::close() {
-  join();
+  stop_thread();
+  if (error_ != nullptr) {
+    close_fd();
+    std::rethrow_exception(error_);
+  }
   if (fd_ >= 0 && ::close(fd_) != 0) {
     fd_ = -1;
     fail("cannot close journal", path_, errno);

@@ -18,18 +18,22 @@
 //
 // JournalWriter is the other way: an append-only file of one record
 // per line, for state that grows by a small record at a time (the
-// optimizer's per-iteration checkpoints). Each record is fdatasync'ed,
-// but the sync runs in the background while the caller computes the
-// next record; append() joins it before writing again. read_journal
-// reads such a file back.
+// optimizer's per-iteration checkpoints). Each record is fdatasync'ed
+// by the writer's one journal thread, behind the caller: append() only
+// queues the record, and the caller computes the next one while the
+// thread writes and syncs. read_journal reads such a file back.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <filesystem>
 #include <functional>
-#include <future>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/json.hpp"
@@ -42,31 +46,37 @@ namespace ascdg::util {
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content);
 
-/// Durable append-only journal of one-line records. append(record):
-///   1. waits for the previous record's fdatasync and throws its error
-///      as util::Error (then runs `on_durable`, if set);
-///   2. writes `record` plus '\n';
-///   3. starts this record's fdatasync on a second thread.
-/// So at most one sync is in flight, record k is durable before record
-/// k+1 is written, and the records on disk are always a prefix of
-/// those appended. close() joins the last sync; call it before
-/// anything that must not get ahead of the journal. A failed write or
-/// sync leaves the journal closed; the failed record is at most a torn
-/// tail, which read_journal drops.
+/// Durable append-only journal of one-line records. append(record)
+/// queues `record` plus '\n' and returns; the writer's journal thread
+/// takes the queue in order and, per record:
+///   1. writes it;
+///   2. fdatasyncs it;
+///   3. runs `on_durable`, if set.
+/// It writes record k+1 only after record k's sync returned, so the
+/// records on disk are always a prefix of those appended, and every
+/// record but the last on disk is durable. The first error (a failed
+/// write or sync, or an exception from `on_durable`) is latched: the
+/// thread writes nothing after the failed record, and the next append()
+/// — or close(), at the latest — throws it as util::Error, as does
+/// every call after that. A failed record is at most a torn tail, which
+/// read_journal drops. close() waits until the queue is durable (or
+/// failed) and closes the file; call it before anything that must not
+/// get ahead of the journal.
 ///
 /// FailurePoint sites: journal.write (fires a short write) and
-/// journal.sync.
+/// journal.sync, both checked on the journal thread.
 class JournalWriter {
  public:
   /// Opens `path` for appending after cutting it to its first
   /// `keep_bytes` bytes (the prefix read_journal accepted; 0 for a new
-  /// journal). Creating the file fsyncs its directory once, so the
-  /// name is as durable as the records. Throws util::Error.
+  /// journal), and starts the journal thread. Creating the file fsyncs
+  /// its directory once, so the name is as durable as the records.
+  /// Throws util::Error.
   JournalWriter(const std::filesystem::path& path, std::uintmax_t keep_bytes,
                 std::function<void()> on_durable = {});
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
-  /// Joins an in-flight sync without reporting it: call close() to
+  /// Drains the queue like close(), but never throws: call close() to
   /// learn whether the last record is durable.
   ~JournalWriter();
 
@@ -75,14 +85,26 @@ class JournalWriter {
   void close();
 
  private:
-  void join();
+  /// The journal thread: writes, syncs and reports each queued record.
+  void sync_loop();
+  /// Lets the journal thread drain the queue (or stop at an error), then
+  /// joins it. Sets the close flag: append() throws from then on.
+  void stop_thread() noexcept;
   void close_fd() noexcept;
 
   std::string path_;
   int fd_ = -1;
-  std::future<int> sync_;  ///< errno of the in-flight fdatasync, 0 if none
   std::function<void()> on_durable_;
-  std::string line_;  ///< record + '\n', reused across appends
+
+  // Guarded by mutex_: records not yet written, the close flag and the
+  // latched error. The thread waits on wake_ for a record or the flag.
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::deque<std::string> queue_;  ///< each record + '\n'
+  bool closing_ = false;
+  std::exception_ptr error_;
+
+  std::thread thread_;  ///< last: started after all it uses
 };
 
 /// A journal's complete records, as read_journal found them.

@@ -1,7 +1,7 @@
 // Fault-injection layer: FailurePoint trigger semantics, the durable
 // atomic writer under injected ENOSPC/short-write/rename failures, the
-// checkpoint journal (torn tails, bad lines, exact round trips, and
-// sync and write failures from its background fdatasync),
+// checkpoint journal (torn tails, bad lines, exact round trips, sync
+// and write failures on its journal thread, and the on_durable hook),
 // stale-temp reaping on session open, and the HTTP server's EINTR
 // handling (both injected deterministically and via a real interval-
 // timer signal storm).
@@ -14,13 +14,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flow/artifacts.hpp"
@@ -397,48 +401,191 @@ TEST_F(FaultTest, JournalRecordsRoundTripDoublesAndHexSeedsExactly) {
   EXPECT_EQ(back.evidence, ckpt.evidence);
 }
 
+/// Runs `calls` in order and reports which of them threw util::Error.
+std::vector<bool> which_throw(
+    std::initializer_list<std::function<void()>> calls) {
+  std::vector<bool> threw;
+  for (const auto& call : calls) {
+    try {
+      call();
+      threw.push_back(false);
+    } catch (const ascdg::util::Error&) {
+      threw.push_back(true);
+    }
+  }
+  return threw;
+}
+
+/// An on_durable hook that records the journal's size at each call, so
+/// a test sees that it fires once per record, after that record's
+/// bytes and before the next record's. Safe to read once count()
+/// reached what the test waits for, or after close().
+class DurableLog {
+ public:
+  explicit DurableLog(fs::path file) : file_(std::move(file)) {}
+
+  std::function<void()> hook() {
+    return [this] {
+      sizes_.push_back(fs::file_size(file_));
+      count_.fetch_add(1, std::memory_order_release);
+    };
+  }
+  [[nodiscard]] std::size_t count() const {
+    return count_.load(std::memory_order_acquire);
+  }
+  void wait_for(std::size_t n) const {
+    while (count() < n) std::this_thread::yield();
+  }
+  /// File sizes seen at each call, in call order.
+  [[nodiscard]] const std::vector<std::uintmax_t>& sizes() const {
+    return sizes_;
+  }
+
+ private:
+  fs::path file_;
+  std::vector<std::uintmax_t> sizes_;
+  std::atomic<std::size_t> count_{0};
+};
+
 TEST_F(FaultTest, JournalSyncFailureSurfacesAtNextAppendOrClose) {
   const fs::path dir = scratch_dir("journal_sync_fail");
-  // The first record's sync fails: the next append raises it and
-  // writes nothing, and the journal stays closed.
+  const std::string one = R"({"i":1})";
+  const std::string two = R"({"i":2})";
+  // The first record's sync fails. A later append, or close() at the
+  // latest, raises it; every call after that raises too; nothing after
+  // the failed record reaches the file, and no record was durable.
   const fs::path first = dir / "first.ckpt.jsonl";
   {
     FailurePoint::prime_every_nth(Id::kJournalSync, 1, EIO);
-    JournalWriter writer(first, 0);
-    writer.append(R"({"i":1})");
-    EXPECT_THROW(writer.append(R"({"i":2})"), ascdg::util::Error);
-    EXPECT_THROW(writer.append(R"({"i":3})"), ascdg::util::Error);
+    DurableLog durable(first);
+    JournalWriter writer(first, 0, durable.hook());
+    writer.append(one);
+    const std::vector<bool> threw =
+        which_throw({[&] { writer.append(two); },
+                     [&] { writer.append(R"({"i":3})"); },
+                     [&] { writer.close(); }, [&] { writer.close(); }});
+    EXPECT_TRUE(std::is_sorted(threw.begin(), threw.end()));
+    EXPECT_TRUE(threw[2]) << "close() must raise the sync error";
+    EXPECT_THROW(writer.append(R"({"i":4})"), ascdg::util::Error);
+    EXPECT_EQ(FailurePoint::fires(Id::kJournalSync), 1u);
+    EXPECT_EQ(durable.count(), 0u);
     FailurePoint::disarm_all();
   }
   EXPECT_EQ(read_journal(first).records.size(), 1u);
+  EXPECT_EQ(fs::file_size(first), one.size() + 1);
 
-  // The second record's sync fails: close() raises it.
+  // The second record's sync fails: the first was durable once, and the
+  // second is the last thing in the file.
   const fs::path second = dir / "second.ckpt.jsonl";
   {
     FailurePoint::prime_every_nth(Id::kJournalSync, 2, EIO);
-    JournalWriter writer(second, 0);
-    writer.append(R"({"i":1})");
-    writer.append(R"({"i":2})");
-    EXPECT_THROW(writer.close(), ascdg::util::Error);
+    DurableLog durable(second);
+    JournalWriter writer(second, 0, durable.hook());
+    writer.append(one);
+    const std::vector<bool> threw =
+        which_throw({[&] { writer.append(two); },
+                     [&] { writer.append(R"({"i":3})"); },
+                     [&] { writer.close(); }, [&] { writer.close(); }});
+    EXPECT_TRUE(std::is_sorted(threw.begin(), threw.end()));
+    EXPECT_FALSE(threw[0]) << "record 1's sync succeeded";
+    EXPECT_TRUE(threw[2]) << "close() must raise the sync error";
     EXPECT_EQ(FailurePoint::fires(Id::kJournalSync), 1u);
+    EXPECT_EQ(durable.sizes(), std::vector<std::uintmax_t>{one.size() + 1});
   }
   const auto journal = read_journal(second);
   ASSERT_EQ(journal.records.size(), 2u);
   EXPECT_EQ(journal.records[1].at("i").as_size(), 2u);
+  EXPECT_EQ(fs::file_size(second), journal.bytes);
 }
 
 TEST_F(FaultTest, JournalShortWriteLeavesOnlyATornTail) {
   const fs::path dir = scratch_dir("journal_short_write");
   const fs::path file = dir / "opt.ckpt.jsonl";
-  JournalWriter writer(file, 0);
-  writer.append(R"({"i":1})");
+  const std::string one = R"({"i":1})";
+  const std::string two =
+      R"({"i":2,"pad":")" + std::string(64, 'x') + R"("})";
+  DurableLog durable(file);
+  JournalWriter writer(file, 0, durable.hook());
+  writer.append(one);
+  // Arm the short write only once record 1 is durable, so it hits
+  // record 2 on the journal thread.
+  durable.wait_for(1);
   FailurePoint::prime_one_shot(Id::kJournalWrite, ENOSPC);
-  EXPECT_THROW(writer.append(R"({"i":2,"pad":")" + std::string(64, 'x') +
-                             R"("})"),
-               ascdg::util::Error);
+  const std::vector<bool> threw =
+      which_throw({[&] { writer.append(two); },
+                   [&] { writer.append(R"({"i":3})"); },
+                   [&] { writer.close(); }, [&] { writer.close(); }});
+  EXPECT_TRUE(std::is_sorted(threw.begin(), threw.end()));
+  EXPECT_TRUE(threw[2]) << "close() must raise the write error";
+  EXPECT_EQ(durable.sizes(), std::vector<std::uintmax_t>{one.size() + 1});
   const auto journal = read_journal(file);
   ASSERT_EQ(journal.records.size(), 1u);
-  EXPECT_LT(journal.bytes, fs::file_size(file));  // half a record landed
+  EXPECT_EQ(journal.bytes, one.size() + 1);
+  // Half of record 2 landed, and nothing after it.
+  EXPECT_EQ(fs::file_size(file), journal.bytes + (two.size() + 1) / 2);
+}
+
+TEST_F(FaultTest, JournalOnDurableFiresOncePerRecordInOrder) {
+  const fs::path dir = scratch_dir("journal_on_durable");
+  const fs::path file = dir / "opt.ckpt.jsonl";
+  DurableLog durable(file);
+  std::vector<std::uintmax_t> ends;
+  {
+    JournalWriter writer(file, 0, durable.hook());
+    std::uintmax_t end = 0;
+    for (std::size_t i = 0; i < 50; ++i) {
+      const std::string record =
+          R"({"i":)" + std::to_string(i) + R"(,"pad":")" +
+          std::string(i * 37 % 200, 'x') + R"("})";
+      writer.append(record);
+      end += record.size() + 1;
+      ends.push_back(end);
+    }
+    writer.close();
+    EXPECT_THROW(writer.append(R"({"i":50})"), ascdg::util::Error);
+  }
+  EXPECT_EQ(durable.sizes(), ends);
+  const auto journal = read_journal(file);
+  ASSERT_EQ(journal.records.size(), 50u);
+  EXPECT_EQ(journal.bytes, ends.back());
+}
+
+TEST_F(FaultTest, JournalOnDurableExceptionIsLatchedLikeAnIoError) {
+  const fs::path dir = scratch_dir("journal_hook_throws");
+  const fs::path file = dir / "opt.ckpt.jsonl";
+  std::atomic<std::size_t> calls{0};
+  JournalWriter writer(file, 0, [&calls] {
+    if (calls.fetch_add(1) == 1) throw ascdg::util::Error("hook refused");
+  });
+  writer.append(R"({"i":1})");
+  const std::vector<bool> threw = which_throw(
+      {[&] { writer.append(R"({"i":2})"); },
+       [&] { writer.append(R"({"i":3})"); }, [&] { writer.close(); }});
+  EXPECT_TRUE(std::is_sorted(threw.begin(), threw.end()));
+  EXPECT_TRUE(threw[2]);
+  EXPECT_EQ(calls.load(), 2u);
+  // Record 2 was written and synced before its hook threw; record 3
+  // never was.
+  EXPECT_EQ(read_journal(file).records.size(), 2u);
+}
+
+TEST_F(FaultTest, JournalDestructorDrainsTheQueueWithoutThrowing) {
+  const fs::path dir = scratch_dir("journal_destructor");
+  const fs::path file = dir / "opt.ckpt.jsonl";
+  {
+    JournalWriter writer(file, 0);
+    for (int i = 0; i < 20; ++i) {
+      writer.append(R"({"i":)" + std::to_string(i) + "}");
+    }
+  }
+  EXPECT_EQ(read_journal(file).records.size(), 20u);
+  {
+    FailurePoint::prime_every_nth(Id::kJournalSync, 1, EIO);
+    JournalWriter writer(file, read_journal(file).bytes);
+    writer.append(R"({"i":20})");
+    writer.append(R"({"i":21})");
+  }  // the latched error is dropped, not thrown
+  EXPECT_EQ(read_journal(file).records.size(), 21u);
 }
 
 // ------------------------------------------------ session integration

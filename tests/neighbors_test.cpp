@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 
@@ -11,6 +14,7 @@
 #include "duv/ifu.hpp"
 #include "neighbors/neighbors.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ascdg::neighbors {
 namespace {
@@ -178,6 +182,62 @@ TEST(ApproximatedTargetEval, ValueAndRealValue) {
       {{EventId{0}, 0.5}, {EventId{1}, 1.0}, {EventId{2}, 2.0}});
   EXPECT_DOUBLE_EQ(target.value(stats), 0.5 * 0.4 + 1.0 * 0.1 + 2.0 * 0.0);
   EXPECT_DOUBLE_EQ(target.real_value(stats), 0.0);
+}
+
+// value() and real_value() are bit-identical to summing
+// SimStats::hit_rate per event, in event order, for every stats shape:
+// no simulations, all hits, random counts, and weights of every scale.
+TEST(ApproximatedTargetEval, BitIdenticalToThePerEventHitRateSum) {
+  constexpr std::size_t kEvents = 256;
+  util::Xoshiro256 rng(0xB175);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int round = 0; round < 4096; ++round) {
+    std::vector<EventId> targets;
+    std::vector<tac::WeightedEvent> events;
+    for (std::uint32_t e = 0; e < kEvents; ++e) {
+      if (rng.uniform() < 0.5) continue;
+      const double scale =
+          std::ldexp(1.0, static_cast<int>(rng.uniform() * 40) - 20);
+      events.push_back({EventId{e}, rng.uniform() * scale});
+      if (rng.uniform() < 0.05) targets.push_back(EventId{e});
+    }
+    std::shuffle(events.begin(), events.end(), rng);
+    const std::size_t sims =
+        round % 8 == 0 ? 0
+                       : 1 + static_cast<std::size_t>(rng.uniform() * 5000);
+    std::vector<std::size_t> hits(kEvents);
+    for (auto& h : hits) {
+      const double u = rng.uniform();
+      h = u < 0.2   ? 0
+          : u < 0.3 ? sims
+                    : static_cast<std::size_t>(rng.uniform() *
+                                               static_cast<double>(sims));
+    }
+    const auto stats = coverage::SimStats::from_counts(sims, std::move(hits));
+    const ApproximatedTarget target(targets, events);
+
+    double value = 0.0;
+    for (const auto& [event, weight] : events) {
+      value += weight * stats.hit_rate(event);
+    }
+    double real_value = 0.0;
+    for (const auto event : targets) real_value += stats.hit_rate(event);
+    ASSERT_EQ(bits(target.value(stats)), bits(value)) << "round " << round;
+    ASSERT_EQ(bits(target.real_value(stats)), bits(real_value))
+        << "round " << round;
+  }
+}
+
+TEST(ApproximatedTargetEval, StatsOverTooFewEventsAreRejected) {
+  const ApproximatedTarget target({EventId{7}}, {{EventId{7}, 1.0}});
+  coverage::SimStats stats(4);
+  stats.record(coverage::CoverageVector(4));
+  EXPECT_THROW((void)target.value(stats), util::LogicError);
+  EXPECT_THROW((void)target.real_value(stats), util::LogicError);
+  // With no simulation there is nothing to index: both score 0, as
+  // hit_rate does.
+  EXPECT_EQ(target.value(coverage::SimStats(4)), 0.0);
+  EXPECT_EQ(target.real_value(coverage::SimStats(4)), 0.0);
 }
 
 TEST(FamilyTarget, TargetsAreUncoveredEvents) {

@@ -1,7 +1,8 @@
 // Tests for the in-process thread farm: determinism across worker
 // counts, job batching, accounting, edge cases (zero counts), exception
 // propagation (from simulations and from compiles on a worker),
-// compiles per job, concurrent callers and drain-on-destruct. The
+// compiles per job, concurrent callers, drain-on-destruct, and the
+// caller as worker 0 (thread count, its failures, a spinning pool). The
 // suite names SimFarm and SimFarmV2 predate the farm's current class
 // name and are kept so the test ids stay stable.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -777,6 +779,152 @@ TEST(ThreadFarm, WeightedJobsCompileTheirBaseOncePerWorker) {
     EXPECT_GE(counting.compiles(base), 1u);
     EXPECT_LE(counting.compiles(base), run * kWorkers) << "run " << run;
   }
+}
+
+// ------------------------------------------- the caller as worker 0 --
+
+/// Threads of this process, from /proc/self/task.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// thread_count() once it fell to `n`, or after 10 s: a joined thread
+/// can stay listed for a moment while the kernel reaps it.
+std::size_t thread_count_after_joins(std::size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::size_t count = thread_count();
+  while (count > n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    count = thread_count();
+  }
+  return count;
+}
+
+/// Forwards to an inner unit but throws on the thread that built it —
+/// in a farm, the thread calling run_all.
+class CallerThrowingDuv final : public ForwardingDuv {
+ public:
+  explicit CallerThrowingDuv(const duv::Duv& inner) : ForwardingDuv(inner) {}
+
+  void simulate_batch(const tgen::TestTemplate& tmpl, const Compiled* compiled,
+                      std::span<const std::uint64_t> seeds,
+                      std::span<coverage::CoverageVector> out) const override {
+    if (std::this_thread::get_id() == owner_) {
+      throw util::Error("injected failure on the caller");
+    }
+    ForwardingDuv::simulate_batch(tmpl, compiled, seeds, out);
+  }
+
+ private:
+  std::thread::id owner_ = std::this_thread::get_id();
+};
+
+// ThreadFarm(N) starts N - 1 threads: the caller of run_all is worker
+// 0, so a one-worker farm simulates on the calling thread alone.
+TEST(ThreadFarm, OneWorkerStartsNoThreadAndMatchesSerialReference) {
+  const duv::IoUnit io;
+  const auto& tmpl = io.defaults();
+  // Earlier tests' joined threads may still be listed for a moment.
+  const std::size_t before = thread_count_after_joins(1);
+  {
+    ThreadFarm farm(1);
+    EXPECT_EQ(thread_count(), before);
+    const std::vector<Job> jobs{{&tmpl, 130, 1}, {&tmpl, 0, 2}, {&tmpl, 7, 3}};
+    const auto results = farm.run_all(io, jobs);
+    EXPECT_EQ(thread_count(), before);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_EQ(results[j],
+                serial_reference(io, tmpl, jobs[j].count, jobs[j].seed_root))
+          << "job " << j;
+    }
+  }
+  {
+    ThreadFarm farm(3);
+    EXPECT_EQ(thread_count(), before + 2);
+  }
+  EXPECT_EQ(thread_count_after_joins(before), before);
+}
+
+// A chunk the caller claims fails like one a pool thread claims: the
+// error is rethrown after the pool checked out, and the farm recovers.
+TEST(ThreadFarm, ExceptionInAChunkTheCallerClaimsPropagates) {
+  const duv::IoUnit io;
+  const auto& tmpl = io.defaults();
+  const CallerThrowingDuv bad(io);
+  for (const std::size_t workers : {1u, 4u}) {
+    ThreadFarm farm(workers);
+    // Enough chunks that the caller, which starts claiming at once,
+    // claims some.
+    std::vector<Job> jobs(100, Job{&tmpl, 64, 0});
+    for (std::size_t j = 0; j < jobs.size(); ++j) jobs[j].seed_root = j;
+    try {
+      (void)farm.run_all(bad, jobs);
+      FAIL() << "run_all must rethrow the caller's failure, workers="
+             << workers;
+    } catch (const util::Error& e) {
+      EXPECT_STREQ(e.what(), "injected failure on the caller");
+    }
+    EXPECT_GE(farm.telemetry().exceptions, 1u) << "workers=" << workers;
+    const auto results = farm.run_all(io, std::span<const Job>(jobs).first(3));
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(results[j], serial_reference(io, tmpl, 64, j))
+          << "workers=" << workers << " job " << j;
+    }
+  }
+}
+
+// Two threads calling run_all at once take turns: each run's results
+// equal its serial reference.
+TEST(ThreadFarm, ConcurrentRunAllCallersEachGetTheirOwnResults) {
+  const duv::L3Cache l3;
+  const auto suite = l3.suite();
+  ASSERT_GE(suite.size(), 2u);
+  ThreadFarm farm(4);
+  std::vector<std::vector<Job>> batches(2);
+  std::vector<std::vector<coverage::SimStats>> expected(2);
+  for (std::size_t t = 0; t < 2; ++t) {
+    for (std::size_t j = 0; j < 6; ++j) {
+      const std::size_t count = 1 + 37 * j;
+      const std::uint64_t seed = 100 * t + j;
+      batches[t].push_back({&suite[t], count, seed});
+      expected[t].push_back(serial_reference(l3, suite[t], count, seed));
+    }
+  }
+  std::vector<std::size_t> mismatches(2, 0);
+  const auto caller = [&](std::size_t t) {
+    for (int round = 0; round < 50; ++round) {
+      if (farm.run_all(l3, batches[t]) != expected[t]) ++mismatches[t];
+    }
+  };
+  std::thread other(caller, 1);
+  caller(0);
+  other.join();
+  EXPECT_EQ(mismatches, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(farm.telemetry().runs, 100u);
+}
+
+// Right after a run the pool spins for the next one; destroying the
+// farm then must stop the spinners and join them, not wait for them to
+// fall asleep first or hang.
+TEST(ThreadFarm, DestroyingAFarmWhileItsPoolSpinsJoinsIt) {
+  const duv::IoUnit io;
+  const auto& tmpl = io.defaults();
+  // Earlier tests' joined threads may still be listed for a moment.
+  const std::size_t before = thread_count_after_joins(1);
+  for (std::uint64_t r = 0; r < 50; ++r) {
+    ThreadFarm farm(4);
+    const Job job{&tmpl, 4, r};
+    const auto results = farm.run_all(io, std::span<const Job>(&job, 1));
+    ASSERT_EQ(results[0], serial_reference(io, tmpl, 4, r)) << "run " << r;
+  }
+  EXPECT_EQ(thread_count_after_joins(before), before);
 }
 
 }  // namespace

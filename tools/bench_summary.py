@@ -17,6 +17,11 @@ dashboard) actually tracks per commit:
     informational, when bench_eval_batch ran;
   * each unit kernel's microseconds of real time per simulation, from
     BM_DuvStep/<unit>'s items/sec — informational, when it ran;
+  * the checkpoint journal's microseconds of real time per record, per
+    stage dimension: what the optimizer waits for (serialize + append,
+    BM_CheckpointJournalAppend/caller) and what a record takes until it
+    is synced (append + close, BM_CheckpointJournalAppend/durable) —
+    informational, when they ran;
   * per-benchmark medians (real time + items/sec) across every input
     file, so repeated or re-run benches aggregate instead of clobbering.
 
@@ -50,6 +55,15 @@ AGGREGATE_RE = re.compile(r"_(mean|median|stddev|cv|min|max)$")
 
 # BM_DuvStep/<unit>/real_time: one 64-sim simulate_batch of a unit.
 DUV_STEP_RE = re.compile(r"^BM_DuvStep/([^/]+)/real_time$")
+
+# BM_CheckpointJournalAppend/<caller|durable>/<dim>[/iterations:N]/real_time.
+JOURNAL_RE = re.compile(
+    r"^BM_CheckpointJournalAppend/(caller|durable)/(\d+)"
+    r"(?:/iterations:\d+)?/real_time$"
+)
+
+# google-benchmark time units, in microseconds.
+US_PER_UNIT = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 
 
 def load_entries(paths):
@@ -128,6 +142,17 @@ def main(argv):
         if sims_per_s:
             duv_us_per_sim[match.group(1)] = 1e6 / sims_per_s
 
+    # Optional: checkpoint journal µs per record, per side and dimension.
+    journal_us = {}
+    for name, entries in by_name.items():
+        match = JOURNAL_RE.match(name)
+        real_time = median_of(entries, "real_time") if match else None
+        if real_time is not None:
+            unit = US_PER_UNIT[entries[0].get("time_unit", "ns")]
+            journal_us.setdefault(match.group(1), {})[match.group(2)] = (
+                real_time * unit
+            )
+
     summary = {
         "schema": SCHEMA,
         "inputs": args.inputs,
@@ -152,6 +177,13 @@ def main(argv):
         # Unit kernel µs per simulation (BM_DuvStep/<unit>; empty when
         # the bench did not run). Never gated.
         "duv_us_per_sim": dict(sorted(duv_us_per_sim.items())),
+        # Checkpoint journal µs per record: "caller" (serialize + append)
+        # and "durable" (append + close), keyed by stage dimension;
+        # either is absent when its bench did not run. Never gated.
+        "checkpoint_journal_us": {
+            side: dict(sorted(by_dim.items(), key=lambda kv: int(kv[0])))
+            for side, by_dim in sorted(journal_us.items())
+        },
         "medians": medians,
     }
 
