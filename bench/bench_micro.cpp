@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "exec/frame.hpp"
 #include "exec/process_farm.hpp"
 #include "exec/thread_farm.hpp"
 #include "cdg/random_sample.hpp"
@@ -312,6 +313,45 @@ void BM_ProcessFarmRunAll(benchmark::State& state) {
   run_all_loop(state, farm);
 }
 BENCHMARK(BM_ProcessFarmRunAll)->Arg(1)->Arg(8)->UseRealTime();
+
+// The process backend's frame codec at one ifu-fine optimizer batch:
+// the request of 61 points (the skeleton base's text once, each point's
+// weights, one 4-seed chunk each) and one worker's response of 16
+// partials over the ifu event space. An iteration encodes and decodes
+// the frame once, in real time.
+void BM_FrameCodec(benchmark::State& state, bool request_side) {
+  const duv::Ifu ifu;
+  const auto skel = cdg::Skeletonizer().skeletonize(ifu.defaults());
+  const std::string base = tgen::to_text(skel.base("base"));
+  util::Xoshiro256 rng(0xC0DEC);
+  exec::frame::Request request{"ifu", {base}, {}};
+  for (std::uint64_t j = 0; j < 61; ++j) {
+    std::vector<double> point(skel.mark_count());
+    for (double& x : point) x = rng.uniform();
+    request.jobs.push_back(
+        exec::frame::JobRequest{j, rng(), 0, skel.weights(point), {{0, 4}}});
+  }
+  exec::frame::Response response;
+  const std::size_t events = ifu.space().size();
+  for (std::uint64_t p = 0; p < 16; ++p) {
+    exec::frame::JobPartial partial{4 * p, 4, std::vector<std::size_t>(events)};
+    for (std::size_t& hits : partial.hits) hits = rng() % 5;
+    response.partials.push_back(std::move(partial));
+  }
+  for (auto _ : state) {
+    if (request_side) {
+      const std::string payload = exec::frame::encode_request(request);
+      benchmark::DoNotOptimize(exec::frame::decode_request(payload));
+    } else {
+      const std::string payload = exec::frame::encode_response(response);
+      benchmark::DoNotOptimize(
+          exec::frame::decode_response(payload, 61, events));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_FrameCodec, request, true)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FrameCodec, response, false)->UseRealTime();
 
 void BM_MetricsCounterAdd(benchmark::State& state) {
   obs::Counter& counter =

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cerrno>
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "util/error.hpp"
@@ -16,6 +17,11 @@ namespace {
 
 // Hit counts and sims travel as u64 and land in std::size_t.
 static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+// The wire format is little-endian. On a little-endian host a value's
+// bytes in memory are its wire bytes, so the codec copies integers and
+// whole hit-count and weight arrays with memcpy; a big-endian port
+// would need a byte swap per value here.
+static_assert(std::endian::native == std::endian::little);
 
 constexpr std::size_t kU64 = sizeof(std::uint64_t);
 /// Smallest encodings, for bounding counts by the bytes left: a base is
@@ -27,11 +33,16 @@ constexpr std::size_t kChunkBytes = 2 * kU64;
 constexpr std::size_t kMinPartialBytes = 3 * kU64;
 
 void put_u64(std::string& out, std::uint64_t value) {
-  char bytes[kU64];
-  for (std::size_t i = 0; i < kU64; ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  }
-  out.append(bytes, kU64);
+  out.append(reinterpret_cast<const char*>(&value), kU64);
+}
+
+/// Appends a u64 or f64 array as it sits in memory: its little-endian
+/// values back to back, in one copy.
+template <typename T>
+void put_array(std::string& out, const std::vector<T>& values) {
+  static_assert(sizeof(T) == kU64);
+  out.append(reinterpret_cast<const char*>(values.data()),
+             values.size() * kU64);
 }
 
 void put_string(std::string& out, std::string_view text) {
@@ -48,18 +59,23 @@ class Reader {
   std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)[0]); }
 
   std::uint64_t u64() {
-    const std::string_view raw = take(kU64);
     std::uint64_t value = 0;
-    for (std::size_t i = 0; i < kU64; ++i) {
-      value |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(raw[i]))
-               << (8 * i);
-    }
+    std::memcpy(&value, take(kU64).data(), kU64);
     return value;
   }
 
-  std::string_view string() { return take(u64()); }
+  /// Fills `values` from the next values.size() u64 or f64 values, in
+  /// one copy.
+  template <typename T>
+  void array(std::vector<T>& values) {
+    static_assert(sizeof(T) == kU64);
+    if (!values.empty()) {
+      std::memcpy(values.data(), take(values.size() * kU64).data(),
+                  values.size() * kU64);
+    }
+  }
 
-  double f64() { return std::bit_cast<double>(u64()); }
+  std::string_view string() { return take(u64()); }
 
   /// A count of items at least `item_bytes` long each; rejected unless
   /// that many items fit in the bytes left, so a caller may reserve by
@@ -156,9 +172,7 @@ std::string encode_request(const Request& request) {
     put_u64(out, job.seed_root);
     put_u64(out, job.base);
     put_u64(out, job.weights.size());
-    for (const double w : job.weights) {
-      put_u64(out, std::bit_cast<std::uint64_t>(w));
-    }
+    put_array(out, job.weights);
     put_u64(out, job.chunks.size());
     for (const auto& [begin, end] : job.chunks) {
       put_u64(out, begin);
@@ -184,8 +198,8 @@ Request decode_request(std::string_view payload) {
                         " of " + std::to_string(request.bases.size()));
     }
     job.weights.resize(in.count(kU64, "weight"));
-    for (double& w : job.weights) {
-      w = in.f64();
+    in.array(job.weights);
+    for (const double w : job.weights) {
       if (!std::isfinite(w)) {
         throw util::Error("malformed frame: a non-finite weight");
       }
@@ -234,7 +248,7 @@ std::string encode_response(const Response& response) {
     put_u64(out, partial.id);
     put_u64(out, partial.sims);
     put_u64(out, partial.hits.size());
-    for (const std::size_t hits : partial.hits) put_u64(out, hits);
+    put_array(out, partial.hits);
   }
   return out;
 }
@@ -269,10 +283,37 @@ Response decode_response(std::string_view payload, std::size_t job_count,
                         std::to_string(event_count) + " events");
     }
     partial.hits.resize(hit_count);
-    for (std::size_t& hits : partial.hits) hits = in.u64();
+    in.array(partial.hits);
   }
   in.finish();
   return response;
+}
+
+void check_answers(const Request& request, const Response& response) {
+  if (!response.ok) return;
+  if (response.partials.size() != request.jobs.size()) {
+    throw util::Error("malformed frame: " +
+                      std::to_string(response.partials.size()) +
+                      " partials for " + std::to_string(request.jobs.size()) +
+                      " requested jobs");
+  }
+  for (std::size_t p = 0; p < request.jobs.size(); ++p) {
+    const JobRequest& job = request.jobs[p];
+    const JobPartial& partial = response.partials[p];
+    if (partial.id != job.id) {
+      throw util::Error("malformed frame: partial " + std::to_string(p) +
+                        " is for job " + std::to_string(partial.id) +
+                        ", not the requested job " + std::to_string(job.id));
+    }
+    std::uint64_t sims = 0;
+    for (const auto& [begin, end] : job.chunks) sims += end - begin;
+    if (partial.sims != sims) {
+      throw util::Error("malformed frame: partial for job " +
+                        std::to_string(job.id) + " reports " +
+                        std::to_string(partial.sims) + " sims of " +
+                        std::to_string(sims) + " requested");
+    }
+  }
 }
 
 bool read_frame(int fd, std::string& payload) {

@@ -19,7 +19,12 @@
 // processes: every count is checked against the bytes left before
 // anything is allocated by it, every base index against the bases, and
 // any malformed payload, a non-finite weight included, throws
-// util::Error.
+// util::Error; check_answers then holds a response to its request.
+//
+// The codec requires a little-endian host (a static_assert in
+// frame.cpp): there a u64 or f64 sits in memory as its wire bytes, so
+// each integer, each job's weight array and each partial's hit array
+// moves with one copy, not one shift loop per value.
 #pragma once
 
 #include <cstddef>
@@ -96,6 +101,20 @@ struct Response {
 [[nodiscard]] Response decode_response(std::string_view payload,
                                        std::size_t job_count,
                                        std::size_t event_count);
+
+/// Throws util::Error unless an ok `response` answers `request`: one
+/// partial per requested job, in request order, each with that job's
+/// id and as many sims as its chunks hold seeds. A failed response
+/// passes; it answers nothing.
+///
+/// It is kept apart from decode_response on purpose. decode_response
+/// checks a frame against the batch's shape alone (job count, event
+/// count), which is all a caller that holds no request can check: the
+/// codec benchmark, and the decoder tests that feed it truncated and
+/// malformed bytes. Its job-count bound is what makes a decoded
+/// partial safe to index the batch's results by. check_answers adds
+/// the stricter per-request check; run_all calls the two in that order.
+void check_answers(const Request& request, const Response& response);
 
 /// Reads one length-prefixed frame into `payload`. Returns false on EOF
 /// or a read error (errno set); throws util::Error when the prefix

@@ -286,6 +286,7 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
       }
       frame::Response response =
           frame::decode_response(payload, job_n, event_count);
+      frame::check_answers(plan[w], response);
       if (!response.ok) {
         // The worker is alive and its stream is synchronized; the batch
         // itself failed (simulation threw). Report, keep the worker.

@@ -10,9 +10,11 @@
 // (exec::JobTables), then simulate_batch over each assigned chunk's
 // seeds — and replies with per-job raw hit-count partials. Shipped
 // weights pass through frame::text_rounded_weight first, so a tuned
-// point draws what its template text would have carried. The parent merges the partials with SimStats::merge, which
-// is commutative, so results are bit-identical to the thread backend
-// for any worker count and any chunk assignment.
+// point draws what its template text would have carried. The parent
+// checks that each response answers its request
+// (frame::check_answers) and merges the partials with SimStats::merge,
+// which is commutative, so results are bit-identical to the thread
+// backend for any worker count and any chunk assignment.
 //
 // Requirements this backend adds over ThreadFarm:
 //   * the unit must be registry-resolvable: duv.name() must round-trip
@@ -24,7 +26,7 @@
 // Failure semantics: a worker that dies mid-batch (SIGKILL, crash),
 // desynchronizes its stream (short read/write, EPIPE — injectable via
 // the exec.pipe_read / exec.pipe_write failure points) or sends a frame
-// that fails to decode surfaces as a
+// that fails to decode or does not answer its request surfaces as a
 // clean util::Error from run_all after every live worker's response has
 // been collected; the dead worker is reaped immediately and respawned
 // at the next run_all, so the farm stays usable and never hangs.

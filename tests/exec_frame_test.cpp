@@ -5,8 +5,11 @@
 // non-finite weight, a job id or hit array that does not fit the batch,
 // a bad chunk range, trailing bytes, an oversized length prefix — must
 // throw util::Error (never an assertion's LogicError, never
-// std::length_error from allocating by a bogus count). Also pins the
-// workers' weight rounding to the template text it stands in for.
+// std::length_error from allocating by a bogus count), and so must a
+// response that does not answer its request. Also pins the bulk
+// encoders to a per-value reference encoder of the documented layout,
+// and the workers' weight rounding to the template text it stands in
+// for.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +20,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exec/frame.hpp"
@@ -299,6 +303,131 @@ TEST(FrameDecode, OkFlagIsZeroOrOne) {
   payload[0] = '\2';
   expect_error([&] { (void)decode_response(payload, kJobs, kEvents); },
                "ok flag");
+}
+
+TEST(FrameDecode, PartialsThatDoNotAnswerTheRequestThrow) {
+  // sample_request() asks for jobs 3 (chunks of 64 and 44 seeds), 8
+  // (64) and 9 (1), in that order.
+  const Request request = sample_request();
+  const auto answer = [](std::vector<std::pair<std::uint64_t, std::uint64_t>>
+                             id_sims) {
+    Response response;
+    for (const auto& [id, sims] : id_sims) {
+      response.partials.push_back(JobPartial{id, sims, {0, 0, 0, 0, 0}});
+    }
+    return decode_response(encode_response(response), kJobs + 1, kEvents);
+  };
+  EXPECT_NO_THROW(check_answers(request, answer({{3, 108}, {8, 64}, {9, 1}})));
+  // A failed response answers nothing, and is not malformed for it.
+  EXPECT_NO_THROW(check_answers(request, Response{false, "boom", {}}));
+
+  expect_error([&] { check_answers(request, answer({{3, 108}, {8, 64}})); },
+               "2 partials for 3 requested jobs");
+  expect_error(
+      [&] {
+        check_answers(request,
+                      answer({{3, 108}, {8, 64}, {9, 1}, {9, 1}}));
+      },
+      "4 partials for 3 requested jobs");
+  expect_error([&] { check_answers(request, answer({})); },
+               "0 partials for 3 requested jobs");
+  // A job it was not sent, and the right jobs out of order.
+  expect_error(
+      [&] { check_answers(request, answer({{3, 108}, {7, 64}, {9, 1}})); },
+      "partial 1 is for job 7, not the requested job 8");
+  expect_error(
+      [&] { check_answers(request, answer({{8, 64}, {3, 108}, {9, 1}})); },
+      "partial 0 is for job 8, not the requested job 3");
+  // A sims count that is not the sum of the job's chunk widths.
+  for (const std::uint64_t sims : {std::uint64_t{0}, std::uint64_t{107},
+                                   std::uint64_t{109}, std::uint64_t{128}}) {
+    expect_error(
+        [&] {
+          check_answers(request, answer({{3, sims}, {8, 64}, {9, 1}}));
+        },
+        "partial for job 3 reports " + std::to_string(sims) +
+            " sims of 108 requested");
+  }
+  expect_error(
+      [&] { check_answers(request, answer({{3, 108}, {8, 64}, {9, 0}})); },
+      "partial for job 9 reports 0 sims of 1 requested");
+}
+
+// --- Wire-format pin ---------------------------------------------------
+
+/// docs/backends.md's grammar, one u64 at a time: the layout the bulk
+/// encoders must reproduce byte for byte.
+std::string per_value_request(const Request& request) {
+  std::string out = str(request.unit) + u64(request.bases.size());
+  for (const std::string_view base : request.bases) out += str(base);
+  out += u64(request.jobs.size());
+  for (const JobRequest& job : request.jobs) {
+    out += u64(job.id) + u64(job.seed_root) + u64(job.base) +
+           u64(job.weights.size());
+    for (const double w : job.weights) {
+      out += u64(std::bit_cast<std::uint64_t>(w));
+    }
+    out += u64(job.chunks.size());
+    for (const auto& [begin, end] : job.chunks) out += u64(begin) + u64(end);
+  }
+  return out;
+}
+
+std::string per_value_response(const Response& response) {
+  if (!response.ok) return std::string(1, '\0') + str(response.error);
+  std::string out = std::string(1, '\1') + u64(response.partials.size());
+  for (const JobPartial& partial : response.partials) {
+    out += u64(partial.id) + u64(partial.sims) + u64(partial.hits.size());
+    for (const std::size_t hits : partial.hits) out += u64(hits);
+  }
+  return out;
+}
+
+TEST(FrameCodec, BulkEncodingIsByteIdenticalToThePerValueLayout) {
+  util::Xoshiro256 rng(0xB17E);
+  const auto below = [&](std::uint64_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::vector<std::string> texts = {kTmplA, kTmplB, "", "t"};
+  for (int round = 0; round < 200; ++round) {
+    Request request;
+    request.unit = round % 2 == 0 ? "ifu" : "l3_cache";
+    for (std::size_t b = below(4); b > 0; --b) {
+      request.bases.push_back(texts[below(texts.size())]);
+    }
+    // Empty jobs, jobs without weights, jobs with many; weights are raw
+    // bit patterns (finite ones: the decoder rejects the rest).
+    for (std::size_t j = request.bases.empty() ? 0 : below(6); j > 0; --j) {
+      JobRequest job{rng(), rng(), below(request.bases.size()), {}, {}};
+      for (std::size_t w = below(3) == 0 ? 0 : below(40); w > 0; --w) {
+        double weight = std::bit_cast<double>(rng());
+        if (!std::isfinite(weight)) weight = rng.uniform();
+        job.weights.push_back(weight);
+      }
+      for (std::size_t c = below(4); c > 0; --c) {
+        const std::uint64_t begin = rng() >> 1;
+        job.chunks.emplace_back(begin, begin + below(kChunk + 1));
+      }
+      request.jobs.push_back(std::move(job));
+    }
+    const std::string payload = encode_request(request);
+    ASSERT_EQ(payload, per_value_request(request)) << "round " << round;
+    expect_same(decode_request(payload), request);
+
+    const std::size_t events = 1 + below(300);
+    Response response;
+    for (std::size_t p = below(17); p > 0; --p) {
+      JobPartial partial{below(kJobs), rng(), std::vector<std::size_t>(events)};
+      for (std::size_t& hits : partial.hits) hits = rng() >> below(64);
+      response.partials.push_back(std::move(partial));
+    }
+    const Response failed{false, std::string(below(50), 'e'), {}};
+    for (const Response& r : {response, failed}) {
+      const std::string bytes = encode_response(r);
+      ASSERT_EQ(bytes, per_value_response(r)) << "round " << round;
+      expect_same(decode_response(bytes, kJobs, events), r);
+    }
+  }
 }
 
 // --- Weight rounding ---------------------------------------------------

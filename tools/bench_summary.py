@@ -15,6 +15,10 @@ dashboard) actually tracks per commit:
   * one fine-grained optimizer iteration per backend (BM_EvalBatchFine:
     61 ifu points x 4 sims on 4 workers, microseconds of real time) —
     informational, when bench_eval_batch ran;
+  * the process backend's pipe-frame codec at that batch's shape
+    (BM_FrameCodec/request: a 61-point request, BM_FrameCodec/response:
+    a 16-partial response; one encode and decode each, microseconds of
+    real time) — informational, when it ran;
   * each unit kernel's microseconds of real time per simulation, from
     BM_DuvStep/<unit>'s items/sec — informational, when it ran;
   * the checkpoint journal's microseconds of real time per record, per
@@ -134,6 +138,14 @@ def main(argv):
         entries = by_name.get("BM_EvalBatchFine/%s/real_time" % backend)
         return median_of(entries, "real_time") if entries else None
 
+    # Optional: BM_FrameCodec/<side>, µs of real time per encode+decode.
+    def frame_codec_us(side):
+        entries = by_name.get("BM_FrameCodec/%s/real_time" % side)
+        real_time = median_of(entries, "real_time") if entries else None
+        if real_time is None:
+            return None
+        return real_time * US_PER_UNIT[entries[0].get("time_unit", "ns")]
+
     # Optional: kernel µs per simulation, per unit BM_DuvStep ran on.
     duv_us_per_sim = {}
     for name, entries in by_name.items():
@@ -173,6 +185,13 @@ def main(argv):
         "eval_batch_fine_us": {
             "thread": eval_batch_fine("thread"),
             "process": eval_batch_fine("process"),
+        },
+        # The process backend's frame codec, µs per encode+decode of
+        # one ifu-fine batch's request and one worker's response (None
+        # when the bench did not run). Never gated.
+        "frame_codec_us": {
+            "request": frame_codec_us("request"),
+            "response": frame_codec_us("response"),
         },
         # Unit kernel µs per simulation (BM_DuvStep/<unit>; empty when
         # the bench did not run). Never gated.
